@@ -2,7 +2,10 @@
 
 Layers are minsum's modules.  Every metric is reported on every
 workload; a layer a workload never enters reports 0 (its calls, and
-therefore its time, are zero there).
+therefore its time, are zero there).  A metric that counts events is
+divided by the traced operations, points or calls it came from, so a
+faster commit, which fits more operations into the traced phase, does
+not read as a worse one.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ UNITS = {
     "membership.evaluate_us": "us",
     "membership.witness_p50_ms": "ms",
     "membership.witness_tail_ms": "ms",
-    "membership.witness_fail": "count",
+    "membership.witness_fail_ratio": "ratio",
     "membership.witness_ok_ratio": "ratio",
     "geometry.eps_for_calls_per_op": "count",
     "geometry.as_vec_calls_per_op": "count",
@@ -41,15 +44,20 @@ UNITS = {
     "oracle.necessity_ms_per_instance": "ms",
     "oracle.qp_us": "us",
     "oracle.checked_ratio": "ratio",
-    "oracle.indeterminate": "count",
-    "projection.calls": "count",
+    "oracle.indeterminate_ratio": "ratio",
+    "projection.calls_per_op": "count",
     "projection.iterations_p50": "count",
     "projection.iterations_max": "count",
-    "projection.self_s": "s",
-    "projection.stagnated": "count",
-    "projection.cap": "count",
+    "projection.self_ms_per_op": "ms",
+    "projection.stagnated_ratio": "ratio",
+    "projection.cap_ratio": "ratio",
     "trace.overhead_ratio": "ratio",
 }
+
+
+# operation kind -> a traced function every operation of that kind enters
+ENTERED = {"region": "membership.rasterize_region", "verify": "oracle.cross_check",
+           "point": "membership.evaluate"}
 
 
 class SpanView:
@@ -62,7 +70,9 @@ class SpanView:
         self.top = spans["parent"] < 0
 
     def mask(self, name, top_only=False):
-        m = self.sp["name"] == self.ids.get(name, -1)
+        if name not in self.ids:
+            raise KeyError(f"{name} is not traced (perfbench/tracing.py TRACED)")
+        m = self.sp["name"] == self.ids[name]
         return m & self.top if top_only else m
 
     def count(self, name) -> int:
@@ -87,7 +97,7 @@ def region_time_share(tracer, spans) -> dict:
     """Shares of the traced `region` calls' time spent in the raster
     kernel (rasterize_region) and in serialize (CSV and SVG text)."""
     v = SpanView(tracer, spans)
-    total = v.durations("cli.cmd_region").sum()
+    total = v.durations("cli.main").sum()
     kernel = v.durations("membership.rasterize_region").sum()
     ser = (v.durations("serialize.raster_to_csv_text").sum()
            + v.durations("serialize.raster_to_svg_text").sum())
@@ -101,6 +111,13 @@ def _ratio(a, b) -> float:
 def per_layer(tracer, spans, ops, extra) -> dict:
     """Every per-layer metric from the traced phase's spans and ops."""
     v = SpanView(tracer, spans)
+    for kind, name in ENTERED.items():
+        # a binding the program no longer calls would read as 0 time
+        missed = ({i for i, o in enumerate(ops) if o["kind"] == kind}
+                  - set(spans["op"][v.mask(name)].tolist()))
+        if missed:
+            raise RuntimeError(f"{len(missed)} traced {kind} operations never entered {name}; "
+                               "update perfbench/tracing.py and perfbench/layers.py")
     n_ops = max(1, sum(1 for o in ops if o["kind"] != "scenario"))
     out = {}
     out["cli.self_ms"] = median(v.layer_self_by_op("cli")) * 1e3
@@ -138,7 +155,8 @@ def per_layer(tracer, spans, ops, extra) -> dict:
     out["membership.witness_p50_ms"] = median(witness)
     out["membership.witness_tail_ms"] = tail_stat(witness)[0]
     points = [o for o in ops if o["kind"] == "point" and o["admits"]]
-    out["membership.witness_fail"] = float(sum(1 for o in points if o["error"] is not None))
+    out["membership.witness_fail_ratio"] = _ratio(
+        sum(1 for o in points if o["error"] is not None), len(points))
     ok = sum(1 for o in points if o["error"] is None and o["certified_ok"]
              and all(o["certified_ok"]))
     out["membership.witness_ok_ratio"] = _ratio(ok, len(points))
@@ -164,17 +182,19 @@ def per_layer(tracer, spans, ops, extra) -> dict:
     out["oracle.necessity_ms_per_instance"] = _ratio(v.durations("oracle.necessity_sweep").sum() * 1e3, instances)
     out["oracle.qp_us"] = median(v.durations("oracle.qp_min_norm_gradient")) * 1e6
     out["oracle.checked_ratio"] = _ratio(sum(o.get("checked", 0) for o in verifies), total_points)
-    out["oracle.indeterminate"] = float(sum(o.get("indeterminate", 0) for o in verifies))
+    out["oracle.indeterminate_ratio"] = _ratio(
+        sum(o.get("indeterminate", 0) for o in verifies), total_points)
 
     results = tracer.projection_results
     iters = [it for _, it in results]
     proj = v.mask("_projection.cyclic_projection") | v.mask("_projection.block_cyclic_projection")
-    out["projection.calls"] = float(len(results))
+    out["projection.calls_per_op"] = len(results) / n_ops
     out["projection.iterations_p50"] = median(iters)
     out["projection.iterations_max"] = float(max(iters)) if iters else 0.0
-    out["projection.self_s"] = float(spans["self"][proj].sum())
-    out["projection.stagnated"] = float(sum(1 for s, _ in results if s == "stagnated"))
-    out["projection.cap"] = float(sum(1 for s, _ in results if s == "cap"))
+    out["projection.self_ms_per_op"] = float(spans["self"][proj].sum()) * 1e3 / n_ops
+    out["projection.stagnated_ratio"] = _ratio(
+        sum(1 for s, _ in results if s == "stagnated"), len(results))
+    out["projection.cap_ratio"] = _ratio(sum(1 for s, _ in results if s == "cap"), len(results))
     out["trace.overhead_ratio"] = extra["overhead_ratio"]
     if list(out) != list(UNITS):
         raise RuntimeError("per-layer metric list out of sync with UNITS")

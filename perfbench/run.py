@@ -7,9 +7,9 @@ Runs one closed-loop workload (raster, verify or query; `all` runs the
 three, each in its own interpreter) against the minsum source tree of
 the checkout it sits in, checks every output, and prints as its last
 stdout line one JSON object: correct, attempted, failed and metrics.
-With --trace 0 the metrics are the end-to-end ones; with --trace 1 the
-run measures untraced for half the time, then traced for the other
-half with the same operations, and reports the per-layer metrics.
+With --trace 0 the metrics are the end-to-end ones; with --trace 1
+every cycle of operations runs untraced and then traced on the same
+inputs, and the run reports the per-layer metrics.
 The line before it is a report with the workload's own named metrics
 and the machine facts.  Full results and the spans of a traced run are
 written under perfbench/out/.
@@ -26,7 +26,7 @@ import sys
 import time
 
 from workloads import (COLD_CHECKS, SETUP_REPEATS, interquartile_mean, median,
-                       peak_rss_mb, rate_per_cycle, slim)
+                       peak_rss_mb, slim)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -78,46 +78,75 @@ def setup(run, wl) -> float:
     return time.perf_counter() - t0
 
 
-def run_phase(run, wl, seconds: float, tracer=None, setups=None, cold=None,
-              marks=None) -> list:
-    """Whole cycles of operations, one at a time, until the next cycle
-    would end past `seconds` (at least one cycle).
+def run_phase(run, wl, seconds: float, setups: list, cold: list, marks: dict,
+              tracer=None) -> tuple:
+    """Whole rotations of operations, one at a time, until the next
+    rotation would end past `seconds` (at least one rotation).  A
+    rotation is `wl.rotation` cycles and runs every operation shape of
+    the workload once, so every run has the same mix of shapes.
 
-    Given the lists setups and cold (untraced phases only), the set-up is
-    repeated at cycle ends and the cold checks run between operations,
-    both spread over the phase so that no single stretch of machine
-    speed decides them; neither falls inside an operation's timing.
+    The set-up is repeated at cycle ends and the cold checks run between
+    operations, both spread over the run so that no single stretch of
+    machine speed decides them; neither falls inside an operation's
+    timing.  With a tracer, every operation runs twice, untraced and
+    traced on the same input, one right after the other, so the
+    machine's drift cancels out of the tracing overhead.  Returns the
+    untraced and the traced operations.
     """
-    target = wl.cold_target() if cold is not None else None
-    ops = []
+    target = wl.cold_target()
+    ops, traced = [], []
+
+    def timed(op, c, into):
+        wl.execute(op)
+        op["ok"] = wl.check(op)
+        op["cycle"] = c
+        into.append(slim(op))
+
+    def timed_traced(op, c):
+        tracer.install()
+        try:
+            tracer.op = len(traced)
+            wl.execute(op)
+        finally:
+            tracer.op = -1
+            tracer.uninstall()
+        op["ok"] = wl.check(op)
+        op["cycle"] = c
+        traced.append(slim(op))
+
     start = time.perf_counter()
     for c in itertools.count():
-        cycle_start = time.perf_counter()
-        for op in wl.cycle(c):
-            if cold is not None and len(cold) < COLD_CHECKS and (
+        if c % wl.rotation == 0:
+            rotation_start = time.perf_counter()
+        for k, op in enumerate(wl.cycle(c)):
+            if len(cold) < COLD_CHECKS and (
                     time.perf_counter() - start >= len(cold) * seconds / COLD_CHECKS):
                 path, scenario, points = target
                 cold.append(run.cold_check(path, scenario, points[len(cold)]))
-            if tracer is not None:
-                tracer.op = len(ops)
-            wl.execute(op)
-            if tracer is not None:
-                tracer.op = -1
-            op["ok"] = wl.check(op)
-            op["cycle"] = c
-            ops.append(slim(op))
-        if c == 0 and marks is not None:
-            marks["rss_after_first_cycle"] = peak_rss_mb()
+            if tracer is None:
+                timed(op, c, ops)
+            elif (k + c // wl.rotation) % 2 == 0:
+                # the second run of an input finds warmer caches:
+                # alternate which of the pair goes first
+                twin = dict(op)
+                timed(op, c, ops)
+                timed_traced(twin, c)
+            else:
+                twin = dict(op)
+                timed_traced(twin, c)
+                timed(op, c, ops)
+        if c == wl.rotation - 1:
+            marks["rss_after_first_rotation"] = peak_rss_mb()
         now = time.perf_counter()
-        last = (now - start) + (now - cycle_start) > seconds
-        if setups is not None and len(setups) <= SETUP_REPEATS and (
+        last = (c + 1) % wl.rotation == 0 and (now - start) + (now - rotation_start) > seconds
+        if len(setups) <= SETUP_REPEATS and (
                 last or now - start >= len(setups) * seconds / (SETUP_REPEATS + 1)):
             setups.append(setup(run, wl))
         if last:
-            while cold is not None and len(cold) < COLD_CHECKS:
+            while len(cold) < COLD_CHECKS:
                 path, scenario, points = target
                 cold.append(run.cold_check(path, scenario, points[len(cold)]))
-            return ops
+            return ops, traced
 
 
 def run_one(args) -> tuple:
@@ -130,31 +159,24 @@ def run_one(args) -> tuple:
 
     setups = [setup(run, wl)]
     cold = []
-    phase_seconds = args.seconds / 2 if args.trace else args.seconds
     marks = {}
-    ops = run_phase(run, wl, phase_seconds, setups=setups, cold=cold, marks=marks)
-    report = {"workload": args.workload, "trace": args.trace, "machine": facts}
-    layer = None
-    all_ops = list(ops)
+    tracer = None
     if args.trace:
         from tracing import Tracer
         import layers
 
         tracer = Tracer()
-        tracer.install()
-        try:
-            traced = run_phase(run, wl, phase_seconds, tracer)
-        finally:
-            tracer.uninstall()
-        all_ops += traced
-        k = min(len(ops), len(traced))
-        for i in range(k):
-            if ops[i].get("output_digest") != traced[i].get("output_digest"):
-                run.problem(f"traced op {i} ({traced[i]['kind']}) output differs from untraced")
+    ops, traced = run_phase(run, wl, args.seconds, setups, cold, marks, tracer)
+    report = {"workload": args.workload, "trace": args.trace, "machine": facts}
+    layer = None
+    all_ops = ops + traced
+    if args.trace:
+        for i, (plain, t) in enumerate(zip(ops, traced)):
+            if plain.get("output_digest") != t.get("output_digest"):
+                run.problem(f"traced op {i} ({t['kind']}) output differs from untraced")
         extra = {
             "import_times": run.import_times(),
-            "overhead_ratio": sum(o["latency"] for o in traced[:k])
-            / sum(o["latency"] for o in ops[:k]) - 1.0,
+            "overhead_ratio": wl.work_rate(ops) / wl.work_rate(traced) - 1.0,
         }
         if hasattr(wl, "peak_alloc_mb"):
             extra["rasterize_peak_alloc_mb"] = wl.peak_alloc_mb()
@@ -177,10 +199,13 @@ def run_one(args) -> tuple:
     lat_ms = [o["latency"] * 1e3 for o in ops if o["latency_op"]]
     e2e = {
         "setup_s": median(setups),
-        "peak_rss_mb": marks["rss_after_first_cycle"],
-        "work_per_s": interquartile_mean(rate_per_cycle(ops)),
+        "peak_rss_mb": marks["rss_after_first_rotation"],
+        "work_per_s": wl.work_rate(ops),
         "op_p50_ms": median(lat_ms),
-        "cold_check_s": median(cold),
+        # a cold start lands in one of a few speed modes of the machine;
+        # the middle half's mean moves smoothly with their mix where a
+        # median would jump from one mode to the next
+        "cold_check_s": interquartile_mean(cold),
     }
     tail, pct, n = tail_stat(lat_ms)
     named = {k: {"value": v, "unit": E2E_UNITS[k]} for k, v in e2e.items()}

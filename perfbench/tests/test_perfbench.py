@@ -81,6 +81,21 @@ def test_traced_run_gives_identical_outputs(run):
     assert not hasattr(run.m["membership"].evaluate, "__wrapped__")
 
 
+def test_tracer_stops_on_a_missing_traced_function(run, monkeypatch):
+    monkeypatch.delattr(run.m["membership"], "rasterize_region")
+    tracer = Tracer()
+    with pytest.raises(RuntimeError, match="rasterize_region"):
+        tracer.install()
+    # the bindings wrapped before the missing one are restored
+    assert not hasattr(run.m["cli"].main, "__wrapped__")
+
+
+def test_rate_of_medians_skips_unrated_and_slow_outliers():
+    ops = [{"shape": "a", "latency": t, "items": 10} for t in (1.0, 1.0, 9.0)]
+    ops += [{"shape": "b", "latency": 1.0, "items": 10}, {"shape": None, "latency": 50.0, "items": 1}]
+    assert workloads.rate_of_medians(ops, lambda o: o["shape"]) == pytest.approx(10.0)
+
+
 def test_region_check_passes_and_catches_a_flipped_cell(run):
     sc, bbox, csv_text, svg_text, out = _render(run, "two_smooth")
     assert workloads.check_region_output(run, "t", sc, bbox, 12, csv_text, svg_text, out,

@@ -22,30 +22,19 @@ from array import array
 
 import numpy as np
 
-# home module -> traced functions; the span name is "<module>.<function>"
+# home module -> traced functions; the span name is "<module>.<function>".
+# Only functions whose spans a metric in layers.py reads, or whose time
+# must be subtracted from a caller's self time (the calls cli.main makes
+# into other modules), are wrapped: every wrapper adds to the traced time.
 TRACED = {
-    "cli": ("main", "cmd_check", "cmd_region", "cmd_verify", "cmd_bounds",
-            "cmd_focal", "_verify_one", "_sample_points", "_emit"),
-    "serialize": ("load_scenario", "scenario_from_json", "raster_to_csv_text",
-                  "raster_to_svg_text", "verdict_to_dict"),
-    "membership": ("evaluate", "route", "rasterize_region", "witness_gradients",
-                   "focal_point", "member_two_smooth", "member_smooth_nonsmooth",
-                   "member_two_nonsmooth_bounded", "member_m_smooth",
-                   "member_m_one_nonsmooth", "member_with_known",
-                   "member_with_known_one_nonsmooth", "min_bound_B",
-                   "_gradient_set"),
-    "geometry": ("eps_for", "as_vec", "check_same_dim", "classify",
-                 "gram_matrix", "gram_det"),
+    "cli": ("main",),
+    "serialize": ("load_scenario", "raster_to_csv_text", "raster_to_svg_text"),
+    "membership": ("evaluate", "rasterize_region", "witness_gradients", "focal_point"),
+    "geometry": ("eps_for", "as_vec"),
     "interpolation": ("minimizer_condition_margin", "witness_values",
-                      "check_interpolation", "geometric_ball", "pair_slack"),
-    "bounds": ("scenario_bound_reports", "smallest_enclosing_ball",
-               "focal_distance_bound", "ball_bound_smooth",
-               "ball_bound_one_nonsmooth", "ball_bound_baseline"),
-    "oracle": ("cross_check", "necessity_sweep", "qp_min_norm_gradient",
-               "qp_min_norm_gradient_solution", "feasibility_by_projection",
-               "_oracle_two_summand", "_oracle_block",
-               "sample_quadratic_instance", "random_smooth_scenario",
-               "random_two_nonsmooth_scenario"),
+                      "check_interpolation", "geometric_ball"),
+    "bounds": ("scenario_bound_reports",),
+    "oracle": ("cross_check", "necessity_sweep", "qp_min_norm_gradient"),
     "_projection": ("cyclic_projection", "block_cyclic_projection"),
 }
 
@@ -88,8 +77,10 @@ class Tracer:
         return buf
 
     def _wrap(self, fn, name: str):
-        name_id = len(self.names)
-        self.names.append(name)
+        # install() may run many times; a name keeps its first id
+        if name not in self.names:
+            self.names.append(name)
+        name_id = self.names.index(name)
         ids = self._ids
         clock = time.perf_counter
         is_projection = name.startswith("_projection.")
@@ -136,13 +127,16 @@ class Tracer:
             if m is not None and (k == package or k.startswith(package + "."))
         ]
         for home, names in TRACED.items():
-            home_mod = sys.modules.get(f"{package}.{home}")
+            home_mod = sys.modules[f"{package}.{home}"]
             for fname in names:
-                # a later version may have removed the function; its
-                # metrics then read 0
+                # a traced function that is gone would make its metrics
+                # read 0, which looks like a gain: stop instead
                 original = getattr(home_mod, fname, None)
                 if original is None:
-                    continue
+                    self.uninstall()
+                    raise RuntimeError(
+                        f"traced function {package}.{home}.{fname} not found; "
+                        "update perfbench/tracing.py and perfbench/layers.py")
                 wrapper = self._wrap(original, f"{home}.{fname}")
                 for mod in modules:
                     if getattr(mod, fname, None) is original:

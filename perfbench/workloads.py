@@ -29,7 +29,7 @@ import reference
 MODULES = ("cli", "serialize", "membership", "geometry", "interpolation",
            "bounds", "oracle", "_projection")
 
-RASTER_RES = 80           # cells per axis of every raster
+RASTER_RES = 40           # cells per axis of every raster
 VERIFY_POINTS = 50        # sampled points per `verify <file>` call
 VERIFY_VARIANTS = 4       # seeded scenarios per verify preset
 VERIFY_RANDOM_SEEDS = 4   # scenarios per `verify --random` call
@@ -37,8 +37,8 @@ VERIFY_RANDOM_POINTS = 100
 QUERY_POINTS = 50         # uniform points per query scenario and pass
 BOUNDARY_PER_PASS = 1     # bisected boundary points per query pass
 BOUNDARY_SCENARIO = "two_smooth_2d"
-COLD_CHECKS = 10          # spread evenly over the timed phase
-SETUP_REPEATS = 4         # after the first set-up, at cycle ends
+COLD_CHECKS = 20          # spread evenly over the timed phase
+SETUP_REPEATS = 9         # after the first set-up, at cycle ends
 
 RECORDED_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "recorded.json")
 
@@ -70,13 +70,21 @@ def interquartile_mean(values) -> float:
     return sum(mid) / len(mid)
 
 
-def rate_per_cycle(ops) -> list:
-    """Work items per second of operation time, one value per cycle."""
-    items, secs = {}, {}
+def rate_of_medians(ops, key) -> float:
+    """Work items per second of one rotation of operation shapes, from
+    each shape's median latency and median items: the sum of the items
+    over the sum of the latencies.  `key(op)` names an operation's shape,
+    or None for one that is not rated.  Each shape has many samples
+    spread over the run, so neither a slow stretch of the machine nor a
+    rare costly input moves the figure much."""
+    lat, items = {}, {}
     for o in ops:
-        items[o["cycle"]] = items.get(o["cycle"], 0) + o["items"]
-        secs[o["cycle"]] = secs.get(o["cycle"], 0.0) + o["latency"]
-    return [items[c] / secs[c] for c in sorted(items)]
+        k = key(o)
+        if k is None:
+            continue
+        lat.setdefault(k, []).append(o["latency"])
+        items.setdefault(k, []).append(o["items"])
+    return sum(median(v) for v in items.values()) / sum(median(v) for v in lat.values())
 
 
 class Run:
@@ -110,10 +118,7 @@ class Run:
         pkg = importlib.import_module("minsum")
         self.m = {"minsum": pkg}
         for name in MODULES:
-            try:
-                self.m[name] = importlib.import_module(f"minsum.{name}")
-            except ModuleNotFoundError:
-                pass        # a private module a later version folded away
+            self.m[name] = importlib.import_module(f"minsum.{name}")
         return pkg
 
     def cli(self, argv):
@@ -184,6 +189,10 @@ def slim(op: dict) -> dict:
 
 
 class Raster:
+    # cycles per rotation: one cycle is one render, so a run holds many
+    # short samples of every (preset, workers) shape
+    rotation = 2 * len(inputs.PRESETS)
+
     def __init__(self, run: Run):
         self.run = run
 
@@ -202,13 +211,14 @@ class Raster:
                           "--out", self.run.path("raster", "warm.csv")])
 
     def cycle(self, c: int):
-        """Every preset rendered with --workers 1 and then 2; every
-        cycle renders the same inputs."""
-        for name, sc, path, bbox in self.cases:
-            for workers in (1, 2):
-                yield {"kind": "region", "latency_op": True, "preset": name, "workers": workers,
-                       "pattern": inputs.PATTERN_OF[name], "scenario": sc,
-                       "path": path, "bbox": bbox}
+        """One render: the presets in turn, each with --workers 1 and
+        then 2, so `rotation` cycles render every shape once.  Every
+        rotation renders the same inputs."""
+        name, sc, path, bbox = self.cases[(c // 2) % len(self.cases)]
+        workers = 1 + c % 2
+        yield {"kind": "region", "latency_op": True, "preset": name, "workers": workers,
+               "pattern": inputs.PATTERN_OF[name], "scenario": sc,
+               "path": path, "bbox": bbox}
 
     def execute(self, op):
         csv_path = self.run.path("raster", f"{op['preset']}_w{op['workers']}.csv")
@@ -242,6 +252,10 @@ class Raster:
         return check_region_output(run, tag, op["scenario"], op["bbox"], RASTER_RES,
                                    csv_text, svg_text, op["stdout"], op["preset"])
 
+    @staticmethod
+    def work_rate(ops) -> float:
+        return rate_of_medians(ops, lambda o: (o["preset"], o["workers"]))
+
     def finish(self, ops):
         w1 = [o for o in ops if o["workers"] == 1]
         w2 = [o for o in ops if o["workers"] == 2]
@@ -254,10 +268,10 @@ class Raster:
                 self.run.problem(f"region {preset}: output bytes differ between runs")
         return {
             "raster_cells_per_s": {
-                "value": sum(o["cells"] for o in w1) / sum(o["latency"] for o in w1),
+                "value": rate_of_medians(w1, lambda o: o["preset"]),
                 "unit": "cells/s", "samples": len(w1)},
             "raster_w2_cells_per_s": {
-                "value": sum(o["cells"] for o in w2) / sum(o["latency"] for o in w2),
+                "value": rate_of_medians(w2, lambda o: o["preset"]),
                 "unit": "cells/s", "samples": len(w2)},
         }
 
@@ -343,6 +357,8 @@ def check_region_output(run, tag, scenario, bbox, n, csv_text, svg_text, stdout,
 
 
 class Verify:
+    rotation = 1
+
     def __init__(self, run: Run):
         self.run = run
 
@@ -358,29 +374,30 @@ class Verify:
                 path = self.run.path("verify", f"{name}.json")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(inputs.scenario_text(sc))
-                cases.append((name, sc, path))
+                cases.append((name, spec[0], sc, path))
         return cases
 
     def make_inputs(self):
         self.cases = self._write_cases(0)
 
     def warm_up(self):
-        for name, _, path in self.cases:
-            self.run.cli(["verify", path, "--points", 5, "--seed", 0])
+        # the --random scenarios do not depend on the seed, so neither
+        # does the warm-up's cost; a seeded variant can need thousands
+        # of projection iterations and would decide setup_s
         self.run.cli(["verify", "--random", "--seeds", 2, "--points", 5])
 
     def cycle(self, c: int):
         """The four presets in VERIFY_VARIANTS fresh variants each, then
         one `verify --random`."""
         cases = self.cases if c == 0 else self._write_cases(c)
-        for name, sc, path in cases:
+        for name, spec_name, sc, path in cases:
             smooth = all(s["L"] != "inf" for s in sc["summands"] if "known" not in s)
-            yield {"kind": "verify", "latency_op": False, "preset": name, "cycle": c,
-                   "necessity": smooth,
+            yield {"kind": "verify", "latency_op": False, "preset": name, "shape": spec_name,
+                   "cycle": c, "necessity": smooth,
                    "argv": ["verify", path, "--points", VERIFY_POINTS,
                             "--seed", self.run.seed * 1000 + c]}
-        yield {"kind": "verify", "latency_op": True, "preset": "random", "cycle": c,
-               "necessity": None,
+        yield {"kind": "verify", "latency_op": True, "preset": "random", "shape": "random",
+               "cycle": c, "necessity": None,
                "argv": ["verify", "--random", "--seeds", VERIFY_RANDOM_SEEDS,
                         "--points", VERIFY_RANDOM_POINTS]}
 
@@ -428,6 +445,10 @@ class Verify:
             run.problem(f"{tag}: exit {op['code']}, mismatch, indeterminate or ok false")
         return ok
 
+    @staticmethod
+    def work_rate(ops) -> float:
+        return rate_of_medians(ops, lambda o: o["shape"])
+
     def finish(self, ops):
         return {
             "verify_points_per_s": {
@@ -436,7 +457,7 @@ class Verify:
         }
 
     def cold_target(self):
-        name, sc, path = self.cases[0]
+        name, _, sc, path = self.cases[0]
         return path, sc, inputs.query_points(self.run.seed, sc, "cold", COLD_CHECKS)
 
 
@@ -445,6 +466,8 @@ class Verify:
 
 
 class Query:
+    rotation = 1
+
     def __init__(self, run: Run):
         self.run = run
 
@@ -497,10 +520,14 @@ class Query:
             for i in range(len(pts)):
                 yield {"kind": "point", "latency_op": True, "case": case, "cycle": c,
                        "index": i, "x": pts[i], "boundary": False}
+        # a boundary point spends seconds reaching the projection's
+        # iteration cap at the seed: it counts as attempted and failed,
+        # and its latency is reported on its own (query_boundary_ms), so
+        # it decides neither the rate nor the latency percentiles
         for case in cases:
             for i, x in enumerate(case.get("boundary", ())):
-                yield {"kind": "point", "latency_op": True, "case": case, "cycle": c,
-                       "index": i, "x": x, "boundary": True}
+                yield {"kind": "point", "latency_op": False, "case": case,
+                       "cycle": c, "index": i, "x": x, "boundary": True}
 
     def execute(self, op):
         m = self.run.m
@@ -529,7 +556,7 @@ class Query:
         if verdict.admits:
             try:
                 gs = m["membership"].witness_gradients(sc, x)
-            except getattr(m["membership"], "WitnessRecoveryError", ()) as exc:
+            except m["membership"].WitnessRecoveryError as exc:
                 error = exc
             if gs is not None:
                 for s, g in zip(sc.summands, gs):
@@ -624,12 +651,23 @@ class Query:
                 return False
         return True
 
+    @staticmethod
+    def work_rate(ops) -> float:
+        """Point queries per second at each scenario's median point
+        latency: about 1% of the points, near the boundary, take up half
+        of the point time, so a total over one run follows the few such
+        points the run happened to draw.  query_tail_ms reports them."""
+        return rate_of_medians(
+            ops, lambda o: o["label"] if o["kind"] == "point" and not o["boundary"] else None)
+
     def finish(self, ops):
-        lat = [o["latency"] * 1e3 for o in ops if o["kind"] == "point"]
+        lat = [o["latency"] * 1e3 for o in ops if o["kind"] == "point" and not o["boundary"]]
+        edge = [o["latency"] * 1e3 for o in ops if o["kind"] == "point" and o["boundary"]]
         tail, pct, n = tail_stat(lat)
         return {
             "query_p50_ms": {"value": median(lat), "unit": "ms", "samples": n},
             "query_tail_ms": {"value": tail, "unit": "ms", "percentile": pct, "samples": n},
+            "query_boundary_ms": {"value": median(edge), "unit": "ms", "samples": len(edge)},
         }
 
     def recorded_digests(self, ops):
