@@ -4,6 +4,7 @@
 """
 from __future__ import annotations
 
+import json
 import os
 import sys
 
@@ -90,10 +91,10 @@ def test_tracer_stops_on_a_missing_traced_function(run, monkeypatch):
     assert not hasattr(run.m["cli"].main, "__wrapped__")
 
 
-def test_rate_of_medians_skips_unrated_and_slow_outliers():
-    ops = [{"shape": "a", "latency": t, "items": 10} for t in (1.0, 1.0, 9.0)]
+def test_rate_of_shapes_skips_unrated_and_slow_outliers():
+    ops = [{"shape": "a", "latency": t, "items": 10} for t in (1.0, 1.0, 1.0, 9.0)]
     ops += [{"shape": "b", "latency": 1.0, "items": 10}, {"shape": None, "latency": 50.0, "items": 1}]
-    assert workloads.rate_of_medians(ops, lambda o: o["shape"]) == pytest.approx(10.0)
+    assert workloads.rate_of_shapes(ops, lambda o: o["shape"]) == pytest.approx(10.0)
 
 
 def test_region_check_passes_and_catches_a_flipped_cell(run):
@@ -127,9 +128,40 @@ def _admitted_query(run):
         for i, x in enumerate(case["points"]):
             op = {"kind": "point", "case": case, "index": i, "x": x, "boundary": False}
             q.execute(op)
-            if op["verdict"].admits and op["gradients"] is not None and q.check(op):
+            if (op["verdict"].admits and op["gradients"] is not None and q.check(op)
+                    and not op["unresolved"]):
                 return q, op
     raise AssertionError("no admitted, certified query point")
+
+
+def test_query_witness_defect_is_reported_not_failed(run):
+    q, op = _admitted_query(run)
+    op["error"], op["gradients"] = "WitnessRecoveryError", None
+    assert q.check(op) and op["unresolved"]
+    q, op = _admitted_query(run)
+    op["certified_ok"] = [False]
+    assert q.check(op) and op["unresolved"]
+    assert not run.problems
+
+
+def test_verify_indeterminate_is_reported_and_mismatch_failed(run):
+    # this seeded variant leaves one oracle point at the projection's
+    # iteration cap without a decision
+    spec = next(s for s in inputs.VERIFY_PRESETS if s[0] == "known_one_nonsmooth")
+    path = run.path("t", "v.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(inputs.scenario_text(inputs.scenario_dict(68, spec, inputs.RASTER_DIM, 35)))
+    v = workloads.Verify(run)
+    op = {"preset": "known_one_nonsmooth_v35", "cycle": 8, "necessity": False,
+          "argv": ["verify", path, "--points", workloads.VERIFY_POINTS, "--seed", 68008]}
+    v.execute(op)
+    assert v.check(op) and op["unresolved"] and op["indeterminate"] == 1
+    assert not run.problems
+    res = json.loads(op["stdout"])
+    res["mismatches"] = [{"point": [0.0, 0.0]}]
+    op["stdout"] = json.dumps(res)
+    assert not v.check(op)
+    assert any("mismatch" in p for p in run.problems)
 
 
 def test_query_check_catches_a_dropped_witness(run):

