@@ -77,7 +77,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="figures")
     ap.add_argument("--res", type=int, default=160, help="cells per axis")
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; no effect"
+    )
     ap.add_argument(
         "--presets", nargs="*", choices=sorted(PRESETS), default=sorted(PRESETS)
     )
@@ -95,9 +97,10 @@ def main() -> int:
             fh.write(raster_to_csv_text(raster))
         with open(base + ".svg", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(raster_to_svg_text(raster))
-        inside = sum(1 for c in raster.cells if c.admits)
+        # state codes are 0 outside, 1 boundary, 2 inside
+        admitted = int(np.count_nonzero(raster.states))
         print(
-            f"{name}: {raster.predicate}, {inside}/{len(raster.cells)} cells admitted"
+            f"{name}: {raster.predicate}, {admitted}/{raster.states.size} cells admitted"
         )
     return 0
 

@@ -20,9 +20,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import membership, oracle
 from .geometry import BOUNDARY, DimensionMismatchError, INSIDE, OUTSIDE
-from .membership import PREDICATE_NAMES, Scenario, UnsupportedPatternError
+from .membership import PREDICATE_NAMES, STATE_NAMES, Scenario, UnsupportedPatternError
 from .serialize import (
     ScenarioFormatError,
+    _json_value,
     load_scenario,
     raster_to_csv_text,
     raster_to_svg_text,
@@ -51,12 +52,6 @@ def _emit(obj):
     print(json.dumps(obj, indent=2))
 
 
-def _json_num(v: float):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
-
-
 def cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
     point = np.array(args.point, dtype=float)
@@ -69,11 +64,7 @@ def cmd_check(args) -> int:
 def cmd_region(args) -> int:
     scenario = load_scenario(args.scenario)
     raster = membership.rasterize_region(
-        scenario,
-        tuple(args.bbox),
-        tuple(args.res),
-        workers=args.workers,
-        predicate=args.predicate,
+        scenario, tuple(args.bbox), tuple(args.res), predicate=args.predicate
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -81,13 +72,12 @@ def cmd_region(args) -> int:
     if args.svg:
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(raster_to_svg_text(raster))
-    counts = {INSIDE: 0, BOUNDARY: 0, OUTSIDE: 0}
-    for cell in raster.cells:
-        counts[cell.state] += 1
+    counts = np.bincount(raster.states, minlength=len(STATE_NAMES)).tolist()
+    counts = dict(zip(STATE_NAMES, counts))
     _emit(
         {
             "predicate_used": raster.predicate,
-            "cells": len(raster.cells),
+            "cells": raster.states.size,
             "inside": counts[INSIDE],
             "boundary": counts[BOUNDARY],
             "outside": counts[OUTSIDE],
@@ -103,7 +93,7 @@ def cmd_bounds(args) -> int:
     info = bounds_mod.scenario_bound_reports(scenario)
     reports = [
         {
-            "bound_value": _json_num(r.bound_value),
+            "bound_value": _json_value(r.bound_value),
             "binding_term": r.binding_term,
             "kappa": r.kappa,
         }
@@ -159,7 +149,7 @@ def _verify_one(scenario: Scenario, points: int, seed: int, predicate=None) -> d
         sweep = oracle.necessity_sweep(scenario, range(seed, seed + 25))
         out["necessity"] = {
             "instances": sweep["instances"],
-            "worst_margin": _json_num(sweep["worst_margin"]),
+            "worst_margin": _json_value(sweep["worst_margin"]),
             "failures": sweep["failures"],
         }
     return out
@@ -229,7 +219,10 @@ def build_parser() -> _Parser:
     p.add_argument("--res", nargs=2, type=int, required=True, metavar=("NX", "NY"))
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--svg", help="SVG output path")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; the raster is one array computation",
+    )
     p.add_argument("--predicate", choices=PREDICATE_NAMES)
     p.set_defaults(func=cmd_region)
 

@@ -8,6 +8,7 @@ inequality.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -32,10 +33,19 @@ class CoincidentPointsError(ValueError):
 
 def tol_coefficient() -> float:
     # MINSUM_TOL overrides the scale-free 1e-9 coefficient; test use only.
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw:
-        return float(raw)
-    return _BASE_TOL
+    return _parse_tol(os.environ.get(TOL_ENV_VAR))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_tol(raw: str | None) -> float:
+    # keyed on the raw string, so a changed environment is seen at once
+    try:
+        value = float(raw) if raw else _BASE_TOL
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{TOL_ENV_VAR} must be finite and nonnegative, got {raw!r}")
+    return value
 
 
 def eps_for(*values) -> float:
@@ -240,14 +250,13 @@ def gram_matrix(x_star, x1, x2, mu1: float, mu2: float, alpha: float) -> np.ndar
 
 
 def gram_det(x_star, x1, x2, mu1: float, mu2: float, alpha: float) -> float:
-    """Determinant of gram_matrix, by explicit cofactor expansion.
-
-    Kept branch-free so the raster path pays no linear-algebra overhead
-    and results are bitwise reproducible.
-    """
+    """Determinant of gram_matrix, by explicit cofactor expansion."""
     m = gram_matrix(x_star, x1, x2, mu1, mu2, alpha)
-    c = m[0, 1]
-    a = m[0, 2]
-    b = m[1, 2]
-    # expand along the first row
+    return cofactor_det(m[0, 1], m[0, 2], m[1, 2], alpha)
+
+
+def cofactor_det(c, a, b, alpha):
+    """Determinant of [[1, c, a], [c, 1, b], [a, b, alpha]], expanded along
+    the first row.  Branch-free and elementwise on arrays, so the batch
+    kernel and gram_det share one bitwise reproducible formula."""
     return 1.0 * (1.0 * alpha - b * b) - c * (c * alpha - b * a) + a * (c * b - 1.0 * a)

@@ -9,16 +9,28 @@ g_i at x* with sum zero, so membership reduces to intersecting the
 per-summand gradient sets (balls for smooth classes, half-spaces for
 merely strongly convex ones) after eliminating one gradient.
 
-The predicates below are the closed forms of those intersection tests.
-When two or more summands have L = inf the set is unbounded unless a
-gradient-norm cap bound_B is supplied; that regime gets its own
-three-clause test.
+The closed forms of those intersection tests are three kernels, each
+run on an (N, n) array of points at once:
+
+- the chain of smooth gradient balls, shifted by the known summands'
+  gradients (two_smooth, m_smooth, known_smooth);
+- the same chain against the half-space of the one summand with L = inf
+  (one_nonsmooth, known_one_nonsmooth);
+- the bounded nonsmooth pair: with two summands of L = inf the set is
+  unbounded unless a gradient-norm cap bound_B is supplied, and a
+  three-clause test decides it (two_nonsmooth_bounded).
+
+The kernels sum over summands and coordinates left to right in
+elementwise array operations, never np.sum or a BLAS product, so a
+row's result does not depend on how many rows share the call: a single
+point (`evaluate`, the `member_*` functions) is a batch of one row and
+equals its raster cell bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,9 +46,9 @@ from .geometry import (
     Verdict,
     as_vec,
     check_same_dim,
-    classify,
+    cofactor_det,
     eps_for,
-    gram_det,
+    tol_coefficient,
 )
 from .interpolation import ClassParams, geometric_ball
 
@@ -44,6 +56,10 @@ COND_BASE = 1
 COND_FIRST = 2
 COND_SECOND = 4
 COND_DET = 8
+
+# the kernels' state codes index this tuple: 0 outside, 1 boundary,
+# 2 inside, so a cell is admitted iff its code is nonzero
+STATE_NAMES = (OUTSIDE, BOUNDARY, INSIDE)
 
 TWO_SMOOTH = "two_smooth"
 M_SMOOTH = "m_smooth"
@@ -138,6 +154,10 @@ class Scenario:
 
     summands: tuple
     bound_B: float | None = None
+    # eps_for's scale over everything but the point (see _static_scale)
+    static_scale: float = field(init=False, repr=False)
+    # predicate (None: routed) -> (name, kernel), built on first use
+    _kernels: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         ss = tuple(self.summands)
@@ -162,6 +182,9 @@ class Scenario:
                 "with two nonsmooth summands every point far from the minimizers "
                 "stays attainable unless gradients are capped; supply bound_B"
             )
+        object.__setattr__(
+            self, "static_scale", _static_scale(self.unknown_summands, self.bound_B)
+        )
 
     @property
     def dim(self) -> int:
@@ -179,30 +202,171 @@ class Scenario:
 @dataclass(frozen=True, eq=False)
 class RegionRaster:
     """Grid of verdicts over a 2-d bounding box, evaluated at cell
-    centers, row-major from the (xmin, ymin) corner with x fastest."""
+    centers, row-major from the (xmin, ymin) corner with x fastest.
+
+    Columnar: states (codes into STATE_NAMES), margins and fired
+    (condition bits) hold one entry per cell."""
 
     bbox: tuple
     resolution: tuple
     predicate: str
-    cells: tuple
+    states: np.ndarray
+    margins: np.ndarray
+    fired: np.ndarray
+
+    @property
+    def cells(self) -> tuple:
+        """The cells as Verdicts, built on demand from the arrays."""
+        return tuple(
+            map(Verdict, self.state_names(), self.margins.tolist(), self.fired.tolist())
+        )
+
+    def state_names(self) -> list:
+        return [STATE_NAMES[code] for code in self.states.tolist()]
 
     def centers(self):
         """Cell-center coordinates in storage order, shape (nx*ny, 2)."""
-        xmin, xmax, ymin, ymax = self.bbox
-        nx, ny = self.resolution
-        dx = (xmax - xmin) / nx
-        dy = (ymax - ymin) / ny
-        xs = xmin + dx * (np.arange(nx) + 0.5)
-        ys = ymin + dy * (np.arange(ny) + 0.5)
-        out = np.empty((nx * ny, 2))
-        for iy in range(ny):
-            out[iy * nx : (iy + 1) * nx, 0] = xs
-            out[iy * nx : (iy + 1) * nx, 1] = ys[iy]
-        return out
+        return _cell_centers(self.bbox, self.resolution)
+
+
+def _cell_centers(bbox, resolution) -> np.ndarray:
+    xmin, xmax, ymin, ymax = bbox
+    nx, ny = resolution
+    xs = xmin + (xmax - xmin) / nx * (np.arange(nx) + 0.5)
+    ys = ymin + (ymax - ymin) / ny * (np.arange(ny) + 0.5)
+    return np.column_stack((np.tile(xs, ny), np.repeat(ys, nx)))
 
 
 # ---------------------------------------------------------------------------
-# closed-form predicates
+# array kernels: an (N, n) array of points and the tolerance coefficient
+# in; state codes, margins and fired bits out, one entry per point.
+# Inside, arrays hold coordinates on their first axis and points on
+# their last, so _fold and the summand loops index the first axis.
+
+
+def _fold(a):
+    """a[0] + a[1] + ..., left to right along the first axis.
+
+    add.accumulate makes exactly these additions in this order in one
+    call: quicker for a single point, slower than the loop on a raster.
+    """
+    if a[0].size <= 64:
+        return np.add.accumulate(a)[-1]
+    out = a[0]
+    for part in a[1:]:
+        out = out + part
+    return out
+
+
+def _norm(d):
+    return np.sqrt(_fold(d * d))
+
+
+def _eps(coef, scale, *columns):
+    """eps_for per point: coef * (1 + the largest magnitude among the
+    static scale and the point's finite entries of each (n, N) array)."""
+    for c in columns:
+        finite = np.isfinite(c)
+        scale = np.maximum(scale, np.abs(c).max(axis=0, initial=0.0, where=finite))
+    return coef * (1.0 + scale)
+
+
+def _classify(margins, eps):
+    """geometry.classify on arrays, as codes into STATE_NAMES."""
+    return 1 + (margins > eps).view(np.int8) - (margins < -eps).view(np.int8)
+
+
+def _known_gradient(x, known):
+    """sum_k A_k (x - c_k) over the known quadratics, or None."""
+    grad = None
+    for a_t, c in known:
+        g = _fold(a_t * (x - c)[:, None, :])
+        grad = g if grad is None else grad + g
+    return grad
+
+
+def _ball_chain(points, coef, *, anchors, plus, minus, known, scale, total_in_eps):
+    """margin = sum_i (L_i-mu_i)|d_i| - |2 sum_k grad_k(x) + sum_i (L_i+mu_i) d_i|
+    over the smooth unknowns i (d_i = x - x_i*) and known summands k."""
+    x = points.T
+    grad = _known_gradient(x, known)
+    total = np.zeros_like(x) if grad is None else 2.0 * grad
+    slack = 0.0
+    d = x[:, None, :] - anchors
+    for weighted, s in zip((plus * d).swapaxes(0, 1), minus * _norm(d)):
+        total = total + weighted
+        slack = slack + s
+    margins = slack - _norm(total)
+    eps = _eps(coef, scale, x, total) if total_in_eps else _eps(coef, scale, x)
+    return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
+
+
+def _ball_halfspace(points, coef, *, anchors, plus, minus, known, scale,
+                    anchor_m, mu_m):
+    """margin = sum_i (L_i-mu_i)/2 |d_i||d_m| - mu_m |d_m|^2
+                - <sum_k grad_k(x), d_m> - sum_i (L_i+mu_i)/2 <d_i, d_m>
+    for the smooth unknowns i against the nonsmooth unknown m."""
+    x = points.T
+    dm = x - anchor_m
+    rm = _norm(dm)
+    margins = -mu_m * rm * rm
+    grad = _known_gradient(x, known)
+    if grad is not None:
+        margins = margins - _fold(grad * dm)
+    d = x[:, None, :] - anchors
+    for gain, loss in zip(minus * _norm(d) * rm, plus * _fold(d * dm[:, None, :])):
+        margins = margins + gain
+        margins = margins - loss
+    eps = _eps(coef, scale, x) if grad is None else _eps(coef, scale, x, grad)
+    return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
+
+
+def _bounded_pair(points, coef, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
+    """Two nonsmooth summands under a gradient cap |g_i| <= b.
+
+    x belongs to the set iff both base norm caps mu_i |d_i| <= b hold
+    and at least one of three clauses does: an alignment inequality in
+    either direction, or nonnegativity of the 3x3 determinant that
+    certifies a unit-vector completion of the constraint system (see
+    geometry.gram_matrix).  fired records every satisfied clause.
+    """
+    x = points.T
+    eps = _eps(coef, scale, x)
+    if np.any(sep <= eps):
+        raise CoincidentPointsError("summand minimizers coincide")
+    d1 = x - a1
+    d2 = x - a2
+    r1 = _norm(d1)
+    r2 = _norm(d2)
+    dot = _fold(d1 * d2)
+    cap1 = mu1 * r1
+    cap2 = mu2 * r2
+    base = np.minimum(b - cap1, b - cap2)
+    c1 = -mu1 * dot - cap2 * r2
+    c2 = -mu2 * dot - cap1 * r1
+    # coincidence with an anchor collapses the test to the other norm cap
+    at_anchor = (r1 <= eps) | (r2 <= eps)
+    cos = dot / np.where(at_anchor, 1.0, r1 * r2)
+    c3 = cofactor_det(cos, cap1, -cap2, b * b)
+    best = np.maximum(np.maximum(c1, c2), c3)
+    margins = np.where(at_anchor, base, np.minimum(base, best))
+    low = -eps
+    clauses = (c1 >= low) * COND_FIRST | (c2 >= low) * COND_SECOND
+    clauses |= (c3 >= low) * COND_DET
+    fired = (base >= low) * COND_BASE | np.where(at_anchor, 0, clauses)
+    states = _classify(margins, eps)
+    # below the smallest viable cap the whole set is empty
+    empty = b < bmin - eps
+    if empty.any():
+        margins = np.where(empty, b - bmin, margins)
+        states[empty] = 0
+        fired[empty] = 0
+    return states, margins, fired
+
+
+# ---------------------------------------------------------------------------
+# kernel construction: checks a pattern's preconditions once and binds
+# the summands' data as arrays
 
 
 def _require(cond: bool, msg: str):
@@ -210,37 +374,87 @@ def _require(cond: bool, msg: str):
         raise UnsupportedPatternError(msg)
 
 
-def _fired(*clauses_eps):
-    bits = 0
-    for bit, value, eps in clauses_eps:
-        if value >= -eps:
-            bits |= bit
-    return bits
+def _static_scale(unknown, bound_b=None) -> float:
+    """Largest finite magnitude among the unknown summands' minimizers,
+    moduli and smoothness constants and the cap: eps_for's scale for
+    everything but the point and the gradients taken there."""
+    values = [0.0 if bound_b is None else float(bound_b)]
+    for s in unknown:
+        values += map(abs, s.x_star.tolist())
+        values += [s.params.mu, s.params.L] if s.params.is_smooth else [s.params.mu]
+    return max(values)
+
+
+def _column(v):
+    return np.array(v, dtype=float)[:, None]
+
+
+def _balls(known, smooth, dim: int, factor: float) -> dict:
+    """The known quadratics as (A^T, center) columns, and the smooth
+    summands' anchors (n, k, 1) with their factor * (L +- mu)."""
+    return {
+        "known": tuple((kf.matrix.T[:, :, None], _column(kf.center)) for kf in known),
+        "anchors": np.reshape([s.x_star for s in smooth], (-1, dim)).T[:, :, None],
+        "plus": _column([factor * (s.params.L + s.params.mu) for s in smooth]),
+        "minus": _column([factor * (s.params.L - s.params.mu) for s in smooth]),
+    }
+
+
+def _chain_kernel(known, smooth, dim, scale, total_in_eps=False):
+    _require(all(s.params.is_smooth for s in smooth), "unknown summands need finite L")
+    return partial(_ball_chain, scale=scale, total_in_eps=total_in_eps,
+                   **_balls(known, smooth, dim, 1.0))
+
+
+def _halfspace_kernel(known, unknown, scale):
+    if not unknown:
+        raise ValueError("need at least one unknown summand")
+    *smooth, m = unknown
+    _require(not m.params.is_smooth, "last unknown summand must have L = inf")
+    _require(all(s.params.is_smooth for s in smooth),
+             "unknown summands before the last must have finite L")
+    return partial(_ball_halfspace, anchor_m=_column(m.x_star), mu_m=m.params.mu,
+                   scale=scale, **_balls(known, smooth, m.dim, 0.5))
+
+
+def _bounded_kernel(s1: Summand, s2: Summand, bound_b: float, scale):
+    _require(not s1.params.is_smooth and not s2.params.is_smooth,
+             "bounded test needs L = inf on both summands")
+    mu1, mu2 = s1.params.mu, s2.params.mu
+    if mu1 + mu2 <= 0.0:
+        raise ValueError("at least one modulus must be positive")
+    b = float(bound_b)
+    if not math.isfinite(b) or b < 0.0:
+        raise ValueError(f"bound must be finite and nonnegative, got {b}")
+    bmin = min_bound_B(mu1, mu2, s1.x_star, s2.x_star)
+    sep = float(np.linalg.norm(s1.x_star - s2.x_star))
+    return partial(_bounded_pair, a1=_column(s1.x_star), a2=_column(s2.x_star),
+                   mu1=mu1, mu2=mu2, b=b, bmin=bmin, sep=sep, scale=scale)
+
+
+def _point(x_star, summands, known=()) -> np.ndarray:
+    x = as_vec(x_star)
+    check_same_dim(x, *(s.x_star for s in summands), *(kf.center for kf in known))
+    return x
+
+
+def _one_point(kernel, x: np.ndarray) -> Verdict:
+    states, margins, fired = kernel(x[None, :], tol_coefficient())
+    return Verdict(STATE_NAMES[states[0]], float(margins[0]), int(fired[0]))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form predicates on one point, as one-row kernel runs;
+# d_i = x* - x_i*, and the nonsmooth summand comes last
 
 
 def member_two_smooth(x_star, s1: Summand, s2: Summand) -> Verdict:
     """Two smooth summands: x* is a potential minimizer iff the two
     gradient balls, one negated, intersect.
 
-    margin = (L1-mu1)|d1| + (L2-mu2)|d2| - |(L1+mu1) d1 + (L2+mu2) d2|
-    with d_i = x* - x_i*.
+    margin = (L1-mu1)|d1| + (L2-mu2)|d2| - |(L1+mu1) d1 + (L2+mu2) d2|.
     """
-    _require(
-        s1.params.is_smooth and s2.params.is_smooth,
-        "two-smooth test needs finite L on both summands",
-    )
-    x = as_vec(x_star)
-    check_same_dim(x, s1.x_star, s2.x_star)
-    d1 = x - s1.x_star
-    d2 = x - s2.x_star
-    p1, p2 = s1.params, s2.params
-    margin = (
-        (p1.L - p1.mu) * float(np.linalg.norm(d1))
-        + (p2.L - p2.mu) * float(np.linalg.norm(d2))
-        - float(np.linalg.norm((p1.L + p1.mu) * d1 + (p2.L + p2.mu) * d2))
-    )
-    eps = eps_for(x, s1.x_star, s2.x_star, p1.mu, p1.L, p2.mu, p2.L)
-    return Verdict(classify(margin, eps), margin)
+    return member_m_smooth(x_star, (s1, s2))
 
 
 def member_smooth_nonsmooth(x_star, smooth: Summand, nonsmooth: Summand) -> Verdict:
@@ -249,22 +463,7 @@ def member_smooth_nonsmooth(x_star, smooth: Summand, nonsmooth: Summand) -> Verd
 
     margin = (L1-mu1)/2 |d1||d2| - mu2 |d2|^2 - (L1+mu1)/2 <d1, d2>.
     """
-    _require(smooth.params.is_smooth, "first summand must have finite L")
-    _require(not nonsmooth.params.is_smooth, "second summand must have L = inf")
-    x = as_vec(x_star)
-    check_same_dim(x, smooth.x_star, nonsmooth.x_star)
-    d1 = x - smooth.x_star
-    d2 = x - nonsmooth.x_star
-    p1, p2 = smooth.params, nonsmooth.params
-    r1 = float(np.linalg.norm(d1))
-    r2 = float(np.linalg.norm(d2))
-    margin = (
-        0.5 * (p1.L - p1.mu) * r1 * r2
-        - p2.mu * r2 * r2
-        - 0.5 * (p1.L + p1.mu) * float(d1 @ d2)
-    )
-    eps = eps_for(x, smooth.x_star, nonsmooth.x_star, p1.mu, p1.L, p2.mu)
-    return Verdict(classify(margin, eps), margin)
+    return member_m_one_nonsmooth(x_star, (smooth, nonsmooth))
 
 
 def min_bound_B(mu1: float, mu2: float, x1, x2) -> float:
@@ -279,191 +478,40 @@ def min_bound_B(mu1: float, mu2: float, x1, x2) -> float:
     return mu1 * mu2 / (mu1 + mu2) * float(np.linalg.norm(a1 - a2))
 
 
-def member_two_nonsmooth_bounded(
-    x_star, s1: Summand, s2: Summand, bound_b: float
-) -> Verdict:
-    """Two nonsmooth summands under a gradient cap |g_i| <= B.
-
-    x* belongs to the set iff both base norm caps mu_i |d_i| <= B hold
-    and at least one of three clauses does: an alignment inequality in
-    either direction, or nonnegativity of the 3x3 determinant that
-    certifies a unit-vector completion of the constraint system.
-    fired_conditions records every satisfied clause (bits 1/2/4/8).
-    """
-    _require(
-        not s1.params.is_smooth and not s2.params.is_smooth,
-        "bounded test needs L = inf on both summands",
-    )
-    mu1, mu2 = s1.params.mu, s2.params.mu
-    if mu1 + mu2 <= 0.0:
-        raise ValueError("at least one modulus must be positive")
-    x = as_vec(x_star)
-    check_same_dim(x, s1.x_star, s2.x_star)
-    b = float(bound_b)
-    if not math.isfinite(b) or b < 0.0:
-        raise ValueError(f"bound must be finite and nonnegative, got {b}")
-    eps = eps_for(x, s1.x_star, s2.x_star, mu1, mu2, b)
-    sep = float(np.linalg.norm(s1.x_star - s2.x_star))
-    if sep <= eps:
-        raise CoincidentPointsError("summand minimizers coincide")
-
-    bmin = min_bound_B(mu1, mu2, s1.x_star, s2.x_star)
-    if b < bmin - eps:
-        # the whole set is empty: no point qualifies
-        return Verdict(OUTSIDE, b - bmin, 0)
-
-    d1 = x - s1.x_star
-    d2 = x - s2.x_star
-    r1 = float(np.linalg.norm(d1))
-    r2 = float(np.linalg.norm(d2))
-    base = min(b - mu1 * r1, b - mu2 * r2)
-
-    # coincidence with an anchor collapses the test to the other norm cap
-    if r1 <= eps or r2 <= eps:
-        fired = _fired((COND_BASE, base, eps))
-        return Verdict(classify(base, eps), base, fired)
-
-    c1 = -mu1 * float(d1 @ d2) - mu2 * r2 * r2
-    c2 = -mu2 * float(d2 @ d1) - mu1 * r1 * r1
-    c3 = gram_det(x, s1.x_star, s2.x_star, mu1, mu2, b * b)
-    margin = min(base, max(c1, c2, c3))
-    fired = _fired(
-        (COND_BASE, base, eps),
-        (COND_FIRST, c1, eps),
-        (COND_SECOND, c2, eps),
-        (COND_DET, c3, eps),
-    )
-    return Verdict(classify(margin, eps), margin, fired)
+def member_two_nonsmooth_bounded(x_star, s1: Summand, s2: Summand, bound_b) -> Verdict:
+    """Two nonsmooth summands under a gradient cap |g_i| <= B (_bounded_pair)."""
+    x = _point(x_star, (s1, s2))
+    scale = _static_scale((s1, s2), bound_b)
+    return _one_point(_bounded_kernel(s1, s2, bound_b, scale), x)
 
 
 def member_m_smooth(x_star, summands) -> Verdict:
-    """Any number of smooth summands.
-
-    margin = sum (L_i-mu_i)|d_i| - |sum (L_i+mu_i) d_i|.
-    """
+    """Any number of smooth summands (_ball_chain without known ones)."""
     ss = list(summands)
     if not ss:
         raise ValueError("need at least one summand")
-    _require(
-        all(s.params.is_smooth for s in ss),
-        "all summands must have finite L",
-    )
-    x = as_vec(x_star)
-    check_same_dim(x, *(s.x_star for s in ss))
-    total = np.zeros_like(x)
-    slack = 0.0
-    for s in ss:
-        d = x - s.x_star
-        total = total + (s.params.L + s.params.mu) * d
-        slack += (s.params.L - s.params.mu) * float(np.linalg.norm(d))
-    margin = slack - float(np.linalg.norm(total))
-    eps = eps_for(x, *(s.x_star for s in ss), *[(s.params.mu, s.params.L) for s in ss])
-    return Verdict(classify(margin, eps), margin)
+    x = _point(x_star, ss)
+    return _one_point(_chain_kernel((), ss, len(x), _static_scale(ss)), x)
 
 
 def member_m_one_nonsmooth(x_star, summands) -> Verdict:
-    """Smooth summands plus exactly one nonsmooth summand, listed last.
-
-    margin = sum_i (L_i-mu_i)/2 |d_i||d_m|
-             - mu_m |d_m|^2 - sum_i (L_i+mu_i)/2 <d_i, d_m>.
-    """
-    ss = list(summands)
-    if len(ss) < 1:
-        raise ValueError("need at least one summand")
-    _require(not ss[-1].params.is_smooth, "last summand must have L = inf")
-    _require(
-        all(s.params.is_smooth for s in ss[:-1]),
-        "all summands before the last must have finite L",
-    )
-    x = as_vec(x_star)
-    check_same_dim(x, *(s.x_star for s in ss))
-    dm = x - ss[-1].x_star
-    rm = float(np.linalg.norm(dm))
-    mum = ss[-1].params.mu
-    margin = -mum * rm * rm
-    for s in ss[:-1]:
-        d = x - s.x_star
-        margin += 0.5 * (s.params.L - s.params.mu) * float(np.linalg.norm(d)) * rm
-        margin -= 0.5 * (s.params.L + s.params.mu) * float(d @ dm)
-    eps = eps_for(
-        x,
-        *(s.x_star for s in ss),
-        *[s.params.mu for s in ss],
-        *[s.params.L for s in ss],
-    )
-    return Verdict(classify(margin, eps), margin)
+    """Smooth summands and one nonsmooth one (_ball_halfspace without known ones)."""
+    return member_with_known_one_nonsmooth(x_star, (), summands)
 
 
 def member_with_known(x_star, known_functions, unknown_summands) -> Verdict:
-    """Smooth unknown summands alongside exactly known ones.
-
-    The known gradients shift the ball chain:
-    margin = sum (L_i-mu_i)|d_i| - |2 sum grad_k(x*) + sum (L_i+mu_i) d_i|.
-    """
-    kfs = list(known_functions)
-    ss = list(unknown_summands)
-    _require(
-        all(s.params.is_smooth for s in ss),
-        "all unknown summands must have finite L",
-    )
-    x = as_vec(x_star)
-    if ss:
-        check_same_dim(x, *(s.x_star for s in ss))
-    total = np.zeros_like(x)
-    for kf in kfs:
-        total = total + 2.0 * kf.gradient(x)
-    slack = 0.0
-    for s in ss:
-        d = x - s.x_star
-        total = total + (s.params.L + s.params.mu) * d
-        slack += (s.params.L - s.params.mu) * float(np.linalg.norm(d))
-    margin = slack - float(np.linalg.norm(total))
-    eps = eps_for(
-        x,
-        total,
-        *(s.x_star for s in ss),
-        *[(s.params.mu, s.params.L) for s in ss],
-    )
-    return Verdict(classify(margin, eps), margin)
+    """Smooth unknown summands alongside exactly known ones (_ball_chain)."""
+    kfs, ss = list(known_functions), list(unknown_summands)
+    x = _point(x_star, ss, kfs)
+    return _one_point(_chain_kernel(kfs, ss, len(x), _static_scale(ss), True), x)
 
 
-def member_with_known_one_nonsmooth(
-    x_star, known_functions, unknown_summands
-) -> Verdict:
-    """Known summands, smooth unknowns, and one nonsmooth unknown last.
-
-    margin = sum_i (L_i-mu_i)/2 |d_i||d_m| - mu_m |d_m|^2
-             - <sum grad_k(x*), d_m> - sum_i (L_i+mu_i)/2 <d_i, d_m>.
-    """
-    kfs = list(known_functions)
-    ss = list(unknown_summands)
-    if not ss:
-        raise ValueError("need at least one unknown summand")
-    _require(not ss[-1].params.is_smooth, "last unknown summand must have L = inf")
-    _require(
-        all(s.params.is_smooth for s in ss[:-1]),
-        "unknown summands before the last must have finite L",
-    )
-    x = as_vec(x_star)
-    check_same_dim(x, *(s.x_star for s in ss))
-    dm = x - ss[-1].x_star
-    rm = float(np.linalg.norm(dm))
-    grad = np.zeros_like(x)
-    for kf in kfs:
-        grad = grad + kf.gradient(x)
-    margin = -ss[-1].params.mu * rm * rm - float(grad @ dm)
-    for s in ss[:-1]:
-        d = x - s.x_star
-        margin += 0.5 * (s.params.L - s.params.mu) * float(np.linalg.norm(d)) * rm
-        margin -= 0.5 * (s.params.L + s.params.mu) * float(d @ dm)
-    eps = eps_for(
-        x,
-        grad,
-        *(s.x_star for s in ss),
-        *[s.params.mu for s in ss],
-        *[s.params.L for s in ss],
-    )
-    return Verdict(classify(margin, eps), margin)
+def member_with_known_one_nonsmooth(x_star, known_functions, unknown_summands):
+    """Known summands, smooth unknowns and one nonsmooth unknown last
+    (_ball_halfspace); returns a Verdict."""
+    kfs, ss = list(known_functions), list(unknown_summands)
+    x = _point(x_star, ss, kfs)
+    return _one_point(_halfspace_kernel(kfs, ss, _static_scale(ss)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +536,7 @@ def route(scenario: Scenario) -> str:
     if len(nonsmooth) == 1:
         return ONE_NONSMOOTH
     if len(nonsmooth) == 2 and len(unknown) == 2:
-        _require(
-            scenario.bound_B is not None,
-            "two nonsmooth summands need bound_B",
-        )
+        _require(scenario.bound_B is not None, "two nonsmooth summands need bound_B")
         return TWO_NONSMOOTH_BOUNDED
     raise UnsupportedPatternError(
         "at most two nonsmooth summands are supported, and only on their own"
@@ -499,9 +544,34 @@ def route(scenario: Scenario) -> str:
 
 
 def _nonsmooth_last(summands):
-    smooth = [s for s in summands if s.params.is_smooth]
-    rest = [s for s in summands if not s.params.is_smooth]
-    return smooth + rest
+    return sorted(summands, key=lambda s: not s.params.is_smooth)
+
+
+def _kernel(scenario: Scenario, predicate: str | None):
+    """(name, kernel) of a forced predicate or, with None, the routed one,
+    built once per scenario."""
+    if predicate in scenario._kernels:
+        return scenario._kernels[predicate]
+    name = predicate if predicate is not None else route(scenario)
+    known = [s.known for s in scenario.known_summands]
+    unknown = scenario.unknown_summands
+    scale = scenario.static_scale
+    if name in (TWO_SMOOTH, M_SMOOTH, ONE_NONSMOOTH, TWO_NONSMOOTH_BOUNDED):
+        _require(not known, f"{name} test takes no known summands")
+    if name in (TWO_SMOOTH, TWO_NONSMOOTH_BOUNDED):
+        _require(len(unknown) == 2, f"{name} test needs exactly two summands")
+    if name in (TWO_SMOOTH, M_SMOOTH, KNOWN_SMOOTH):
+        in_eps = name == KNOWN_SMOOTH
+        kernel = _chain_kernel(known, unknown, scenario.dim, scale, in_eps)
+    elif name in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
+        kernel = _halfspace_kernel(known, _nonsmooth_last(unknown), scale)
+    elif name == TWO_NONSMOOTH_BOUNDED:
+        _require(scenario.bound_B is not None, "bounded test needs bound_B")
+        kernel = _bounded_kernel(*unknown, scenario.bound_B, scale)
+    else:
+        raise ValueError(f"unknown predicate {name!r}")
+    scenario._kernels[predicate] = name, kernel
+    return name, kernel
 
 
 def evaluate(scenario: Scenario, x_star, predicate: str | None = None) -> Verdict:
@@ -510,33 +580,8 @@ def evaluate(scenario: Scenario, x_star, predicate: str | None = None) -> Verdic
     predicate forces a specific test (used to exercise mis-routing); the
     forced test still validates its own preconditions.
     """
-    name = predicate if predicate is not None else route(scenario)
-    known = [s.known for s in scenario.known_summands]
-    unknown = scenario.unknown_summands
-    if name == TWO_SMOOTH:
-        _require(not known, "two-smooth test takes no known summands")
-        _require(len(unknown) == 2, "two-smooth test needs exactly two summands")
-        return member_two_smooth(x_star, unknown[0], unknown[1])
-    if name == M_SMOOTH:
-        _require(not known, "m-smooth test takes no known summands")
-        return member_m_smooth(x_star, unknown)
-    if name == ONE_NONSMOOTH:
-        _require(not known, "one-nonsmooth test takes no known summands")
-        return member_m_one_nonsmooth(x_star, _nonsmooth_last(unknown))
-    if name == TWO_NONSMOOTH_BOUNDED:
-        _require(not known, "bounded test takes no known summands")
-        _require(len(unknown) == 2, "bounded test needs exactly two summands")
-        _require(scenario.bound_B is not None, "bounded test needs bound_B")
-        return member_two_nonsmooth_bounded(
-            x_star, unknown[0], unknown[1], scenario.bound_B
-        )
-    if name == KNOWN_SMOOTH:
-        return member_with_known(x_star, known, unknown)
-    if name == KNOWN_ONE_NONSMOOTH:
-        return member_with_known_one_nonsmooth(
-            x_star, known, _nonsmooth_last(unknown)
-        )
-    raise ValueError(f"unknown predicate {name!r}")
+    kernel = _kernel(scenario, predicate)[1]
+    return _one_point(kernel, _point(x_star, scenario.summands[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -597,32 +642,21 @@ def witness_gradients(scenario: Scenario, x_star, max_iter: int = 100_000):
         return None
     pattern = route(scenario)
 
-    known_grads = {
-        id(s): s.known.gradient(x) for s in scenario.summands if s.known is not None
-    }
-    offset = np.zeros_like(x)
-    for g in known_grads.values():
-        offset = offset + g
+    known_grads = {id(s): s.known.gradient(x) for s in scenario.known_summands}
+    offset = sum(known_grads.values(), np.zeros_like(x))
 
     unknown = list(scenario.unknown_summands)
     if pattern in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
         unknown = _nonsmooth_last(unknown)
 
-    tol = eps_for(
-        x,
-        *(s.x_star for s in unknown),
-        *[s.params.mu for s in unknown],
-        *[s.params.L for s in unknown],
-        offset,
-        0.0 if scenario.bound_B is None else scenario.bound_B,
-    )
+    # eps_for over x, offset, the unknown summands' data and bound_B
+    tol = _eps(tol_coefficient(), scenario.static_scale, x[:, None], offset[:, None])
+    tol = float(tol[0])
 
+    # with every summand known, the gradients already cancel (or the
+    # verdict above was outside)
     recovered: dict[int, np.ndarray] = {}
-    if not unknown:
-        # all summands known: the gradients either already cancel or the
-        # verdict above was outside
-        pass
-    elif len(unknown) == 1:
+    if len(unknown) == 1:
         g = -offset
         if _gradient_set(x, unknown[0]).distance(g) > 1e3 * tol:
             raise WitnessRecoveryError(
@@ -637,32 +671,22 @@ def witness_gradients(scenario: Scenario, x_star, max_iter: int = 100_000):
             [block], coupled, x.shape[0], tol, max_iter
         )
         if status != "feasible":
-            raise WitnessRecoveryError(
-                f"projection {status} with residual {res:.3e}"
-            )
+            raise WitnessRecoveryError(f"projection {status} with residual {res:.3e}")
         recovered[id(unknown[0])] = zs[0]
         recovered[id(unknown[1])] = -zs[0]
-    else:
+    elif unknown:
         sets = [_gradient_set(x, s) for s in unknown]
         coupled = sets[-1].negated().translated(-offset)
         status, zs, res, _ = _projection.block_cyclic_projection(
             [[s] for s in sets[:-1]], coupled, x.shape[0], tol, max_iter
         )
         if status != "feasible":
-            raise WitnessRecoveryError(
-                f"projection {status} with residual {res:.3e}"
-            )
+            raise WitnessRecoveryError(f"projection {status} with residual {res:.3e}")
         for s, z in zip(unknown[:-1], zs):
             recovered[id(s)] = z
         recovered[id(unknown[-1])] = -offset - sum(zs)
-
-    out = []
-    for s in scenario.summands:
-        if s.known is not None:
-            out.append(known_grads[id(s)])
-        else:
-            out.append(recovered[id(s)])
-    return out
+    recovered.update(known_grads)
+    return [recovered[id(s)] for s in scenario.summands]
 
 
 # ---------------------------------------------------------------------------
@@ -679,37 +703,19 @@ def rasterize_region(
     """Evaluate the membership verdict on a grid of cell centers.
 
     bbox = (xmin, xmax, ymin, ymax), resolution = (nx, ny).  Cells are
-    stored row-major from the (xmin, ymin) corner, x fastest.  The cell
-    evaluations are independent, so the result is bitwise identical for
-    any workers count.
+    stored row-major from the (xmin, ymin) corner, x fastest.  All cells
+    go through the kernel as one batch, so each equals `evaluate` at its
+    center bit for bit.  workers is accepted for compatibility and
+    changes nothing.
     """
     if scenario.dim != 2:
         raise DimensionMismatchError("rasters are 2-d only")
-    xmin, xmax, ymin, ymax = (float(v) for v in bbox)
-    nx, ny = (int(v) for v in resolution)
+    xmin, xmax, ymin, ymax = bbox = tuple(map(float, bbox))
+    nx, ny = resolution = tuple(map(int, resolution))
     if not (xmin < xmax and ymin < ymax):
         raise ValueError("bbox must satisfy xmin < xmax and ymin < ymax")
     if nx < 1 or ny < 1:
         raise ValueError("resolution must be at least 1x1")
-    name = predicate if predicate is not None else route(scenario)
-    dx = (xmax - xmin) / nx
-    dy = (ymax - ymin) / ny
-    xs = xmin + dx * (np.arange(nx) + 0.5)
-    ys = ymin + dy * (np.arange(ny) + 0.5)
-
-    def eval_row(iy: int):
-        y = ys[iy]
-        return [evaluate(scenario, np.array([x, y]), predicate=name) for x in xs]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(eval_row, range(ny)))
-    else:
-        rows = [eval_row(iy) for iy in range(ny)]
-    cells = tuple(v for row in rows for v in row)
-    return RegionRaster(
-        bbox=(xmin, xmax, ymin, ymax),
-        resolution=(nx, ny),
-        predicate=name,
-        cells=cells,
-    )
+    name, kernel = _kernel(scenario, predicate)
+    states, margins, fired = kernel(_cell_centers(bbox, resolution), tol_coefficient())
+    return RegionRaster(bbox, resolution, name, states, margins, fired)

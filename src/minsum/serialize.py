@@ -185,20 +185,21 @@ def verdict_to_dict(verdict: Verdict, predicate: str | None = None) -> dict:
     return out
 
 
-def _g17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def raster_to_csv_text(raster: RegionRaster) -> str:
     """One row per cell, storage order (row-major from the (xmin, ymin)
     corner, x fastest); floats carry full precision."""
-    lines = ["x,y,state,margin,conditions"]
+    nx = raster.resolution[0]
     centers = raster.centers()
-    for (x, y), cell in zip(centers, raster.cells):
-        lines.append(
-            f"{_g17(x)},{_g17(y)},{cell.state},{_g17(cell.margin)},{cell.fired_conditions}"
-        )
-    return "\n".join(lines) + "\n"
+    # every row repeats the same x values and every cell of a row its y:
+    # format each coordinate once
+    xs = [f"{v:.17g}" for v in centers[:nx, 0].tolist()]
+    ys = [f"{v:.17g}" for v in centers[::nx, 1].tolist()]
+    rows = map(
+        "{},{},{},{:.17g},{}".format,
+        xs * len(ys), [y for y in ys for _ in xs],
+        raster.state_names(), raster.margins.tolist(), raster.fired.tolist(),
+    )
+    return "\n".join(["x,y,state,margin,conditions", *rows]) + "\n"
 
 
 _CONDITION_COLORS = (
@@ -210,15 +211,6 @@ _PLAIN_FILL = "#2ca02c"
 _FALLBACK_FILL = "#7f7f7f"
 
 
-def _cell_fill(raster: RegionRaster, cell: Verdict) -> str:
-    if raster.predicate != TWO_NONSMOOTH_BOUNDED:
-        return _PLAIN_FILL
-    for bit, color in _CONDITION_COLORS:
-        if cell.fired_conditions & bit:
-            return color
-    return _FALLBACK_FILL
-
-
 def raster_to_svg_text(raster: RegionRaster) -> str:
     """Minimal SVG: one unit rect per admitted cell on a white canvas.
 
@@ -227,21 +219,26 @@ def raster_to_svg_text(raster: RegionRaster) -> str:
     visible at a glance.  Output bytes depend only on the raster.
     """
     nx, ny = raster.resolution
+    idx = np.flatnonzero(raster.states)
+    fired = raster.fired[idx]
+    # only the bounded kernel sets clause bits; other cells keep the default
+    bounded = raster.predicate == TWO_NONSMOOTH_BOUNDED
+    fills = np.select(
+        [fired & bit != 0 for bit, _ in _CONDITION_COLORS],
+        [color for _, color in _CONDITION_COLORS],
+        _FALLBACK_FILL if bounded else _PLAIN_FILL,
+    ).tolist()
+    # svg y axis points down; flip so the bbox ymin lands at the bottom
+    rects = map(
+        '<rect x="{}" y="{}" width="1" height="1" fill="{}"/>'.format,
+        (idx % nx).tolist(), (ny - 1 - idx // nx).tolist(), fills,
+    )
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{nx}" height="{ny}" '
         f'viewBox="0 0 {nx} {ny}">',
         f'<rect x="0" y="0" width="{nx}" height="{ny}" fill="#ffffff"/>',
+        *rects,
+        "</svg>",
     ]
-    for idx, cell in enumerate(raster.cells):
-        if not cell.admits:
-            continue
-        ix = idx % nx
-        iy = idx // nx
-        # svg y axis points down; flip so the bbox ymin lands at the bottom
-        lines.append(
-            f'<rect x="{ix}" y="{ny - 1 - iy}" width="1" height="1" '
-            f'fill="{_cell_fill(raster, cell)}"/>'
-        )
-    lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -58,6 +58,16 @@ def test_check_boundary_exit_code(capsys, tmp_path):
     assert json.loads(out)["state"] == "boundary"
 
 
+@pytest.mark.parametrize("raw", ["nan", "-1e-9", "abc"])
+def test_check_rejects_bad_tolerance(capsys, monkeypatch, smooth_path, raw):
+    # a nan coefficient used to turn this outside point into a boundary one
+    monkeypatch.setenv("MINSUM_TOL", raw)
+    code, out, err = run(capsys, "check", smooth_path, "--point", "9", "9")
+    assert code == 64
+    assert out == ""
+    assert "MINSUM_TOL" in err
+
+
 def test_check_forced_predicate(capsys, smooth_path):
     code, out, _ = run(
         capsys, "check", smooth_path, "--point", "0.45", "0.0", "--predicate", "m_smooth"

@@ -57,8 +57,21 @@ def test_tol_env_override(monkeypatch):
     monkeypatch.setenv(TOL_ENV_VAR, "1e-3")
     assert tol_coefficient() == 1e-3
     assert classify(1e-4, eps_for(0.0)) == BOUNDARY
+    # zero is a valid coefficient: exact comparisons
+    monkeypatch.setenv(TOL_ENV_VAR, "0")
+    assert eps_for(vec(5.0, -7.0)) == 0.0
+    assert classify(1e-300, eps_for(0.0)) == INSIDE
     monkeypatch.delenv(TOL_ENV_VAR)
     assert tol_coefficient() == 1e-9
+
+
+@pytest.mark.parametrize("raw", ["nan", "-1e-9", "abc", "inf"])
+def test_tol_env_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv(TOL_ENV_VAR, raw)
+    with pytest.raises(ValueError, match=TOL_ENV_VAR):
+        tol_coefficient()
+    with pytest.raises(ValueError, match=TOL_ENV_VAR):
+        eps_for(1.0)
 
 
 def test_verdict_admits():

@@ -11,6 +11,8 @@ from minsum.geometry import (
     DimensionMismatchError,
     INSIDE,
     OUTSIDE,
+    eps_for,
+    tol_coefficient,
 )
 from minsum.interpolation import ClassParams
 from minsum.membership import (
@@ -42,7 +44,8 @@ from minsum.membership import (
     route,
     witness_gradients,
 )
-from minsum.membership import _gradient_set
+from minsum import membership
+from minsum.membership import _gradient_set, _kernel
 
 coord = st.floats(-5, 5, allow_nan=False)
 point2 = st.tuples(coord, coord)
@@ -477,18 +480,110 @@ def test_witness_single_unknown_forced_gradient():
 # ------------------------------------------------------------------ rasters
 
 
-def test_raster_matches_pointwise_eval(bounded_pair):
-    raster = rasterize_region(bounded_pair, (-2, 2, -2, 2), (12, 9))
-    assert raster.resolution == (12, 9)
-    assert len(raster.cells) == 12 * 9
-    centers = raster.centers()
-    # spot-check storage order: first cell is the (xmin, ymin) corner cell
-    assert centers[0][0] == pytest.approx(-2 + (4 / 12) * 0.5)
-    assert centers[0][1] == pytest.approx(-2 + (4 / 9) * 0.5)
-    for idx in (0, 5, 17, 54, 107):
-        direct = evaluate(bounded_pair, centers[idx])
-        assert raster.cells[idx].state == direct.state
-        assert raster.cells[idx].margin == direct.margin
+def _known(center, scale=1.0):
+    c = np.asarray(center, dtype=float)
+    k = KnownFunction(scale * np.array([[2.0, 0.5], [0.5, 1.0]]), c)
+    return Summand(c, ClassParams(0.5, 3.0), k)
+
+
+RASTER_SCENARIOS = {
+    TWO_SMOOTH: lambda: Scenario((summand(-1, 0, 1.0, 5.0), summand(1, 0, 1.0, 15.0))),
+    M_SMOOTH: lambda: Scenario(
+        (summand(-1, 0, 0.5, 3.0), summand(1, 0, 1.0, 8.0), summand(0, 1.2, 1.0, 5.0))
+    ),
+    ONE_NONSMOOTH: lambda: Scenario(
+        (summand(-1, 0, 1.0, 6.0), summand(0, 1, 2.0, math.inf), summand(1, 0, 1.0, 6.0))
+    ),
+    TWO_NONSMOOTH_BOUNDED: lambda: Scenario(
+        (summand(-1, 0, 1.75, math.inf), summand(1, 0, 2.0, math.inf)), bound_B=3.0
+    ),
+    KNOWN_SMOOTH: lambda: Scenario(
+        (_known((0.2, 0.3), 0.2), summand(-1, 0, 1.0, 5.0), summand(1, 0, 1.0, 15.0))
+    ),
+    KNOWN_ONE_NONSMOOTH: lambda: Scenario(
+        (summand(-1, 0, 1.0, 4.0), _known((0.0, 0.5), 0.3), summand(1, 0, 3.0, math.inf))
+    ),
+}
+
+
+def test_raster_matches_pointwise_eval():
+    for pattern, make_scenario in RASTER_SCENARIOS.items():
+        sc = make_scenario()
+        assert route(sc) == pattern
+        # cell centers fall, to rounding, on both anchors (-1, 0) and (1, 0)
+        raster = rasterize_region(sc, (-2.5, 2.5, -2, 2), (15, 13))
+        assert raster.resolution == (15, 13) and raster.predicate == pattern
+        assert len(raster.cells) == 15 * 13
+        centers = raster.centers()
+        # storage order: first cell is the (xmin, ymin) corner cell, x fastest
+        assert centers[0][0] == pytest.approx(-2.5 + (5 / 15) * 0.5)
+        assert centers[0][1] == pytest.approx(-2 + (4 / 13) * 0.5)
+        assert centers[1][1] == centers[0][1]
+        direct = [evaluate(sc, c) for c in centers]
+        assert raster.cells == tuple(direct)
+        # bitwise, so -0.0 and 0.0 would differ
+        margins = np.array([v.margin for v in direct])
+        assert raster.margins.tobytes() == margins.tobytes()
+        assert raster.state_names() == [v.state for v in direct]
+        assert raster.fired.tolist() == [v.fired_conditions for v in direct]
+        assert len(set(raster.state_names())) >= 2
+
+
+def _scenario_8d(pattern, rng):
+    anchors = rng.uniform(-2, 2, (3, 8))
+    if pattern == KNOWN_ONE_NONSMOOTH:
+        q = rng.normal(size=(8, 8))
+        k = KnownFunction(0.1 * (q @ q.T), anchors[2])
+        return Scenario((
+            Summand(anchors[0], ClassParams(1.0, 4.0)),
+            Summand(anchors[1], ClassParams(2.0, math.inf)),
+            Summand(anchors[2], ClassParams(0.5, 3.0), k),
+        ))
+    if pattern == M_SMOOTH:
+        params = [ClassParams(1.0, 6.0 + i) for i in range(3)]
+        return Scenario(tuple(Summand(a, p) for a, p in zip(anchors, params)))
+    return Scenario(
+        (Summand(anchors[0], ClassParams(1.0, math.inf)),
+         Summand(anchors[1], ClassParams(1.5, math.inf))),
+        bound_B=4.0,
+    )
+
+
+@pytest.mark.parametrize("pattern", [M_SMOOTH, KNOWN_ONE_NONSMOOTH, TWO_NONSMOOTH_BOUNDED])
+def test_kernel_rows_do_not_depend_on_row_count(pattern):
+    rng = np.random.default_rng(8)
+    sc = _scenario_8d(pattern, rng)
+    kernel = _kernel(sc, None)[1]
+    pts = np.vstack([sc.summands[0].x_star, rng.uniform(-3, 3, (10_000 - 1, 8))])
+    states, margins, fired = kernel(pts, tol_coefficient())
+    assert len(set(states.tolist())) >= 2
+    for i in range(len(pts)):
+        s1, m1, f1 = kernel(pts[i : i + 1], tol_coefficient())
+        assert (s1[0], f1[0]) == (states[i], fired[i])
+        assert m1.tobytes() == margins[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("pattern", sorted(RASTER_SCENARIOS))
+def test_kernel_tolerance_is_eps_for(pattern, monkeypatch):
+    # every point's tolerance is eps_for over the point, the unknown
+    # summands' data, bound_B and, for the known patterns, the total or
+    # gradient vector the kernel computed
+    sc = RASTER_SCENARIOS[pattern]()
+    seen = []
+    kernel_eps = membership._eps
+
+    def spy(coef, scale, *columns):
+        seen.append((columns, kernel_eps(coef, scale, *columns)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(membership, "_eps", spy)
+    unknown = sc.unknown_summands
+    data = [s.x_star for s in unknown] + [(s.params.mu, s.params.L) for s in unknown]
+    for x in np.random.default_rng(3).uniform(-2, 2, (20, 2)):
+        evaluate(sc, x)
+        columns, eps = seen[-1]
+        extra = [c[:, 0] for c in columns[1:]]
+        assert float(eps[0]) == eps_for(x, *extra, *data, sc.bound_B or 0.0)
 
 
 def test_raster_workers_bitwise_identical(smooth_pair):
