@@ -478,7 +478,9 @@ def min_bound_B(mu1: float, mu2: float, x1, x2) -> float:
     return mu1 * mu2 / (mu1 + mu2) * float(np.linalg.norm(a1 - a2))
 
 
-def member_two_nonsmooth_bounded(x_star, s1: Summand, s2: Summand, bound_b) -> Verdict:
+def member_two_nonsmooth_bounded(
+    x_star, s1: Summand, s2: Summand, bound_b: float
+) -> Verdict:
     """Two nonsmooth summands under a gradient cap |g_i| <= B (_bounded_pair)."""
     x = _point(x_star, (s1, s2))
     scale = _static_scale((s1, s2), bound_b)
@@ -506,9 +508,11 @@ def member_with_known(x_star, known_functions, unknown_summands) -> Verdict:
     return _one_point(_chain_kernel(kfs, ss, len(x), _static_scale(ss), True), x)
 
 
-def member_with_known_one_nonsmooth(x_star, known_functions, unknown_summands):
+def member_with_known_one_nonsmooth(
+    x_star, known_functions, unknown_summands
+) -> Verdict:
     """Known summands, smooth unknowns and one nonsmooth unknown last
-    (_ball_halfspace); returns a Verdict."""
+    (_ball_halfspace)."""
     kfs, ss = list(known_functions), list(unknown_summands)
     x = _point(x_star, ss, kfs)
     return _one_point(_halfspace_kernel(kfs, ss, _static_scale(ss)), x)
