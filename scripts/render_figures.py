@@ -78,9 +78,6 @@ def main() -> int:
     ap.add_argument("--outdir", default="figures")
     ap.add_argument("--res", type=int, default=160, help="cells per axis")
     ap.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; no effect"
-    )
-    ap.add_argument(
         "--presets", nargs="*", choices=sorted(PRESETS), default=sorted(PRESETS)
     )
     args = ap.parse_args()
@@ -88,9 +85,7 @@ def main() -> int:
 
     for name in args.presets:
         scenario, bbox = PRESETS[name]
-        raster = rasterize_region(
-            scenario, bbox, (args.res, args.res), workers=args.workers
-        )
+        raster = rasterize_region(scenario, bbox, (args.res, args.res))
         base = os.path.join(args.outdir, name)
         save_scenario(scenario, base + ".json")
         with open(base + ".csv", "w", encoding="utf-8", newline="\n") as fh:

@@ -245,13 +245,7 @@ def _cell_centers(bbox, resolution) -> np.ndarray:
 
 
 def _fold(a):
-    """a[0] + a[1] + ..., left to right along the first axis.
-
-    add.accumulate makes exactly these additions in this order in one
-    call: quicker for a single point, slower than the loop on a raster.
-    """
-    if a[0].size <= 64:
-        return np.add.accumulate(a)[-1]
+    """a[0] + a[1] + ..., left to right along the first axis."""
     out = a[0]
     for part in a[1:]:
         out = out + part
@@ -540,7 +534,10 @@ def route(scenario: Scenario) -> str:
     if len(nonsmooth) == 1:
         return ONE_NONSMOOTH
     if len(nonsmooth) == 2 and len(unknown) == 2:
-        _require(scenario.bound_B is not None, "two nonsmooth summands need bound_B")
+        _require(
+            scenario.bound_B is not None,
+            "two nonsmooth summands need bound_B",
+        )
         return TWO_NONSMOOTH_BOUNDED
     raise UnsupportedPatternError(
         "at most two nonsmooth summands are supported, and only on their own"
@@ -548,7 +545,9 @@ def route(scenario: Scenario) -> str:
 
 
 def _nonsmooth_last(summands):
-    return sorted(summands, key=lambda s: not s.params.is_smooth)
+    smooth = [s for s in summands if s.params.is_smooth]
+    rest = [s for s in summands if not s.params.is_smooth]
+    return smooth + rest
 
 
 def _kernel(scenario: Scenario, predicate: str | None):
@@ -646,8 +645,12 @@ def witness_gradients(scenario: Scenario, x_star, max_iter: int = 100_000):
         return None
     pattern = route(scenario)
 
-    known_grads = {id(s): s.known.gradient(x) for s in scenario.known_summands}
-    offset = sum(known_grads.values(), np.zeros_like(x))
+    known_grads = {
+        id(s): s.known.gradient(x) for s in scenario.summands if s.known is not None
+    }
+    offset = np.zeros_like(x)
+    for g in known_grads.values():
+        offset = offset + g
 
     unknown = list(scenario.unknown_summands)
     if pattern in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
@@ -657,10 +660,12 @@ def witness_gradients(scenario: Scenario, x_star, max_iter: int = 100_000):
     tol = _eps(tol_coefficient(), scenario.static_scale, x[:, None], offset[:, None])
     tol = float(tol[0])
 
-    # with every summand known, the gradients already cancel (or the
-    # verdict above was outside)
     recovered: dict[int, np.ndarray] = {}
-    if len(unknown) == 1:
+    if not unknown:
+        # all summands known: the gradients either already cancel or the
+        # verdict above was outside
+        pass
+    elif len(unknown) == 1:
         g = -offset
         if _gradient_set(x, unknown[0]).distance(g) > 1e3 * tol:
             raise WitnessRecoveryError(
@@ -675,22 +680,32 @@ def witness_gradients(scenario: Scenario, x_star, max_iter: int = 100_000):
             [block], coupled, x.shape[0], tol, max_iter
         )
         if status != "feasible":
-            raise WitnessRecoveryError(f"projection {status} with residual {res:.3e}")
+            raise WitnessRecoveryError(
+                f"projection {status} with residual {res:.3e}"
+            )
         recovered[id(unknown[0])] = zs[0]
         recovered[id(unknown[1])] = -zs[0]
-    elif unknown:
+    else:
         sets = [_gradient_set(x, s) for s in unknown]
         coupled = sets[-1].negated().translated(-offset)
         status, zs, res, _ = _projection.block_cyclic_projection(
             [[s] for s in sets[:-1]], coupled, x.shape[0], tol, max_iter
         )
         if status != "feasible":
-            raise WitnessRecoveryError(f"projection {status} with residual {res:.3e}")
+            raise WitnessRecoveryError(
+                f"projection {status} with residual {res:.3e}"
+            )
         for s, z in zip(unknown[:-1], zs):
             recovered[id(s)] = z
         recovered[id(unknown[-1])] = -offset - sum(zs)
-    recovered.update(known_grads)
-    return [recovered[id(s)] for s in scenario.summands]
+
+    out = []
+    for s in scenario.summands:
+        if s.known is not None:
+            out.append(known_grads[id(s)])
+        else:
+            out.append(recovered[id(s)])
+    return out
 
 
 # ---------------------------------------------------------------------------
