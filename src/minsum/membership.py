@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -156,8 +156,6 @@ class Scenario:
     bound_B: float | None = None
     # eps_for's scale over everything but the point (see _static_scale)
     static_scale: float = field(init=False, repr=False)
-    # predicate (None: routed) -> (name, kernel), built on first use
-    _kernels: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         ss = tuple(self.summands)
@@ -360,7 +358,8 @@ def _bounded_pair(points, coef, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
 
 # ---------------------------------------------------------------------------
 # kernel construction: checks a pattern's preconditions once and binds
-# the summands' data as arrays
+# the summands' data as arrays.  Summands hash by identity, so a kernel
+# is built once per set of summands, whichever caller asks for it.
 
 
 def _require(cond: bool, msg: str):
@@ -394,13 +393,15 @@ def _balls(known, smooth, dim: int, factor: float) -> dict:
     }
 
 
-def _chain_kernel(known, smooth, dim, scale, total_in_eps=False):
+@lru_cache(maxsize=256)
+def _chain_kernel(known, smooth, dim, total_in_eps=False):
     _require(all(s.params.is_smooth for s in smooth), "unknown summands need finite L")
-    return partial(_ball_chain, scale=scale, total_in_eps=total_in_eps,
+    return partial(_ball_chain, scale=_static_scale(smooth), total_in_eps=total_in_eps,
                    **_balls(known, smooth, dim, 1.0))
 
 
-def _halfspace_kernel(known, unknown, scale):
+@lru_cache(maxsize=256)
+def _halfspace_kernel(known, unknown):
     if not unknown:
         raise ValueError("need at least one unknown summand")
     *smooth, m = unknown
@@ -408,10 +409,11 @@ def _halfspace_kernel(known, unknown, scale):
     _require(all(s.params.is_smooth for s in smooth),
              "unknown summands before the last must have finite L")
     return partial(_ball_halfspace, anchor_m=_column(m.x_star), mu_m=m.params.mu,
-                   scale=scale, **_balls(known, smooth, m.dim, 0.5))
+                   scale=_static_scale(unknown), **_balls(known, smooth, m.dim, 0.5))
 
 
-def _bounded_kernel(s1: Summand, s2: Summand, bound_b: float, scale):
+@lru_cache(maxsize=256)
+def _bounded_kernel(s1: Summand, s2: Summand, bound_b: float):
     _require(not s1.params.is_smooth and not s2.params.is_smooth,
              "bounded test needs L = inf on both summands")
     mu1, mu2 = s1.params.mu, s2.params.mu
@@ -423,7 +425,8 @@ def _bounded_kernel(s1: Summand, s2: Summand, bound_b: float, scale):
     bmin = min_bound_B(mu1, mu2, s1.x_star, s2.x_star)
     sep = float(np.linalg.norm(s1.x_star - s2.x_star))
     return partial(_bounded_pair, a1=_column(s1.x_star), a2=_column(s2.x_star),
-                   mu1=mu1, mu2=mu2, b=b, bmin=bmin, sep=sep, scale=scale)
+                   mu1=mu1, mu2=mu2, b=b, bmin=bmin, sep=sep,
+                   scale=_static_scale((s1, s2), b))
 
 
 def _point(x_star, summands, known=()) -> np.ndarray:
@@ -477,17 +480,16 @@ def member_two_nonsmooth_bounded(
 ) -> Verdict:
     """Two nonsmooth summands under a gradient cap |g_i| <= B (_bounded_pair)."""
     x = _point(x_star, (s1, s2))
-    scale = _static_scale((s1, s2), bound_b)
-    return _one_point(_bounded_kernel(s1, s2, bound_b, scale), x)
+    return _one_point(_bounded_kernel(s1, s2, float(bound_b)), x)
 
 
 def member_m_smooth(x_star, summands) -> Verdict:
     """Any number of smooth summands (_ball_chain without known ones)."""
-    ss = list(summands)
+    ss = tuple(summands)
     if not ss:
         raise ValueError("need at least one summand")
     x = _point(x_star, ss)
-    return _one_point(_chain_kernel((), ss, len(x), _static_scale(ss)), x)
+    return _one_point(_chain_kernel((), ss, len(x)), x)
 
 
 def member_m_one_nonsmooth(x_star, summands) -> Verdict:
@@ -497,9 +499,9 @@ def member_m_one_nonsmooth(x_star, summands) -> Verdict:
 
 def member_with_known(x_star, known_functions, unknown_summands) -> Verdict:
     """Smooth unknown summands alongside exactly known ones (_ball_chain)."""
-    kfs, ss = list(known_functions), list(unknown_summands)
+    kfs, ss = tuple(known_functions), tuple(unknown_summands)
     x = _point(x_star, ss, kfs)
-    return _one_point(_chain_kernel(kfs, ss, len(x), _static_scale(ss), True), x)
+    return _one_point(_chain_kernel(kfs, ss, len(x), True), x)
 
 
 def member_with_known_one_nonsmooth(
@@ -507,9 +509,9 @@ def member_with_known_one_nonsmooth(
 ) -> Verdict:
     """Known summands, smooth unknowns and one nonsmooth unknown last
     (_ball_halfspace)."""
-    kfs, ss = list(known_functions), list(unknown_summands)
+    kfs, ss = tuple(known_functions), tuple(unknown_summands)
     x = _point(x_star, ss, kfs)
-    return _one_point(_halfspace_kernel(kfs, ss, _static_scale(ss)), x)
+    return _one_point(_halfspace_kernel(kfs, ss), x)
 
 
 # ---------------------------------------------------------------------------
@@ -550,30 +552,27 @@ def _nonsmooth_last(summands):
     return smooth + rest
 
 
+@lru_cache(maxsize=256)
 def _kernel(scenario: Scenario, predicate: str | None):
-    """(name, kernel) of a forced predicate or, with None, the routed one,
-    built once per scenario."""
-    if predicate in scenario._kernels:
-        return scenario._kernels[predicate]
+    """(name, kernel) of a forced predicate or, with None, the routed one;
+    cached so repeated calls on a scenario skip the routing."""
     name = predicate if predicate is not None else route(scenario)
-    known = [s.known for s in scenario.known_summands]
+    known = tuple(s.known for s in scenario.known_summands)
     unknown = scenario.unknown_summands
-    scale = scenario.static_scale
     if name in (TWO_SMOOTH, M_SMOOTH, ONE_NONSMOOTH, TWO_NONSMOOTH_BOUNDED):
         _require(not known, f"{name} test takes no known summands")
     if name in (TWO_SMOOTH, TWO_NONSMOOTH_BOUNDED):
         _require(len(unknown) == 2, f"{name} test needs exactly two summands")
     if name in (TWO_SMOOTH, M_SMOOTH, KNOWN_SMOOTH):
         in_eps = name == KNOWN_SMOOTH
-        kernel = _chain_kernel(known, unknown, scenario.dim, scale, in_eps)
+        kernel = _chain_kernel(known, unknown, scenario.dim, in_eps)
     elif name in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
-        kernel = _halfspace_kernel(known, _nonsmooth_last(unknown), scale)
+        kernel = _halfspace_kernel(known, tuple(_nonsmooth_last(unknown)))
     elif name == TWO_NONSMOOTH_BOUNDED:
         _require(scenario.bound_B is not None, "bounded test needs bound_B")
-        kernel = _bounded_kernel(*unknown, scenario.bound_B, scale)
+        kernel = _bounded_kernel(*unknown, scenario.bound_B)
     else:
         raise ValueError(f"unknown predicate {name!r}")
-    scenario._kernels[predicate] = name, kernel
     return name, kernel
 
 
