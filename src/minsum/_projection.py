@@ -1,9 +1,18 @@
 """Cyclic projection onto balls and half-spaces.
 
 Internal helper for witness recovery and the numerical feasibility
-oracle.  Two solvers: a flat one (one unknown vector, a list of sets)
-and a sum-constrained block one (several unknown vectors whose sum must
-land in a coupled set).
+oracle.  Two scalar solvers: a flat one (one unknown vector, a list of
+sets) and a sum-constrained block one (several unknown vectors whose sum
+must land in a coupled set).  They solve one problem per call and serve
+witness_gradients and feasibility_by_projection.
+
+batch_block_projection solves many block problems of one shape at once,
+one per row of the set arrays in Balls and HalfSpaces; the oracle's
+cross_check hands it every projection problem of its points.  Each row
+follows the scalar rules step for step, with the flat problem as the
+one-block case, so a row's status and iteration count are those of the
+matching scalar call.  On a single problem the scalar solvers are the
+faster ones, which is why single problems stay on them.
 
 Status strings: "feasible" when the residual drops below tol,
 "stagnated" when it plateaus well above tol (strong numerical evidence
@@ -13,6 +22,8 @@ iteration budget runs out undecided.
 from __future__ import annotations
 
 import numpy as np
+
+from .geometry import Ball
 
 # residual is re-checked every window; a relative drop below STALL_FRACTION
 # over one window counts as a plateau.  1/k-style tails near tangency keep
@@ -107,3 +118,172 @@ def block_cyclic_projection(block_sets, coupled, dim: int, tol: float, max_iter:
                 return "stagnated", z, res, it
             prev = res
     return "cap", z, res, max_iter
+
+
+# ---------------------------------------------------------------------------
+# batched solver
+
+
+def _dot(a, b):
+    """<a, b> over the first (coordinate) axis, summed left to right, so
+    a row's value does not depend on how many rows there are."""
+    out = a[0] * b[0]
+    for j in range(1, a.shape[0]):
+        out = out + a[j] * b[j]
+    return out
+
+
+class _RowSets:
+    """Set data with the row axis last, so rows can be dropped uniformly.
+    Arrays are given row first, (N, n) or (N, k, n) with one set per row
+    (and block), and stored transposed, coordinates first."""
+
+    def take(self, keep):
+        """The rows where the boolean mask keep is set."""
+        out = object.__new__(type(self))
+        out.__dict__ = {
+            name: np.compress(keep, a, axis=-1) for name, a in self.__dict__.items()
+        }
+        return out
+
+
+class Balls(_RowSets):
+    """Closed balls |g - centre| <= radius."""
+
+    def __init__(self, centres, radii):
+        self.centres = np.ascontiguousarray(np.asarray(centres, dtype=float).T)
+        self.radii = np.ascontiguousarray(np.asarray(radii, dtype=float).T)
+
+    def distance(self, g):
+        d = g - self.centres
+        return np.maximum(0.0, np.sqrt(_dot(d, d)) - self.radii)
+
+    def project(self, g):
+        d = g - self.centres
+        n = np.sqrt(_dot(d, d))
+        return np.where(n > self.radii, self.centres + d * (self.radii / n), g)
+
+
+class HalfSpaces(_RowSets):
+    """Closed half-spaces <normal, g> <= offset.  A zero normal is vacuous
+    when its offset is nonnegative and empty otherwise, as in
+    geometry.HalfSpace."""
+
+    def __init__(self, normals, offsets):
+        self.normals = np.ascontiguousarray(np.asarray(normals, dtype=float).T)
+        self.offsets = np.ascontiguousarray(np.asarray(offsets, dtype=float).T)
+        n2 = _dot(self.normals, self.normals)
+        self._norm = np.sqrt(n2)
+        self._zero = n2 == 0.0
+        # a zero normal makes every step, and so the projection, zero
+        self._n2 = np.where(self._zero, 1.0, n2)
+        self._zero_distance = np.where(self.offsets >= 0.0, 0.0, np.inf)
+
+    def distance(self, g):
+        d = np.maximum(0.0, (_dot(self.normals, g) - self.offsets) / self._norm)
+        return np.where(self._zero, self._zero_distance, d)
+
+    def project(self, g):
+        v = _dot(self.normals, g) - self.offsets
+        return g - (np.maximum(v, 0.0) / self._n2) * self.normals
+
+
+def stack(rows):
+    """Balls or HalfSpaces from one geometry set per row, or one list of
+    k sets per row; every set has the type of the first."""
+    if isinstance(rows[0], list):
+        shape = (len(rows), len(rows[0]))
+        flat = [s for row in rows for s in row]
+    else:
+        shape = (len(rows),)
+        flat = rows
+    if isinstance(flat[0], Ball):
+        return Balls(
+            np.array([s.center for s in flat]).reshape(shape + (-1,)),
+            np.array([s.radius for s in flat]).reshape(shape),
+        )
+    return HalfSpaces(
+        np.array([s.normal for s in flat]).reshape(shape + (-1,)),
+        np.array([s.offset for s in flat]).reshape(shape),
+    )
+
+
+def _shape(sets):
+    """(n, N) or (n, k, N): coordinates, blocks if any, rows."""
+    return (sets.centres if isinstance(sets, Balls) else sets.normals).shape
+
+
+_STATUS = np.array(["feasible", "stagnated", "cap"])
+
+
+def batch_block_projection(blocks, coupled, tol: float, max_iter: int):
+    """block_cyclic_projection of N problems with k blocks each, at once.
+
+    blocks lists the sets every block must meet, at least one, in
+    projection order: each is a Balls or HalfSpaces holding N rows of k
+    sets.  coupled holds N rows of one set.  Row r is the problem with
+    z_i in the i-th set of row r of every entry of blocks, and
+    z_1 + ... + z_k in row r of coupled.  With k = 1 the coupled projection
+    replaces the block vector outright, which makes the one-block
+    problem cyclic_projection over blocks followed by coupled.  A row
+    leaves the batch once it is decided.
+
+    Returns (status, residual, iterations), arrays of N entries.
+    """
+    dim, n_rows = _shape(coupled)
+    k = _shape(blocks[0])[1]
+    status = np.full(n_rows, 2)
+    residual = np.zeros(n_rows)
+    iterations = np.full(n_rows, max_iter)
+    rows = np.arange(n_rows)
+    prev = np.full(n_rows, np.inf)
+
+    def total():
+        out = z[:, 0]
+        for i in range(1, k):
+            out = out + z[:, i]
+        return out
+
+    def max_violation():
+        r = coupled.distance(total())
+        for s in blocks:
+            r = np.maximum(r, s.distance(z).max(axis=0))
+        return r
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = blocks[0].project(np.zeros((dim, k, n_rows)))
+        res = max_violation()
+        for it in range(max_iter + 1):
+            if it:
+                for s in blocks:
+                    z = s.project(z)
+                if k == 1:
+                    z = coupled.project(z[:, 0])[:, None]
+                else:
+                    t = total()
+                    z = z + ((coupled.project(t) - t) / k)[:, None]
+                res = max_violation()
+            done = feasible = res <= tol
+            if it and it % _WINDOW == 0:
+                stalled = (res > _STALL_RESIDUAL_FACTOR * tol) & (
+                    prev - res < _STALL_FRACTION * res
+                )
+                done = feasible | stalled
+                prev = res
+            if np.count_nonzero(done):
+                finished = rows[done]
+                status[finished] = np.where(feasible[done], 0, 1)
+                residual[finished] = res[done]
+                iterations[finished] = it
+                keep = ~done
+                if not np.count_nonzero(keep):
+                    break
+                rows, res, prev = rows[keep], res[keep], prev[keep]
+                # compress keeps the arrays contiguous, unlike a[..., keep]
+                z = np.compress(keep, z, axis=-1)
+                blocks = [s.take(keep) for s in blocks]
+                coupled = coupled.take(keep)
+        else:
+            # rows still undecided at the cap
+            residual[rows] = res
+    return _STATUS[status], residual, iterations

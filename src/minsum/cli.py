@@ -11,6 +11,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -143,6 +144,7 @@ def _verify_one(scenario: Scenario, points: int, seed: int, predicate=None) -> d
         "checked": report.checked,
         "boundary_skipped": report.boundary_skipped,
         "indeterminate": report.indeterminate,
+        "uncertified": report.uncertified,
         "mismatches": report.mismatches,
     }
     if all(s.params.is_smooth for s in scenario.unknown_summands):
@@ -194,7 +196,9 @@ def cmd_focal(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # built once per process: parse_args keeps no state between calls
     parser = _Parser(
         prog="minsum",
         description=(

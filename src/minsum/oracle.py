@@ -170,6 +170,29 @@ def _pairwise_gap(s1, s2) -> float:
     return max(0.0, (-s2.offset / t - s1.offset) / n1)
 
 
+def _certified_infeasibility(sets, tol: float):
+    """Residual of a closed-form infeasibility certificate (a pair of
+    sets more than tol apart, or an empty half-space), or None."""
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            gap = _pairwise_gap(sets[i], sets[j])
+            if gap > tol:
+                return gap
+    for s in sets:
+        if isinstance(s, HalfSpace) and s._norm() == 0.0 and s.offset < 0.0:
+            return math.inf
+    return None
+
+
+def _projection_result(status: str, point, residual: float, iterations: int):
+    """ProjectionResult of a projection solver's status string."""
+    if status == "feasible":
+        return ProjectionResult("feasible", True, point, residual, iterations)
+    if status == "stagnated":
+        return ProjectionResult("infeasible", False, point, residual, iterations)
+    return ProjectionResult("indeterminate", False, point, residual, iterations)
+
+
 def feasibility_by_projection(problem: FeasibilityProblem) -> ProjectionResult:
     """Numerical stand-in for the geometric intersection arguments.
 
@@ -179,23 +202,14 @@ def feasibility_by_projection(problem: FeasibilityProblem) -> ProjectionResult:
     as infeasible too, but flagged uncertified.  Hitting the iteration
     cap without a decision yields "indeterminate".
     """
-    sets = problem.sets
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            gap = _pairwise_gap(sets[i], sets[j])
-            if gap > problem.tol:
-                return ProjectionResult("infeasible", True, None, gap, 0)
-    for s in sets:
-        if isinstance(s, HalfSpace) and s._norm() == 0.0 and s.offset < 0.0:
-            return ProjectionResult("infeasible", True, None, math.inf, 0)
-    status, g, res, iters = _projection.cyclic_projection(
-        list(sets), problem.dim, problem.tol, problem.max_iter
+    gap = _certified_infeasibility(problem.sets, problem.tol)
+    if gap is not None:
+        return ProjectionResult("infeasible", True, None, gap, 0)
+    return _projection_result(
+        *_projection.cyclic_projection(
+            list(problem.sets), problem.dim, problem.tol, problem.max_iter
+        )
     )
-    if status == "feasible":
-        return ProjectionResult("feasible", True, g, res, iters)
-    if status == "stagnated":
-        return ProjectionResult("infeasible", False, g, res, iters)
-    return ProjectionResult("indeterminate", False, g, res, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +278,19 @@ def qp_min_norm_gradient(x_star, x1, x2, mu1: float, mu2: float) -> float:
 
 @dataclass
 class CrossCheckReport:
+    """Counts over the points of one cross_check.
+
+    Every point is checked, boundary_skipped or indeterminate.
+    uncertified counts the checked points whose projection oracle
+    plateaued well above tolerance: taken as infeasible, with no
+    closed-form certificate behind it.
+    """
+
     total: int = 0
     checked: int = 0
     boundary_skipped: int = 0
     indeterminate: int = 0
+    uncertified: int = 0
     mismatches: list = field(default_factory=list)
 
     @property
@@ -292,38 +315,46 @@ def _margin_weight(scenario: Scenario) -> float:
     return 1.0 + w
 
 
-def _oracle_two_summand(scenario, x, tol):
-    """Flat projection problem for scenarios with exactly two unknown
-    summands: g1 in its set, g1 in the negated (and known-gradient
-    shifted) set of the other."""
+def _known_offset(scenario: Scenario, x) -> np.ndarray:
     offset = np.zeros(scenario.dim)
     for s in scenario.known_summands:
         offset = offset + s.known.gradient(x)
-    unknown = _nonsmooth_last(list(scenario.unknown_summands))
-    first = _gradient_set(x, unknown[0])
-    second = _gradient_set(x, unknown[1]).negated().translated(-offset)
-    sets = [first, second]
-    if scenario.bound_B is not None:
-        sets.append(Ball(np.zeros(scenario.dim), scenario.bound_B))
-    return feasibility_by_projection(FeasibilityProblem(tuple(sets), tol=tol))
+    return offset
 
 
-def _oracle_block(scenario, x, tol, max_iter=100_000):
-    """Sum-constrained block projection for three or more unknowns."""
-    offset = np.zeros(scenario.dim)
-    for s in scenario.known_summands:
-        offset = offset + s.known.gradient(x)
+def _projection_problem(scenario: Scenario, x):
+    """(blocks, coupled) of the gradient-set feasibility problem at x, in
+    the layout of _projection.batch_block_projection: blocks[j] holds
+    the j-th set of every block.
+
+    Two unknowns make a flat problem, g1 in its set and in the negated,
+    known-gradient shifted set of the other (and in the B-ball when the
+    scenario has one), written as one block whose last set is the
+    coupled one.  Three or more make one block per unknown but the last,
+    whose sum must land in the last set, negated and shifted.
+    """
     unknown = _nonsmooth_last(list(scenario.unknown_summands))
     sets = [_gradient_set(x, s) for s in unknown]
-    coupled = sets[-1].negated().translated(-offset)
-    status, zs, res, iters = _projection.block_cyclic_projection(
-        [[s] for s in sets[:-1]], coupled, scenario.dim, tol, max_iter
-    )
-    if status == "feasible":
-        return ProjectionResult("feasible", True, None, res, iters)
-    if status == "stagnated":
-        return ProjectionResult("infeasible", False, None, res, iters)
-    return ProjectionResult("indeterminate", False, None, res, iters)
+    sets[-1] = sets[-1].negated().translated(-_known_offset(scenario, x))
+    if len(unknown) > 2:
+        return [sets[:-1]], sets[-1]
+    if scenario.bound_B is not None:
+        sets.append(Ball(np.zeros(scenario.dim), scenario.bound_B))
+    return [[s] for s in sets[:-1]], sets[-1]
+
+
+def _solve_batch(problems, tol: float, max_iter: int = 100_000):
+    """ProjectionResults of same-shape (blocks, coupled) problems, from
+    one batch_block_projection over their stacked sets."""
+    blocks = [
+        _projection.stack([p[0][j] for p in problems]) for j in range(len(problems[0][0]))
+    ]
+    coupled = _projection.stack([p[1] for p in problems])
+    status, res, iters = _projection.batch_block_projection(blocks, coupled, tol, max_iter)
+    return [
+        _projection_result(str(st), None, float(r), int(it))
+        for st, r, it in zip(status, res, iters)
+    ]
 
 
 def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
@@ -336,6 +367,13 @@ def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
     legitimately disagree.  predicate may be a routing name or a
     callable (scenario, x) -> Verdict, the latter mainly to let tests
     inject a corrupted predicate.
+
+    Three passes.  The first takes each point's verdict, applies the
+    boundary skips and settles the QP and containment routes and the
+    flat problems with a closed-form infeasibility certificate; the
+    other projection problems it only sets up.  The second solves all
+    of those in one batched projection.  The third counts and collects
+    mismatches in point order.
     """
     pts = [as_vec(p) for p in points]
     report = CrossCheckReport(total=len(pts))
@@ -348,16 +386,21 @@ def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
     pattern = membership.route(scenario)
     bounded = pattern == membership.TWO_NONSMOOTH_BOUNDED
     n_unknown = len(scenario.unknown_summands)
+    oracle_name = "projection" if n_unknown == 2 else "block_projection"
 
+    # per point: None for a boundary skip, else (verdict, result) with a
+    # ProjectionResult, an (oracle_inside, descriptor) pair, or None for
+    # a problem left to the batch
+    outcomes = []
+    pending = []
     for x in pts:
         if callable(predicate):
             verdict = predicate(scenario, x)
         else:
             verdict = membership.evaluate(scenario, x, predicate=predicate)
         if abs(verdict.margin) <= margin_band:
-            report.boundary_skipped += 1
+            outcomes.append(None)
             continue
-        claim_inside = verdict.state != OUTSIDE
 
         if bounded:
             s1, s2 = scenario.unknown_summands
@@ -366,51 +409,59 @@ def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
                 float(np.linalg.norm(x - s1.x_star)) <= band
                 or float(np.linalg.norm(x - s2.x_star)) <= band
             ):
-                report.boundary_skipped += 1
+                outcomes.append(None)
                 continue
             opt = qp_min_norm_gradient(x, s1.x_star, s2.x_star, s1.params.mu, s2.params.mu)
             if math.isfinite(opt) and abs(math.sqrt(opt) - b) <= band:
-                report.boundary_skipped += 1
+                outcomes.append(None)
                 continue
-            oracle_inside = opt <= b * b
-            oracle_desc = {"oracle": "qp", "optimum": opt, "threshold": b * b}
+            result = (opt <= b * b, {"oracle": "qp", "optimum": opt, "threshold": b * b})
         elif n_unknown == 1:
-            offset = np.zeros(scenario.dim)
-            for s in scenario.known_summands:
-                offset = offset + s.known.gradient(x)
+            offset = _known_offset(scenario, x)
             dist = _gradient_set(x, scenario.unknown_summands[0]).distance(-offset)
             if dist <= band:
                 # a forced gradient sitting essentially on the set border
-                report.boundary_skipped += 1
+                outcomes.append(None)
                 continue
-            oracle_inside = False
-            oracle_desc = {"oracle": "containment", "distance": dist}
-        elif n_unknown == 2:
-            result = _oracle_two_summand(scenario, x, tol)
-            if result.status == "indeterminate":
-                report.indeterminate += 1
-                continue
-            oracle_inside = result.feasible
-            oracle_desc = {
-                "oracle": "projection",
-                "status": result.status,
-                "certified": result.certified,
-                "residual": result.residual,
-            }
+            result = (False, {"oracle": "containment", "distance": dist})
         else:
-            result = _oracle_block(scenario, x, tol)
+            problem = _projection_problem(scenario, x)
+            gap = None
+            if n_unknown == 2:
+                gap = _certified_infeasibility([b[0] for b in problem[0]] + [problem[1]], tol)
+            if gap is None:
+                pending.append(problem)
+                result = None
+            else:
+                result = ProjectionResult("infeasible", True, None, gap, 0)
+        outcomes.append((verdict, result))
+
+    solved = iter(_solve_batch(pending, tol) if pending else ())
+
+    for x, outcome in zip(pts, outcomes):
+        if outcome is None:
+            report.boundary_skipped += 1
+            continue
+        verdict, result = outcome
+        if result is None:
+            result = next(solved)
+        if isinstance(result, ProjectionResult):
             if result.status == "indeterminate":
                 report.indeterminate += 1
                 continue
-            oracle_inside = result.feasible
-            oracle_desc = {
-                "oracle": "block_projection",
-                "status": result.status,
-                "certified": result.certified,
-                "residual": result.residual,
-            }
-
+            report.uncertified += not result.certified
+            result = (
+                result.feasible,
+                {
+                    "oracle": oracle_name,
+                    "status": result.status,
+                    "certified": result.certified,
+                    "residual": result.residual,
+                },
+            )
+        oracle_inside, oracle_desc = result
         report.checked += 1
+        claim_inside = verdict.state != OUTSIDE
         if claim_inside != oracle_inside:
             report.mismatches.append(
                 {

@@ -123,6 +123,20 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+def test_parser_reused_across_calls(capsys, smooth_path):
+    # one parser per process; a usage error or a forced predicate must not
+    # carry over into the next call
+    assert cli.build_parser() is cli.build_parser()
+    code, _, err = run(capsys, "check", smooth_path)  # missing --point
+    assert code == 64 and "error" in err
+    point = ("--point", "0.45", "0.0")
+    code, out, _ = run(capsys, "check", smooth_path, *point, "--predicate", "m_smooth")
+    assert code == 0 and json.loads(out)["predicate_used"] == "m_smooth"
+    code, out, err = run(capsys, "check", smooth_path, *point)
+    assert code == 0 and err == ""
+    assert json.loads(out)["predicate_used"] == "two_smooth"
+
+
 # ------------------------------------------------------------------- region
 
 
@@ -242,6 +256,12 @@ def test_verify_random_ok(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert len(payload["runs"]) == 4
+    for r in payload["runs"]:
+        assert r["checked"] + r["boundary_skipped"] + r["indeterminate"] == 40
+        assert 0 <= r["uncertified"] <= r["checked"]
+    # the smooth scenarios go through projection, whose outside verdicts
+    # come from a plateau unless a pairwise gap certifies them
+    assert any(r["uncertified"] for r in payload["runs"][::2])
 
 
 def test_verify_requires_input(capsys):

@@ -271,17 +271,42 @@ def test_cross_check_clean_on_fixtures(smooth_pair, mixed_pair, bounded_pair):
         assert report.checked + report.boundary_skipped + report.indeterminate == 60
 
 
-def test_cross_check_triple_block_oracle():
-    sc = Scenario(
+def smooth_triple():
+    return Scenario(
         (
             Summand(vec(-1.0, 0.0), ClassParams(0.5, 3.0)),
             Summand(vec(1.0, 0.0), ClassParams(1.0, 8.0)),
             Summand(vec(0.0, 1.2), ClassParams(1.0, 5.0)),
         )
     )
+
+
+def test_cross_check_triple_block_oracle():
+    pts = np.random.default_rng(9).uniform(-2, 2, (25, 2))
+    report = cross_check(smooth_triple(), pts)
+    assert report.ok, report.mismatches
+
+
+def test_cross_check_reports_uncertified():
+    # the block route has no closed-form certificate, so every checked
+    # point it finds infeasible is a plateau: uncertified
+    sc = smooth_triple()
     pts = np.random.default_rng(9).uniform(-2, 2, (25, 2))
     report = cross_check(sc, pts)
     assert report.ok, report.mismatches
+    assert report.checked + report.boundary_skipped + report.indeterminate == 25
+    assert report.boundary_skipped == report.indeterminate == 0
+    outside = sum(evaluate(sc, p).state == OUTSIDE for p in pts)
+    assert report.uncertified == outside > 0
+
+
+def test_cross_check_certified_gaps_are_not_uncertified(smooth_pair):
+    # far points of a smooth pair have disjoint gradient balls: a
+    # closed-form gap certifies them, so none counts as uncertified
+    pts = np.array([[9.0, 9.0], [-8.0, 5.0], [7.0, -9.0]])
+    report = cross_check(smooth_pair, pts)
+    assert report.ok and report.checked == 3
+    assert report.uncertified == 0
 
 
 def test_cross_check_known_scenario(smooth_pair):
@@ -294,16 +319,30 @@ def test_cross_check_known_scenario(smooth_pair):
     assert report.ok, report.mismatches
 
 
-def test_cross_check_catches_corrupted_predicate(bounded_pair):
-    def corrupted(scenario, x):
-        return Verdict(INSIDE, 1.0)
+@pytest.mark.parametrize("state", [INSIDE, OUTSIDE], ids=["inside", "outside"])
+@pytest.mark.parametrize(
+    "name, oracle",
+    [
+        ("smooth_pair", "projection"),
+        ("triple", "block_projection"),
+        ("bounded_pair", "qp"),
+    ],
+)
+def test_cross_check_catches_corrupted_predicate(request, name, oracle, state):
+    sc = smooth_triple() if name == "triple" else request.getfixturevalue(name)
 
-    pts = np.random.default_rng(2).uniform(-3, 3, (40, 2))
-    report = cross_check(bounded_pair, pts, predicate=corrupted)
+    def corrupted(scenario, x):
+        return Verdict(state, 1.0 if state == INSIDE else -1.0)
+
+    # a box small enough for both states to be common on every route
+    pts = np.random.default_rng(2).uniform(-1.5, 1.5, (40, 2))
+    report = cross_check(sc, pts, predicate=corrupted)
+    wrong = sum(evaluate(sc, p).admits != (state == INSIDE) for p in pts)
     assert not report.ok
-    assert len(report.mismatches) > 5
-    rec = report.mismatches[0]
-    assert "point" in rec and "oracle" in rec and "margin" in rec
+    assert len(report.mismatches) == wrong > 5
+    for rec in report.mismatches:
+        assert "point" in rec and "margin" in rec
+        assert rec["oracle"] == oracle and rec["state"] == state
 
 
 def test_cross_check_empty_points(smooth_pair):

@@ -1,0 +1,138 @@
+"""The batched projection solver against the scalar ones, row by row."""
+import numpy as np
+import pytest
+
+from minsum import _projection
+from minsum.geometry import Ball, HalfSpace
+
+TOL = 1e-9
+
+
+def vec(*vals):
+    return np.array(vals, dtype=float)
+
+
+def random_ball(rng, n):
+    return Ball(rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 1.5))
+
+
+def random_halfspace(rng, n):
+    return HalfSpace(rng.normal(size=n), rng.uniform(-2.0, 1.0))
+
+
+def batch(problems, max_iter):
+    """Run batch_block_projection on (blocks, coupled) problems, where
+    blocks[i] lists block i's sets."""
+    n_sets = len(problems[0][0][0])
+    blocks = [
+        _projection.stack([[b[j] for b in p[0]] for p in problems]) for j in range(n_sets)
+    ]
+    coupled = _projection.stack([p[1] for p in problems])
+    return _projection.batch_block_projection(blocks, coupled, TOL, max_iter)
+
+
+def scalar(problem, max_iter):
+    """(status, residual, iterations) of the scalar solver for the same
+    problem: cyclic_projection for one block, the block solver otherwise."""
+    blocks, coupled = problem
+    dim = coupled.dim
+    if len(blocks) == 1:
+        status, _, res, iters = _projection.cyclic_projection(
+            blocks[0] + [coupled], dim, TOL, max_iter
+        )
+    else:
+        status, _, res, iters = _projection.block_cyclic_projection(
+            blocks, coupled, dim, TOL, max_iter
+        )
+    return status, res, iters
+
+
+def assert_rows_match(problems, max_iter):
+    status, res, iters = batch(problems, max_iter)
+    assert len(status) == len(problems)
+    for r, p in enumerate(problems):
+        s_status, s_res, s_iters = scalar(p, max_iter)
+        assert (status[r], iters[r]) == (s_status, s_iters), f"row {r}"
+        if np.isfinite(s_res):
+            assert res[r] == pytest.approx(s_res, rel=1e-9, abs=TOL)
+        else:
+            assert res[r] == s_res
+    return status, iters
+
+
+def flat_problem(rng, n, kind):
+    # the oracle's two-summand shapes: a ball, then a ball or half-space
+    # as the coupled set, or two balls and a ball cap
+    if kind == 0:
+        return [[random_ball(rng, n)]], random_ball(rng, n)
+    if kind == 1:
+        return [[random_ball(rng, n)]], random_halfspace(rng, n)
+    return [[random_ball(rng, n), random_ball(rng, n)]], random_ball(rng, n)
+
+
+def block_problem(rng, n, k, halfspace):
+    coupled = random_halfspace(rng, n) if halfspace else random_ball(rng, n)
+    return [[random_ball(rng, n)] for _ in range(k)], coupled
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_batch_matches_cyclic_projection_one_block(n):
+    rng = np.random.default_rng(n)
+    seen = set()
+    for kind in range(3):
+        problems = [flat_problem(rng, n, kind) for _ in range(20)]
+        seen.update(assert_rows_match(problems, 2000)[0])
+    assert {"feasible", "stagnated"} <= seen
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("halfspace", [False, True])
+def test_batch_matches_block_projection(k, halfspace):
+    rng = np.random.default_rng(10 + k)
+    problems = [block_problem(rng, 3, k, halfspace) for _ in range(20)]
+    assert_rows_match(problems, 2000)
+
+
+def test_batch_zero_normal_rows():
+    # x on a nonsmooth anchor gives a zero normal: vacuous with offset 0,
+    # empty with a negative offset (that one never decides: cap)
+    ball = Ball(vec(0.5, 0.0), 1.0)
+    vacuous = HalfSpace(vec(0.0, 0.0), 0.0)
+    empty = HalfSpace(vec(0.0, 0.0), -1.0)
+    problems = [([[ball]], vacuous), ([[ball]], empty)]
+    status, iters = assert_rows_match(problems, 120)
+    assert list(status) == ["feasible", "cap"]
+    assert list(iters) == [0, 120]
+    block = [([[ball], [Ball(vec(-0.5, 0.0), 1.0)]], vacuous)]
+    assert list(assert_rows_match(block, 120)[0]) == ["feasible"]
+
+
+def test_batch_feasible_at_iteration_zero_and_cap():
+    # row 0 holds the origin in every set, so the first projection is
+    # feasible; rows 1 and 2 are infeasible and still undecided at the
+    # cap, which comes before the first stagnation window
+    problems = [
+        ([[Ball(vec(0.1, 0.0), 1.0)]], Ball(vec(0.0, 0.2), 1.0)),
+        ([[Ball(vec(0.0, 0.0), 0.5)]], Ball(vec(3.0, 0.0), 0.5)),
+    ]
+    status, iters = assert_rows_match(problems, 30)
+    assert list(status) == ["feasible", "cap"]
+    assert list(iters) == [0, 30]
+    problems = [([[Ball(vec(0.0, 0.0), 1.0)]], HalfSpace(vec(-1.0, 0.0), -2.0))]
+    status, iters = assert_rows_match(problems, 30)
+    assert list(status) == ["cap"] and list(iters) == [30]
+
+
+def test_batch_row_does_not_depend_on_row_count():
+    rng = np.random.default_rng(3)
+    for make in (
+        lambda: flat_problem(rng, 3, 1),
+        lambda: block_problem(rng, 3, 3, True),
+    ):
+        problems = [make() for _ in range(500)]
+        together = batch(problems, 2000)
+        for r in range(0, 500, 50):
+            status, res, iters = batch([problems[r]], 2000)
+            assert status[0] == together[0][r]
+            assert res[0] == together[1][r]
+            assert iters[0] == together[2][r]
