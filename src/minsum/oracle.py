@@ -425,12 +425,13 @@ def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
                 continue
             result = (False, {"oracle": "containment", "distance": dist})
         else:
-            problem = _projection_problem(scenario, x)
+            blocks, coupled = _projection_problem(scenario, x)
             gap = None
             if n_unknown == 2:
-                gap = _certified_infeasibility([b[0] for b in problem[0]] + [problem[1]], tol)
+                sets = [s for column in blocks for s in column] + [coupled]
+                gap = _certified_infeasibility(sets, tol)
             if gap is None:
-                pending.append(problem)
+                pending.append((blocks, coupled))
                 result = None
             else:
                 result = ProjectionResult("infeasible", True, None, gap, 0)

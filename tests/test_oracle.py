@@ -282,18 +282,12 @@ def smooth_triple():
 
 
 def test_cross_check_triple_block_oracle():
-    pts = np.random.default_rng(9).uniform(-2, 2, (25, 2))
-    report = cross_check(smooth_triple(), pts)
-    assert report.ok, report.mismatches
-
-
-def test_cross_check_reports_uncertified():
-    # the block route has no closed-form certificate, so every checked
-    # point it finds infeasible is a plateau: uncertified
     sc = smooth_triple()
     pts = np.random.default_rng(9).uniform(-2, 2, (25, 2))
     report = cross_check(sc, pts)
     assert report.ok, report.mismatches
+    # the block route has no closed-form certificate, so every checked
+    # point it finds infeasible is a plateau: uncertified
     assert report.checked + report.boundary_skipped + report.indeterminate == 25
     assert report.boundary_skipped == report.indeterminate == 0
     outside = sum(evaluate(sc, p).state == OUTSIDE for p in pts)
