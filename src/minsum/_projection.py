@@ -1,10 +1,11 @@
 """Cyclic projection onto balls and half-spaces.
 
-Internal helper for witness recovery and the numerical feasibility
-oracle.  Two scalar solvers: a flat one (one unknown vector, a list of
-sets) and a sum-constrained block one (several unknown vectors whose sum
-must land in a coupled set).  They solve one problem per call and serve
-witness_gradients and feasibility_by_projection.
+Internal helper of the numerical feasibility oracle.  Two scalar
+solvers: a flat one (one unknown vector, a list of sets) and a
+sum-constrained block one (several unknown vectors whose sum must land
+in a coupled set).  They solve one problem per call: the flat one serves
+feasibility_by_projection, and both are the reference the batched solver
+is tested against.
 
 batch_block_projection solves many block problems of one shape at once,
 one per row of the set arrays in Balls and HalfSpaces; the oracle's

@@ -148,35 +148,27 @@ def scenario_bound_reports(scenario: Scenario):
     (Ball around the unknown minimizers), focal (focal point or None),
     notes (list of strings explaining omissions).
     """
-    reports = []
-    notes = []
     unknown = scenario.unknown_summands
-    focal = None
+    result = {"reports": [], "enclosing": None, "focal": None, "notes": []}
+    reports, notes = result["reports"], result["notes"]
 
     if scenario.known_summands:
         notes.append("ball bounds assume no known summands; none emitted")
-        enclosing = smallest_enclosing_ball(
-            [s.x_star for s in scenario.summands]
-        )
-        return {"reports": reports, "enclosing": enclosing, "focal": focal, "notes": notes}
+        result["enclosing"] = smallest_enclosing_ball([s.x_star for s in scenario.summands])
+        return result
 
-    enclosing = smallest_enclosing_ball([s.x_star for s in unknown])
+    result["enclosing"] = enclosing = smallest_enclosing_ball([s.x_star for s in unknown])
     pattern = route(scenario)
 
     if pattern == TWO_NONSMOOTH_BOUNDED:
         s1, s2 = unknown
         mu1, mu2 = s1.params.mu, s2.params.mu
         b = scenario.bound_B
-        focal = focal_point(unknown)
+        result["focal"] = focal_point(unknown)
         bmin = min_bound_B(mu1, mu2, s1.x_star, s2.x_star)
         if b < bmin:
             notes.append("bound_B is below the feasibility minimum; the set is empty")
-            return {
-                "reports": reports,
-                "enclosing": enclosing,
-                "focal": focal,
-                "notes": notes,
-            }
+            return result
         d = float(np.linalg.norm(s1.x_star - s2.x_star))
         total = mu1 + mu2
         linear = max(b * d / total - mu1 * mu2 * d * d / (total * total), 0.0)
@@ -184,46 +176,26 @@ def scenario_bound_reports(scenario: Scenario):
         binding = FOCAL_LINEAR if linear <= quadratic else FOCAL_QUADRATIC
         value = focal_distance_bound(mu1, mu2, s1.x_star, s2.x_star, b)
         reports.append(BoundReport(value, binding, None))
-        return {
-            "reports": reports,
-            "enclosing": enclosing,
-            "focal": focal,
-            "notes": notes,
-        }
+        return result
 
     if pattern in (TWO_SMOOTH, M_SMOOTH):
-        focal = focal_point(unknown)
+        result["focal"] = focal_point(unknown)
     smooth = [s for s in unknown if s.params.is_smooth]
     if not smooth:
         notes.append("ball bounds need at least one smooth summand")
-        return {
-            "reports": reports,
-            "enclosing": enclosing,
-            "focal": focal,
-            "notes": notes,
-        }
+        return result
     mu_min = min(s.params.mu for s in smooth)
     l_max = max(s.params.L for s in smooth)
     if mu_min <= 0.0:
         notes.append("a summand has mu = 0: no finite distance bound applies")
-        return {
-            "reports": reports,
-            "enclosing": enclosing,
-            "focal": focal,
-            "notes": notes,
-        }
+        return result
     # every smooth summand's class embeds in the (mu_min, l_max) class,
     # so bounds for that class remain valid
     kappa = l_max / mu_min
     r = enclosing.radius
     if kappa <= 1.0:
         notes.append("condition number at most 1; ball bounds need kappa > 1")
-        return {
-            "reports": reports,
-            "enclosing": enclosing,
-            "focal": focal,
-            "notes": notes,
-        }
+        return result
     if pattern in (TWO_SMOOTH, M_SMOOTH):
         reports.append(BoundReport(r * ball_bound_smooth(kappa), BALL_SMOOTH, kappa))
     elif pattern == ONE_NONSMOOTH:
@@ -231,4 +203,4 @@ def scenario_bound_reports(scenario: Scenario):
             BoundReport(r * ball_bound_one_nonsmooth(kappa), BALL_NONSMOOTH, kappa)
         )
     reports.append(BoundReport(r * ball_bound_baseline(kappa), BASELINE, kappa))
-    return {"reports": reports, "enclosing": enclosing, "focal": focal, "notes": notes}
+    return result

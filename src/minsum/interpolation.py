@@ -138,11 +138,13 @@ def minimizer_condition_margin(x, g, x_star, params: ClassParams) -> float:
     """
     xv, gv, sv = as_vec(x), as_vec(g), as_vec(x_star)
     check_same_dim(xv, gv, sv)
-    dx = xv - sv
+    return _condition_margin(gv, xv - sv, params)
+
+
+def _condition_margin(g: np.ndarray, dx: np.ndarray, params: ClassParams) -> float:
+    """minimizer_condition_margin over validated g and dx = x - x*."""
     q = 1.0 / (1.0 + params.mu_over_L)
-    return float(gv @ dx) - q * (
-        params.inv_L * float(gv @ gv) + params.mu * float(dx @ dx)
-    )
+    return float(g @ dx) - q * (params.inv_L * float(g @ g) + params.mu * float(dx @ dx))
 
 
 def geometric_ball(x, x_star, params: ClassParams) -> Ball:
@@ -174,14 +176,14 @@ def witness_values(x, g, x_star, params: ClassParams) -> WitnessValues:
     """
     xv, gv, sv = as_vec(x), as_vec(g), as_vec(x_star)
     check_same_dim(xv, gv, sv)
-    margin = minimizer_condition_margin(xv, gv, sv, params)
+    dx = xv - sv
+    margin = _condition_margin(gv, dx, params)
     eps = eps_for(xv, gv, sv, params.mu, params.L)
     if margin < -eps:
         raise ValueError(
             f"(x, g) is not attainable for a class member minimized at x_star "
             f"(margin {margin:.3e})"
         )
-    dx = xv - sv
     energy = (
         0.5 * params.inv_L * float(gv @ gv)
         + 0.5 * params.mu * float(dx @ dx)

@@ -20,6 +20,9 @@ run on an (N, n) array of points at once:
   unbounded unless a gradient-norm cap bound_B is supplied, and a
   three-clause test decides it (two_nonsmooth_bounded).
 
+witness_gradients writes an admitted point's gradients from the same
+closed forms, with no iterative solver.
+
 The kernels sum over summands and coordinates left to right in
 elementwise array operations, never np.sum or a BLAS product, so a
 row's result does not depend on how many rows share the call: a single
@@ -29,18 +32,15 @@ equals its raster cell bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from . import _projection
 from .geometry import (
     BOUNDARY,
-    Ball,
     CoincidentPointsError,
     DimensionMismatchError,
-    HalfSpace,
     INSIDE,
     OUTSIDE,
     Verdict,
@@ -50,7 +50,7 @@ from .geometry import (
     eps_for,
     tol_coefficient,
 )
-from .interpolation import ClassParams, geometric_ball
+from .interpolation import ClassParams
 
 COND_BASE = 1
 COND_FIRST = 2
@@ -80,11 +80,6 @@ PREDICATE_NAMES = (
 
 class UnsupportedPatternError(ValueError):
     """The scenario's smoothness pattern has no implemented predicate."""
-
-
-class WitnessRecoveryError(RuntimeError):
-    """The projection routine ran out of iterations before producing a
-    witness; distinct from the point being outside the set."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +149,6 @@ class Scenario:
 
     summands: tuple
     bound_B: float | None = None
-    # eps_for's scale over everything but the point (see _static_scale)
-    static_scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         ss = tuple(self.summands)
@@ -180,9 +173,6 @@ class Scenario:
                 "with two nonsmooth summands every point far from the minimizers "
                 "stays attainable unless gradients are capped; supply bound_B"
             )
-        object.__setattr__(
-            self, "static_scale", _static_scale(self.unknown_summands, self.bound_B)
-        )
 
     @property
     def dim(self) -> int:
@@ -356,6 +346,53 @@ def _bounded_pair(points, coef, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
     return states, margins, fired
 
 
+def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
+    """Minimize |g|^2 subject to
+        <g, x1 - x*> <= -mu1 |x* - x1|^2
+        <g, x* - x2> <= -mu2 |x* - x2|^2
+    by enumerating KKT active sets.  Returns (optimal value, argmin); the
+    value is inf when the two half-spaces are disjoint, which happens
+    only for x* on the colinear ray outside the segment [x1, x2].
+    The argmin is the bounded pair's witness; the oracle compares the
+    optimum with B^2, with no algebra shared with _bounded_pair.
+    """
+    xs, a1, a2 = as_vec(x_star), as_vec(x1), as_vec(x2)
+    check_same_dim(xs, a1, a2)
+    if mu1 < 0.0 or mu2 < 0.0:
+        raise ValueError("moduli must be nonnegative")
+    eps = eps_for(xs, a1, a2, mu1, mu2)
+    u = a1 - xs
+    v = xs - a2
+    nu = float(u @ u)
+    nv = float(v @ v)
+    if nu <= eps * eps or nv <= eps * eps:
+        raise CoincidentPointsError("x_star coincides with an anchor point")
+    bu = -mu1 * nu
+    bv = -mu2 * nv
+    ftol = eps * (1.0 + math.sqrt(max(nu, nv)))
+    # the minimizer of each KKT active set that is feasible: none, u, v, both
+    candidates = []
+    if bu >= -ftol and bv >= -ftol:
+        candidates.append(np.zeros_like(xs))
+    g1 = (bu / nu) * u
+    if float(g1 @ v) <= bv + ftol:
+        candidates.append(g1)
+    g2 = (bv / nv) * v
+    if float(g2 @ u) <= bu + ftol:
+        candidates.append(g2)
+    dot = float(u @ v)
+    det = nu * nv - dot * dot
+    if det > 1e-14 * nu * nv:
+        # both constraints active; the 2x2 Gram system has a unique
+        # solution in span{u, v} and is feasible by construction
+        al = (bu * nv - bv * dot) / det
+        be = (bv * nu - bu * dot) / det
+        candidates.append(al * u + be * v)
+    if not candidates:
+        return math.inf, None
+    return min(((float(g @ g), g) for g in candidates), key=lambda pair: pair[0])
+
+
 # ---------------------------------------------------------------------------
 # kernel construction: checks a pattern's preconditions once and binds
 # the summands' data as arrays.  Summands hash by identity, so a kernel
@@ -417,8 +454,6 @@ def _bounded_kernel(s1: Summand, s2: Summand, bound_b: float):
     _require(not s1.params.is_smooth and not s2.params.is_smooth,
              "bounded test needs L = inf on both summands")
     mu1, mu2 = s1.params.mu, s2.params.mu
-    if mu1 + mu2 <= 0.0:
-        raise ValueError("at least one modulus must be positive")
     b = float(bound_b)
     if not math.isfinite(b) or b < 0.0:
         raise ValueError(f"bound must be finite and nonnegative, got {b}")
@@ -536,10 +571,7 @@ def route(scenario: Scenario) -> str:
     if len(nonsmooth) == 1:
         return ONE_NONSMOOTH
     if len(nonsmooth) == 2 and len(unknown) == 2:
-        _require(
-            scenario.bound_B is not None,
-            "two nonsmooth summands need bound_B",
-        )
+        # Scenario requires bound_B with two nonsmooth summands
         return TWO_NONSMOOTH_BOUNDED
     raise UnsupportedPatternError(
         "at most two nonsmooth summands are supported, and only on their own"
@@ -569,7 +601,6 @@ def _kernel(scenario: Scenario, predicate: str | None):
     elif name in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
         kernel = _halfspace_kernel(known, tuple(_nonsmooth_last(unknown)))
     elif name == TWO_NONSMOOTH_BOUNDED:
-        _require(scenario.bound_B is not None, "bounded test needs bound_B")
         kernel = _bounded_kernel(*unknown, scenario.bound_B)
     else:
         raise ValueError(f"unknown predicate {name!r}")
@@ -620,91 +651,59 @@ def focal_point(summands) -> np.ndarray:
     return out
 
 
-def _gradient_set(x, s: Summand):
-    """Constraint set for s's subgradient at x, in gradient space."""
-    if s.params.is_smooth:
-        return geometric_ball(x, s.x_star, s.params)
+def _gradient_ball(x, s: Summand):
+    """(c, r) of the gradient ball B(c, r) of s at x; s has L < inf."""
     d = x - s.x_star
-    # <g, d> >= mu |d|^2  rewritten as <-d, g> <= -mu |d|^2
-    return HalfSpace(-d, -s.params.mu * float(d @ d))
+    p = s.params
+    return 0.5 * (p.L + p.mu) * d, 0.5 * (p.L - p.mu) * float(np.linalg.norm(d))
 
 
-def witness_gradients(scenario: Scenario, x_star, max_iter: int = 100_000):
-    """Recover subgradients g_i certifying membership of x_star.
+def witness_gradients(scenario: Scenario, x_star):
+    """Subgradients g_i certifying membership of x_star, or None when
+    x_star is outside the set.
 
-    Returns one gradient per summand (known summands contribute their
-    exact gradient) with sum exactly zero, or None when x_star is
-    outside the set.  Raises WitnessRecoveryError if the projection
-    routine exhausts max_iter without converging.
+    One gradient per summand, summing to zero: known summands give their
+    exact gradient, the last unknown summand the remainder, and the
+    others a point of their gradient set picked by the closed form that
+    admitted x_star (d = x_star - x*; smooth sets are balls B(c, r)):
+    - chain: g_i = c_i - (r_i/R) C, C = sum c_i + offset, R = sum r_i,
+      as the balls sum to B(sum c_i, R) and admission means |C| <= R;
+    - half-space: g_i = c_i - r_i d_m/|d_m|, the ball's point of least
+      <g, d_m>, leaves the nonsmooth summand m the kernel's margin;
+    - bounded pair: g_1 = -g_2 is the min-norm QP's argmin or, at an
+      anchor (no clause fired), the other summand's base-cap gradient.
     """
-    x = as_vec(x_star)
-    check_same_dim(x, scenario.summands[0].x_star)
-    verdict = evaluate(scenario, x)
+    x = _point(x_star, scenario.summands[:1])
+    name, kernel = _kernel(scenario, None)
+    verdict = _one_point(kernel, x)
     if verdict.state == OUTSIDE:
         return None
-    pattern = route(scenario)
-
-    known_grads = {
-        id(s): s.known.gradient(x) for s in scenario.summands if s.known is not None
-    }
-    offset = np.zeros_like(x)
-    for g in known_grads.values():
-        offset = offset + g
-
-    unknown = list(scenario.unknown_summands)
-    if pattern in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
-        unknown = _nonsmooth_last(unknown)
-
-    # eps_for over x, offset, the unknown summands' data and bound_B
-    tol = _eps(tol_coefficient(), scenario.static_scale, x[:, None], offset[:, None])
-    tol = float(tol[0])
-
-    recovered: dict[int, np.ndarray] = {}
-    if not unknown:
-        # all summands known: the gradients either already cancel or the
-        # verdict above was outside
-        pass
-    elif len(unknown) == 1:
-        g = -offset
-        if _gradient_set(x, unknown[0]).distance(g) > 1e3 * tol:
-            raise WitnessRecoveryError(
-                "forced gradient of the single unknown summand misses its set"
-            )
-        recovered[id(unknown[0])] = g
-    elif pattern == TWO_NONSMOOTH_BOUNDED:
-        b = scenario.bound_B
-        block = [_gradient_set(x, unknown[0]), Ball(np.zeros_like(x), b)]
-        coupled = _gradient_set(x, unknown[1]).negated()
-        status, zs, res, _ = _projection.block_cyclic_projection(
-            [block], coupled, x.shape[0], tol, max_iter
-        )
-        if status != "feasible":
-            raise WitnessRecoveryError(
-                f"projection {status} with residual {res:.3e}"
-            )
-        recovered[id(unknown[0])] = zs[0]
-        recovered[id(unknown[1])] = -zs[0]
-    else:
-        sets = [_gradient_set(x, s) for s in unknown]
-        coupled = sets[-1].negated().translated(-offset)
-        status, zs, res, _ = _projection.block_cyclic_projection(
-            [[s] for s in sets[:-1]], coupled, x.shape[0], tol, max_iter
-        )
-        if status != "feasible":
-            raise WitnessRecoveryError(
-                f"projection {status} with residual {res:.3e}"
-            )
-        for s, z in zip(unknown[:-1], zs):
-            recovered[id(s)] = z
-        recovered[id(unknown[-1])] = -offset - sum(zs)
-
-    out = []
-    for s in scenario.summands:
-        if s.known is not None:
-            out.append(known_grads[id(s)])
+    known = {id(s): s.known.gradient(x) for s in scenario.known_summands}
+    offset = sum(known.values(), np.zeros_like(x))
+    unknown = _nonsmooth_last(scenario.unknown_summands)
+    if name == TWO_NONSMOOTH_BOUNDED:
+        s1, s2 = unknown
+        if verdict.fired_conditions & (COND_FIRST | COND_SECOND | COND_DET):
+            mu1, mu2 = s1.params.mu, s2.params.mu
+            grads = [qp_min_norm_gradient_solution(x, s1.x_star, s2.x_star, mu1, mu2)[1]]
+        elif np.linalg.norm(x - s1.x_star) <= np.linalg.norm(x - s2.x_star):
+            grads = [s2.params.mu * (s2.x_star - x)]
         else:
-            out.append(recovered[id(s)])
-    return out
+            grads = [s1.params.mu * (x - s1.x_star)]
+    elif name in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
+        dm = x - unknown[-1].x_star
+        norm = float(np.linalg.norm(dm))
+        u = dm / norm if norm > 0.0 else np.zeros_like(x)
+        grads = [c - r * u for c, r in (_gradient_ball(x, s) for s in unknown[:-1])]
+    else:
+        balls = [_gradient_ball(x, s) for s in unknown]
+        big_c = sum((c for c, _ in balls), offset)
+        big_r = sum(r for _, r in balls)
+        grads = [c - (r / big_r) * big_c if big_r > 0.0 else c for c, r in balls[:-1]]
+    if unknown:
+        grads.append(-offset - sum(grads, np.zeros_like(x)))
+    gradient = {**known, **dict(zip(map(id, unknown), grads))}
+    return [gradient[id(s)] for s in scenario.summands]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ Three routes that do not share algebra with the predicates:
 * random quadratic instances whose exact sum minimizer is computable,
   probing the necessity direction of every membership test;
 * cyclic-projection feasibility of the per-summand gradient sets,
-  probing sufficiency for the smooth and mixed patterns;
+  probing sufficiency for the smooth and mixed patterns (the only use of
+  iterative projection: membership writes its witnesses in closed form);
 * a tiny QP (minimum gradient norm under two strong-convexity
   constraints) solved by KKT case enumeration, probing the bounded
   two-nonsmooth pattern: x* is a member iff the optimum is at most B^2.
+  The solver sits in membership, whose bounded-pair witness is its
+  argmin; it shares no algebra with the three-clause test it checks.
 """
 from __future__ import annotations
 
@@ -20,22 +23,20 @@ import numpy as np
 from . import _projection, membership
 from .geometry import (
     Ball,
-    CoincidentPointsError,
     HalfSpace,
     OUTSIDE,
     as_vec,
     check_same_dim,
-    eps_for,
 )
-from .interpolation import ClassParams
+from .interpolation import ClassParams, geometric_ball
 from .membership import (
     KnownFunction,
     Scenario,
     Summand,
     UnsupportedPatternError,
-    _gradient_set,
     _nonsmooth_last,
     min_bound_B,
+    qp_min_norm_gradient_solution,
 )
 
 PROJECTION_TOL = 1e-8
@@ -216,57 +217,6 @@ def feasibility_by_projection(problem: FeasibilityProblem) -> ProjectionResult:
 # minimum-gradient-norm QP
 
 
-def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
-    """Minimize |g|^2 subject to
-        <g, x1 - x*> <= -mu1 |x* - x1|^2
-        <g, x* - x2> <= -mu2 |x* - x2|^2
-    by enumerating KKT active sets.  Returns (optimal value, argmin); the
-    value is inf when the two half-spaces are disjoint, which happens
-    only for x* on the colinear ray outside the segment [x1, x2].
-    """
-    xs, a1, a2 = as_vec(x_star), as_vec(x1), as_vec(x2)
-    check_same_dim(xs, a1, a2)
-    if mu1 < 0.0 or mu2 < 0.0:
-        raise ValueError("moduli must be nonnegative")
-    eps = eps_for(xs, a1, a2, mu1, mu2)
-    u = a1 - xs
-    v = xs - a2
-    nu = float(u @ u)
-    nv = float(v @ v)
-    if nu <= eps * eps or nv <= eps * eps:
-        raise CoincidentPointsError("x_star coincides with an anchor point")
-    bu = -mu1 * nu
-    bv = -mu2 * nv
-    ftol = eps * (1.0 + math.sqrt(max(nu, nv)))
-    best = None
-
-    def consider(g):
-        nonlocal best
-        val = float(g @ g)
-        if best is None or val < best[0]:
-            best = (val, g)
-
-    if bu >= -ftol and bv >= -ftol:
-        consider(np.zeros_like(xs))
-    g1 = (bu / nu) * u
-    if float(g1 @ v) <= bv + ftol:
-        consider(g1)
-    g2 = (bv / nv) * v
-    if float(g2 @ u) <= bu + ftol:
-        consider(g2)
-    dot = float(u @ v)
-    det = nu * nv - dot * dot
-    if det > 1e-14 * nu * nv:
-        # both constraints active; the 2x2 Gram system has a unique
-        # solution in span{u, v} and is feasible by construction
-        al = (bu * nv - bv * dot) / det
-        be = (bv * nu - bu * dot) / det
-        consider(al * u + be * v)
-    if best is None:
-        return math.inf, None
-    return best
-
-
 def qp_min_norm_gradient(x_star, x1, x2, mu1: float, mu2: float) -> float:
     value, _ = qp_min_norm_gradient_solution(x_star, x1, x2, mu1, mu2)
     return value
@@ -313,6 +263,15 @@ def _margin_weight(scenario: Scenario) -> float:
         p = s.params
         w += (p.L + p.mu) if p.is_smooth else p.mu
     return 1.0 + w
+
+
+def _gradient_set(x, s: Summand):
+    """Constraint set for s's subgradient at x, in gradient space."""
+    if s.params.is_smooth:
+        return geometric_ball(x, s.x_star, s.params)
+    d = x - s.x_star
+    # <g, d> >= mu |d|^2  rewritten as <-d, g> <= -mu |d|^2
+    return HalfSpace(-d, -s.params.mu * float(d @ d))
 
 
 def _known_offset(scenario: Scenario, x) -> np.ndarray:

@@ -14,7 +14,7 @@ from minsum.geometry import (
     eps_for,
     tol_coefficient,
 )
-from minsum.interpolation import ClassParams
+from minsum.interpolation import ClassParams, Triplet, check_interpolation, witness_values
 from minsum.membership import (
     COND_BASE,
     COND_DET,
@@ -45,7 +45,8 @@ from minsum.membership import (
     witness_gradients,
 )
 from minsum import membership
-from minsum.membership import _gradient_set, _kernel
+from minsum.membership import _kernel
+from minsum.oracle import _gradient_set, random_smooth_scenario, random_two_nonsmooth_scenario
 
 coord = st.floats(-5, 5, allow_nan=False)
 point2 = st.tuples(coord, coord)
@@ -415,6 +416,10 @@ def test_focal_point_unsupported_cases(mixed_pair):
 
 
 def _check_witnesses(scenario, x):
+    """Witness gradients at an admitted x: they sum to zero, each known
+    one is exact, and each unknown one lies in the oracle's gradient set,
+    certifies through witness_values and check_interpolation, and
+    respects the cap."""
     gs = witness_gradients(scenario, x)
     assert gs is not None
     total = sum(gs)
@@ -425,9 +430,11 @@ def _check_witnesses(scenario, x):
             continue
         dist = _gradient_set(x, s).distance(g)
         assert dist <= 1e-5 * (1 + float(np.linalg.norm(g)))
-    if scenario.bound_B is not None:
-        for g in gs:
-            assert float(np.linalg.norm(g)) <= scenario.bound_B + 1e-5
+        w = witness_values(x, g, s.x_star, s.params)
+        pair = [Triplet(x, g, w.f_x), Triplet(s.x_star, np.zeros_like(x), w.f_star)]
+        assert check_interpolation(pair, s.params).state != OUTSIDE
+        if scenario.bound_B is not None:
+            assert float(np.linalg.norm(g)) <= scenario.bound_B * (1 + 1e-9)
     return gs
 
 
@@ -606,3 +613,94 @@ def test_raster_input_validation(smooth_pair):
     )
     with pytest.raises(DimensionMismatchError):
         rasterize_region(sc3, (-1, 1, -1, 1), (4, 4))
+
+
+# ------------------------------------------------- witnesses at the edges
+
+
+def _bisect_to_boundary(scenario, inside, outside, steps=60):
+    """The last point with margin >= 0 on the segment from inside to
+    outside, to bisection precision."""
+    for _ in range(steps):
+        mid = 0.5 * (inside + outside)
+        if evaluate(scenario, mid).margin >= 0.0:
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+@pytest.mark.parametrize("pattern", sorted(RASTER_SCENARIOS))
+def test_witness_gradients_on_the_boundary(pattern):
+    sc = RASTER_SCENARIOS[pattern]()
+    pts = np.random.default_rng(4).uniform(-3, 3, (2000, 2))
+    margins = np.array([evaluate(sc, p).margin for p in pts])
+    inside, outside = pts[margins > 0.0][:40], pts[margins < 0.0][:40]
+    assert len(inside) == len(outside) == 40
+    for a, b in zip(inside, outside):
+        x = _bisect_to_boundary(sc, a, b)
+        assert evaluate(sc, x).margin >= 0.0
+        _check_witnesses(sc, x)
+
+
+@pytest.mark.parametrize("pattern", sorted(RASTER_SCENARIOS))
+def test_witness_gradients_at_the_anchors(pattern):
+    sc = RASTER_SCENARIOS[pattern]()
+    for s in sc.summands:
+        x = s.x_star.copy()
+        if evaluate(sc, x).admits:
+            _check_witnesses(sc, x)
+        else:
+            assert witness_gradients(sc, x) is None
+
+
+def test_witness_gradients_when_every_radius_is_zero():
+    # R = 0: x on the smooth unknowns' anchors, known gradients cancelling
+    k1 = Summand(vec(-1, 0), ClassParams(0.5, 2.0), KnownFunction(np.eye(2), vec(-1, 0)))
+    k2 = Summand(vec(1, 0), ClassParams(0.5, 2.0), KnownFunction(np.eye(2), vec(1, 0)))
+    one = Scenario((k1, summand(0, 0, 1.0, 3.0), k2))
+    two = Scenario((k1, summand(0, 0, 1.0, 3.0), summand(0, 0, 0.5, 9.0), k2))
+    for sc in (one, two):
+        assert evaluate(sc, vec(0, 0)).admits
+        gs = _check_witnesses(sc, vec(0, 0))
+        assert all(not g.any() for g, s in zip(gs, sc.summands) if s.known is None)
+
+
+def test_witness_gradients_on_the_nonsmooth_anchor():
+    # d_m = 0: the half-space is vacuous, the smooth summands take centres
+    for pattern in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
+        sc = RASTER_SCENARIOS[pattern]()
+        m = next(s for s in sc.summands if not s.params.is_smooth)
+        assert evaluate(sc, m.x_star).admits
+        _check_witnesses(sc, m.x_star)
+
+
+def test_witness_gradients_bounded_at_each_anchor(bounded_pair):
+    s1, s2 = bounded_pair.summands
+    sc = Scenario((s1, s2), bound_B=4.5)
+    gs = _check_witnesses(sc, s1.x_star)
+    assert np.allclose(gs[1], 2.0 * (s1.x_star - s2.x_star))
+    gs = _check_witnesses(sc, s2.x_star)
+    assert np.allclose(gs[0], 1.75 * (s2.x_star - s1.x_star))
+
+
+def test_witness_gradients_close_to_the_boundary(smooth_pair):
+    # inside by a margin of 2e-4: close enough to the boundary that an
+    # iterative search for the witness would need over 1e5 steps
+    x = vec(0.27404655823449, 1.1912927156523665)
+    v = evaluate(smooth_pair, x)
+    assert v.state == INSIDE and 1e-4 < v.margin < 1e-3
+    _check_witnesses(smooth_pair, x)
+
+
+@pytest.mark.parametrize(
+    "make", [random_smooth_scenario, random_two_nonsmooth_scenario], ids=["smooth", "bounded"]
+)
+def test_witness_gradients_iff_admitted(make):
+    for seed in range(20):
+        sc = make(seed)
+        for x in np.random.default_rng(seed).uniform(-3, 3, (40, 2)):
+            if evaluate(sc, x).state == OUTSIDE:
+                assert witness_gradients(sc, x) is None
+            else:
+                _check_witnesses(sc, x)
