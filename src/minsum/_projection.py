@@ -8,11 +8,12 @@ feasibility_by_projection, and both are the reference the batched solver
 is tested against.
 
 batch_block_projection solves many block problems of one shape at once,
-one per row of the set arrays in Balls and HalfSpaces; the oracle's
-cross_check hands it every projection problem of its points.  Each row
-follows the scalar rules step for step, with the flat problem as the
-one-block case, so a row's status and iteration count are those of the
-matching scalar call.  On a single problem the scalar solvers are the
+one per row of the set arrays in Balls and HalfSpaces.  The oracle's
+cross_check builds those arrays straight from its (N, n) points and
+hands it every projection problem of one run.  Each row follows the
+scalar rules step for step, with the flat problem as the one-block
+case, so a row's status and iteration count are those of the matching
+scalar call.  On a single problem the scalar solvers are the
 faster ones, which is why single problems stay on them.
 
 Status strings: "feasible" when the residual drops below tol,
@@ -23,8 +24,6 @@ iteration budget runs out undecided.
 from __future__ import annotations
 
 import numpy as np
-
-from .geometry import Ball
 
 # residual is re-checked every window; a relative drop below STALL_FRACTION
 # over one window counts as a plateau.  1/k-style tails near tangency keep
@@ -189,26 +188,6 @@ class HalfSpaces(_RowSets):
         return g - (np.maximum(v, 0.0) / self._n2) * self.normals
 
 
-def stack(rows):
-    """Balls or HalfSpaces from one geometry set per row, or one list of
-    k sets per row; every set has the type of the first."""
-    if isinstance(rows[0], list):
-        shape = (len(rows), len(rows[0]))
-        flat = [s for row in rows for s in row]
-    else:
-        shape = (len(rows),)
-        flat = rows
-    if isinstance(flat[0], Ball):
-        return Balls(
-            np.array([s.center for s in flat]).reshape(shape + (-1,)),
-            np.array([s.radius for s in flat]).reshape(shape),
-        )
-    return HalfSpaces(
-        np.array([s.normal for s in flat]).reshape(shape + (-1,)),
-        np.array([s.offset for s in flat]).reshape(shape),
-    )
-
-
 def _shape(sets):
     """(n, N) or (n, k, N): coordinates, blocks if any, rows."""
     return (sets.centres if isinstance(sets, Balls) else sets.normals).shape
@@ -227,7 +206,7 @@ def batch_block_projection(blocks, coupled, tol: float, max_iter: int):
     z_1 + ... + z_k in row r of coupled.  With k = 1 the coupled projection
     replaces the block vector outright, which makes the one-block
     problem cyclic_projection over blocks followed by coupled.  A row
-    leaves the batch once it is decided.
+    leaves the batch once it is decided, and N = 0 returns at once.
 
     Returns (status, residual, iterations), arrays of N entries.
     """
@@ -236,6 +215,8 @@ def batch_block_projection(blocks, coupled, tol: float, max_iter: int):
     status = np.full(n_rows, 2)
     residual = np.zeros(n_rows)
     iterations = np.full(n_rows, max_iter)
+    if not n_rows:
+        return _STATUS[status], residual, iterations
     rows = np.arange(n_rows)
     prev = np.full(n_rows, np.inf)
 

@@ -46,14 +46,19 @@ class BoundReport:
     kappa: float | None = None
 
 
+def _focal_terms(mu1: float, mu2: float, a1, a2, b: float):
+    """(linear, quadratic): the two terms whose minimum bounds the squared
+    focal distance, B D / (mu1+mu2) - mu1 mu2 D^2 / (mu1+mu2)^2 with
+    D = |x1 - x2|, and B^2 / (mu1+mu2)^2."""
+    d = float(np.linalg.norm(a1 - a2))
+    total = mu1 + mu2
+    return b * d / total - mu1 * mu2 * d * d / (total * total), (b / total) ** 2
+
+
 def focal_distance_bound(mu1: float, mu2: float, x1, x2, bound_b: float) -> float:
     """Largest possible distance from a member to the mu-weighted focal
-    point, for two nonsmooth summands under gradient cap B.
-
-    Squared distance is bounded by the smaller of
-    B D / (mu1+mu2) - mu1 mu2 D^2 / (mu1+mu2)^2   (D = |x1 - x2|)
-    and B^2 / (mu1+mu2)^2.
-    """
+    point, for two nonsmooth summands under gradient cap B: the root of
+    the smaller _focal_terms term."""
     a1, a2 = as_vec(x1), as_vec(x2)
     check_same_dim(a1, a2)
     if mu1 < 0.0 or mu2 < 0.0 or mu1 + mu2 <= 0.0:
@@ -61,14 +66,11 @@ def focal_distance_bound(mu1: float, mu2: float, x1, x2, bound_b: float) -> floa
     b = float(bound_b)
     if not math.isfinite(b) or b < 0.0:
         raise ValueError("bound must be finite and nonnegative")
-    d = float(np.linalg.norm(a1 - a2))
-    total = mu1 + mu2
-    linear = b * d / total - mu1 * mu2 * d * d / (total * total)
+    linear, quadratic = _focal_terms(mu1, mu2, a1, a2, b)
     eps = eps_for(a1, a2, mu1, mu2, b)
     if linear < -eps:
         raise ValueError("bound below the feasibility minimum; the set is empty")
-    sq = min(max(linear, 0.0), (b / total) ** 2)
-    return math.sqrt(sq)
+    return math.sqrt(min(max(linear, 0.0), quadratic))
 
 
 def _check_kappa(kappa: float) -> float:
@@ -169,11 +171,8 @@ def scenario_bound_reports(scenario: Scenario):
         if b < bmin:
             notes.append("bound_B is below the feasibility minimum; the set is empty")
             return result
-        d = float(np.linalg.norm(s1.x_star - s2.x_star))
-        total = mu1 + mu2
-        linear = max(b * d / total - mu1 * mu2 * d * d / (total * total), 0.0)
-        quadratic = (b / total) ** 2
-        binding = FOCAL_LINEAR if linear <= quadratic else FOCAL_QUADRATIC
+        linear, quadratic = _focal_terms(mu1, mu2, s1.x_star, s2.x_star, b)
+        binding = FOCAL_LINEAR if max(linear, 0.0) <= quadratic else FOCAL_QUADRATIC
         value = focal_distance_bound(mu1, mu2, s1.x_star, s2.x_star, b)
         reports.append(BoundReport(value, binding, None))
         return result

@@ -200,24 +200,6 @@ class HalfSpace:
         return HalfSpace(self.normal, self.offset + float(self.normal @ shift))
 
 
-def balls_intersect_margin(b1: Ball, b2: Ball) -> float:
-    """(r1 + r2) - |c1 - c2|; nonnegative iff the balls intersect."""
-    check_same_dim(b1.center, b2.center)
-    return (b1.radius + b2.radius) - float(np.linalg.norm(b1.center - b2.center))
-
-
-def ball_halfspace_margin(b: Ball, h: HalfSpace) -> float:
-    """offset - (<n, c> - r|n|); nonnegative iff ball and half-space meet.
-
-    The ball's point of least <n, .> is c - r n/|n|, so the sign of this
-    quantity decides intersection exactly.  Zero normal degenerates to the
-    sign of the offset.
-    """
-    check_same_dim(b.center, h.normal)
-    n = h._norm()
-    return h.offset - (float(h.normal @ b.center) - b.radius * n)
-
-
 def gram_matrix(x_star, x1, x2, mu1: float, mu2: float, alpha: float) -> np.ndarray:
     """The 3x3 symmetric matrix whose PSD-ness closes the bounded
     two-nonsmooth membership test.

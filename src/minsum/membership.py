@@ -714,7 +714,6 @@ def rasterize_region(
     scenario: Scenario,
     bbox,
     resolution,
-    workers: int = 1,
     predicate: str | None = None,
 ) -> RegionRaster:
     """Evaluate the membership verdict on a grid of cell centers.
@@ -722,8 +721,7 @@ def rasterize_region(
     bbox = (xmin, xmax, ymin, ymax), resolution = (nx, ny).  Cells are
     stored row-major from the (xmin, ymin) corner, x fastest.  All cells
     go through the kernel as one batch, so each equals `evaluate` at its
-    center bit for bit.  workers is accepted for compatibility and
-    changes nothing.
+    center bit for bit.
     """
     if scenario.dim != 2:
         raise DimensionMismatchError("rasters are 2-d only")

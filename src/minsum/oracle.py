@@ -4,14 +4,17 @@ Three routes that do not share algebra with the predicates:
 
 * random quadratic instances whose exact sum minimizer is computable,
   probing the necessity direction of every membership test;
-* cyclic-projection feasibility of the per-summand gradient sets,
-  probing sufficiency for the smooth and mixed patterns (the only use of
-  iterative projection: membership writes its witnesses in closed form);
+* cyclic-projection feasibility of the per-summand gradient sets, built
+  as arrays over all points and solved in one batch, probing sufficiency
+  for the smooth and mixed patterns (the only use of iterative
+  projection: membership writes its witnesses in closed form);
 * a tiny QP (minimum gradient norm under two strong-convexity
   constraints) solved by KKT case enumeration, probing the bounded
   two-nonsmooth pattern: x* is a member iff the optimum is at most B^2.
   The solver sits in membership, whose bounded-pair witness is its
   argmin; it shares no algebra with the three-clause test it checks.
+
+cross_check reads every verdict from one run of the routed kernel.
 """
 from __future__ import annotations
 
@@ -23,13 +26,15 @@ import numpy as np
 from . import _projection, membership
 from .geometry import (
     Ball,
+    DimensionMismatchError,
     HalfSpace,
     OUTSIDE,
-    as_vec,
     check_same_dim,
+    tol_coefficient,
 )
-from .interpolation import ClassParams, geometric_ball
+from .interpolation import ClassParams
 from .membership import (
+    STATE_NAMES,
     KnownFunction,
     Scenario,
     Summand,
@@ -40,6 +45,7 @@ from .membership import (
 )
 
 PROJECTION_TOL = 1e-8
+PROJECTION_MAX_ITER = 100_000
 BOUNDARY_BAND_FACTOR = 1e3
 
 
@@ -111,7 +117,7 @@ class FeasibilityProblem:
     space (the two-summand systems after the sum-zero elimination)."""
 
     sets: tuple
-    max_iter: int = 100_000
+    max_iter: int = PROJECTION_MAX_ITER
     tol: float = PROJECTION_TOL
 
     def __post_init__(self):
@@ -145,17 +151,9 @@ def _pairwise_gap(s1, s2) -> float:
     intersect); used only for certified infeasibility."""
     if isinstance(s1, HalfSpace) and isinstance(s2, Ball):
         s1, s2 = s2, s1
-    if isinstance(s1, Ball) and isinstance(s2, Ball):
-        return max(
-            0.0,
-            float(np.linalg.norm(s1.center - s2.center)) - s1.radius - s2.radius,
-        )
-    if isinstance(s1, Ball) and isinstance(s2, HalfSpace):
-        n = float(np.linalg.norm(s2.normal))
-        if n == 0.0:
-            return 0.0 if s2.offset >= 0.0 else math.inf
-        lo = float(s2.normal @ s1.center) - s1.radius * n
-        return max(0.0, (lo - s2.offset) / n)
+    if isinstance(s1, Ball):
+        # as cross_check's flat route: the ball's centre against the other set
+        return max(0.0, s2.distance(s1.center) - s1.radius)
     # two half-spaces: disjoint only when anti-parallel with a gap
     n1 = float(np.linalg.norm(s1.normal))
     n2 = float(np.linalg.norm(s2.normal))
@@ -185,13 +183,12 @@ def _certified_infeasibility(sets, tol: float):
     return None
 
 
-def _projection_result(status: str, point, residual: float, iterations: int):
-    """ProjectionResult of a projection solver's status string."""
-    if status == "feasible":
-        return ProjectionResult("feasible", True, point, residual, iterations)
-    if status == "stagnated":
-        return ProjectionResult("infeasible", False, point, residual, iterations)
-    return ProjectionResult("indeterminate", False, point, residual, iterations)
+# status of the projection solvers -> (member, reported status, certified)
+_SOLVER_STATUS = {
+    "feasible": (True, "feasible", True),
+    "stagnated": (False, "infeasible", False),
+    "cap": (None, "indeterminate", False),
+}
 
 
 def feasibility_by_projection(problem: FeasibilityProblem) -> ProjectionResult:
@@ -206,11 +203,11 @@ def feasibility_by_projection(problem: FeasibilityProblem) -> ProjectionResult:
     gap = _certified_infeasibility(problem.sets, problem.tol)
     if gap is not None:
         return ProjectionResult("infeasible", True, None, gap, 0)
-    return _projection_result(
-        *_projection.cyclic_projection(
-            list(problem.sets), problem.dim, problem.tol, problem.max_iter
-        )
+    status, point, residual, iterations = _projection.cyclic_projection(
+        list(problem.sets), problem.dim, problem.tol, problem.max_iter
     )
+    _, reported, certified = _SOLVER_STATUS[status]
+    return ProjectionResult(reported, certified, point, residual, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +245,9 @@ class CrossCheckReport:
         return not self.mismatches
 
 
-def _scale(scenario: Scenario, points) -> float:
-    s = 1.0
-    for p in points:
-        s = max(s, float(np.linalg.norm(p)))
+def _scale(scenario: Scenario, points: np.ndarray) -> float:
+    """max(1, |x| over the (N, n) points and the minimizers)."""
+    s = max(1.0, float(np.linalg.norm(points, axis=1).max(initial=0.0)))
     for sm in scenario.summands:
         s = max(s, float(np.linalg.norm(sm.x_star)))
     return s
@@ -265,55 +261,98 @@ def _margin_weight(scenario: Scenario) -> float:
     return 1.0 + w
 
 
-def _gradient_set(x, s: Summand):
-    """Constraint set for s's subgradient at x, in gradient space."""
-    if s.params.is_smooth:
-        return geometric_ball(x, s.x_star, s.params)
-    d = x - s.x_star
-    # <g, d> >= mu |d|^2  rewritten as <-d, g> <= -mu |d|^2
-    return HalfSpace(-d, -s.params.mu * float(d @ d))
+def _points(points, dim: int) -> np.ndarray:
+    """points as a validated (N, n) array; an empty list passes as is."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) and (pts.ndim != 2 or pts.shape[1] != dim):
+        raise DimensionMismatchError(f"expected an (N, {dim}) array of points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("coordinates must be finite")
+    return pts
 
 
-def _known_offset(scenario: Scenario, x) -> np.ndarray:
-    offset = np.zeros(scenario.dim)
-    for s in scenario.known_summands:
-        offset = offset + s.known.gradient(x)
-    return offset
+def _gradient_sets(scenario: Scenario, pts: np.ndarray):
+    """The gradient-set feasibility problem of every point, as
+    _projection arrays (balls, coupled).
 
-
-def _projection_problem(scenario: Scenario, x):
-    """(blocks, coupled) of the gradient-set feasibility problem at x, in
-    the layout of _projection.batch_block_projection: blocks[j] holds
-    the j-th set of every block.
-
-    Two unknowns make a flat problem, g1 in its set and in the negated,
-    known-gradient shifted set of the other (and in the B-ball when the
-    scenario has one), written as one block whose last set is the
-    coupled one.  Three or more make one block per unknown but the last,
-    whose sum must land in the last set, negated and shifted.
+    balls holds the gradient balls B((L+mu)/2 d, (L-mu)/2 |d|), d = x - x*,
+    of the unknowns but the last, (N, k, n).  coupled is the last
+    unknown's set, negated and shifted by the known gradients: the sum of
+    the others' gradients must land in it.  k = 1 is the flat problem,
+    k >= 2 the block one, and with k = 0 the coupled set must contain 0.
     """
-    unknown = _nonsmooth_last(list(scenario.unknown_summands))
-    sets = [_gradient_set(x, s) for s in unknown]
-    sets[-1] = sets[-1].negated().translated(-_known_offset(scenario, x))
-    if len(unknown) > 2:
-        return [sets[:-1]], sets[-1]
-    if scenario.bound_B is not None:
-        sets.append(Ball(np.zeros(scenario.dim), scenario.bound_B))
-    return [[s] for s in sets[:-1]], sets[-1]
+    *_, last = unknown = _nonsmooth_last(scenario.unknown_summands)
+    smooth = [s for s in unknown if s.params.is_smooth]
+    d = pts[:, None, :] - np.reshape([s.x_star for s in smooth], (-1, scenario.dim))
+    plus = np.array([0.5 * (s.params.L + s.params.mu) for s in smooth])
+    minus = np.array([0.5 * (s.params.L - s.params.mu) for s in smooth])
+    centres = plus[:, None] * d
+    radii = minus * np.linalg.norm(d, axis=-1)
+    shift = sum((pts - s.known.center) @ s.known.matrix.T for s in scenario.known_summands)
+    if last.params.is_smooth:
+        balls = _projection.Balls(centres[:, :-1], radii[:, :-1])
+        return balls, _projection.Balls(-centres[:, -1] - shift, radii[:, -1])
+    # <g, d> >= mu |d|^2 negated and shifted: <d, g> <= -mu |d|^2 - <d, shift>
+    d = pts - last.x_star
+    offsets = -last.params.mu * (d * d).sum(axis=1) - (d * shift).sum(axis=1)
+    return _projection.Balls(centres, radii), _projection.HalfSpaces(d, offsets)
 
 
-def _solve_batch(problems, tol: float, max_iter: int = 100_000):
-    """ProjectionResults of same-shape (blocks, coupled) problems, from
-    one batch_block_projection over their stacked sets."""
-    blocks = [
-        _projection.stack([p[0][j] for p in problems]) for j in range(len(problems[0][0]))
-    ]
-    coupled = _projection.stack([p[1] for p in problems])
-    status, res, iters = _projection.batch_block_projection(blocks, coupled, tol, max_iter)
-    return [
-        _projection_result(str(st), None, float(r), int(it))
-        for st, r, it in zip(status, res, iters)
-    ]
+def _projection_outcomes(scenario: Scenario, pts, rows, tol: float, band: float) -> dict:
+    """{row: (member or None when undecided, descriptor)} of the
+    projection routes.  A flat problem whose ball and coupled set lie
+    more than tol apart is certified infeasible in closed form; the rest
+    go to one batched projection."""
+    balls, coupled = _gradient_sets(scenario, pts[rows])
+    k = len(scenario.unknown_summands) - 1
+    if k == 0:
+        dist = coupled.distance(np.zeros((scenario.dim, 1)))
+        # a forced gradient essentially on the set border is skipped
+        return {
+            i: (False, {"oracle": "containment", "distance": t})
+            for i, t in zip(rows.tolist(), dist.tolist())
+            if t > band
+        }
+    name = "projection" if k == 1 else "block_projection"
+    # only the flat problem has a closed-form certificate: the gap
+    # between its one ball and the coupled set
+    gap = np.zeros(len(rows))
+    if k == 1:
+        gap = np.maximum(0.0, coupled.distance(balls.centres[:, 0]) - balls.radii[0])
+    certified = gap > tol
+    out = {
+        i: (False, {"oracle": name, "status": "infeasible", "certified": True, "residual": g})
+        for i, g in zip(rows[certified].tolist(), gap[certified].tolist())
+    }
+    pending = ~certified
+    status, residual, _ = _projection.batch_block_projection(
+        [balls.take(pending)], coupled.take(pending), tol, PROJECTION_MAX_ITER
+    )
+    for i, st, r in zip(rows[pending].tolist(), status.tolist(), residual.tolist()):
+        member, reported, cert = _SOLVER_STATUS[st]
+        out[i] = (member, {"oracle": name, "status": reported, "certified": cert, "residual": r})
+    return out
+
+
+def _qp_outcomes(scenario: Scenario, pts, rows, band: float) -> dict:
+    """{row: (member, descriptor)} of the min-norm QP: the point is a
+    member iff the optimum is at most B^2.  Points near an anchor or with
+    the optimum's root within band of B are skipped."""
+    s1, s2 = scenario.unknown_summands
+    b = scenario.bound_B
+    out = {}
+    for i in rows.tolist():
+        x = pts[i]
+        if (
+            float(np.linalg.norm(x - s1.x_star)) <= band
+            or float(np.linalg.norm(x - s2.x_star)) <= band
+        ):
+            continue
+        opt = qp_min_norm_gradient(x, s1.x_star, s2.x_star, s1.params.mu, s2.params.mu)
+        if math.isfinite(opt) and abs(math.sqrt(opt) - b) <= band:
+            continue
+        out[i] = (opt <= b * b, {"oracle": "qp", "optimum": opt, "threshold": b * b})
+    return out
 
 
 def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
@@ -327,109 +366,44 @@ def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
     callable (scenario, x) -> Verdict, the latter mainly to let tests
     inject a corrupted predicate.
 
-    Three passes.  The first takes each point's verdict, applies the
-    boundary skips and settles the QP and containment routes and the
-    flat problems with a closed-form infeasibility certificate; the
-    other projection problems it only sets up.  The second solves all
-    of those in one batched projection.  The third counts and collects
-    mismatches in point order.
+    The points enter as one (N, n) array.  Their verdicts come from one
+    kernel run, and the gradient sets of the projection routes are built
+    as arrays and solved in one batch; the bounded pair's QP runs point
+    by point.  Mismatches are collected in point order.
     """
-    pts = [as_vec(p) for p in points]
+    pts = _points(points, scenario.dim)
     report = CrossCheckReport(total=len(pts))
-    if not pts:
+    if not len(pts):
         return report
-    scale = _scale(scenario, pts)
-    tol = PROJECTION_TOL * scale
+    if not scenario.unknown_summands:
+        raise UnsupportedPatternError("the oracles need at least one unknown summand")
+    tol = PROJECTION_TOL * _scale(scenario, pts)
     band = BOUNDARY_BAND_FACTOR * tol
-    margin_band = band * _margin_weight(scenario)
-    pattern = membership.route(scenario)
-    bounded = pattern == membership.TWO_NONSMOOTH_BOUNDED
-    n_unknown = len(scenario.unknown_summands)
-    oracle_name = "projection" if n_unknown == 2 else "block_projection"
+    if callable(predicate):
+        verdicts = [predicate(scenario, x) for x in pts]
+        states, margins = [v.state for v in verdicts], [v.margin for v in verdicts]
+    else:
+        codes, margins, _ = membership._kernel(scenario, predicate)[1](pts, tol_coefficient())
+        states, margins = [STATE_NAMES[c] for c in codes.tolist()], margins.tolist()
+    rows = np.flatnonzero(~(np.abs(margins) <= band * _margin_weight(scenario)))
+    if membership.route(scenario) == membership.TWO_NONSMOOTH_BOUNDED:
+        outcomes = _qp_outcomes(scenario, pts, rows, band)
+    else:
+        outcomes = _projection_outcomes(scenario, pts, rows, tol, band)
 
-    # per point: None for a boundary skip, else (verdict, result) with a
-    # ProjectionResult, an (oracle_inside, descriptor) pair, or None for
-    # a problem left to the batch
-    outcomes = []
-    pending = []
-    for x in pts:
-        if callable(predicate):
-            verdict = predicate(scenario, x)
-        else:
-            verdict = membership.evaluate(scenario, x, predicate=predicate)
-        if abs(verdict.margin) <= margin_band:
-            outcomes.append(None)
-            continue
-
-        if bounded:
-            s1, s2 = scenario.unknown_summands
-            b = scenario.bound_B
-            if (
-                float(np.linalg.norm(x - s1.x_star)) <= band
-                or float(np.linalg.norm(x - s2.x_star)) <= band
-            ):
-                outcomes.append(None)
-                continue
-            opt = qp_min_norm_gradient(x, s1.x_star, s2.x_star, s1.params.mu, s2.params.mu)
-            if math.isfinite(opt) and abs(math.sqrt(opt) - b) <= band:
-                outcomes.append(None)
-                continue
-            result = (opt <= b * b, {"oracle": "qp", "optimum": opt, "threshold": b * b})
-        elif n_unknown == 1:
-            offset = _known_offset(scenario, x)
-            dist = _gradient_set(x, scenario.unknown_summands[0]).distance(-offset)
-            if dist <= band:
-                # a forced gradient sitting essentially on the set border
-                outcomes.append(None)
-                continue
-            result = (False, {"oracle": "containment", "distance": dist})
-        else:
-            blocks, coupled = _projection_problem(scenario, x)
-            gap = None
-            if n_unknown == 2:
-                sets = [s for column in blocks for s in column] + [coupled]
-                gap = _certified_infeasibility(sets, tol)
-            if gap is None:
-                pending.append((blocks, coupled))
-                result = None
-            else:
-                result = ProjectionResult("infeasible", True, None, gap, 0)
-        outcomes.append((verdict, result))
-
-    solved = iter(_solve_batch(pending, tol) if pending else ())
-
-    for x, outcome in zip(pts, outcomes):
-        if outcome is None:
+    for i, x in enumerate(pts):
+        if i not in outcomes:
             report.boundary_skipped += 1
             continue
-        verdict, result = outcome
-        if result is None:
-            result = next(solved)
-        if isinstance(result, ProjectionResult):
-            if result.status == "indeterminate":
-                report.indeterminate += 1
-                continue
-            report.uncertified += not result.certified
-            result = (
-                result.feasible,
-                {
-                    "oracle": oracle_name,
-                    "status": result.status,
-                    "certified": result.certified,
-                    "residual": result.residual,
-                },
-            )
-        oracle_inside, oracle_desc = result
+        member, desc = outcomes[i]
+        if member is None:
+            report.indeterminate += 1
+            continue
         report.checked += 1
-        claim_inside = verdict.state != OUTSIDE
-        if claim_inside != oracle_inside:
+        report.uncertified += desc.get("certified") is False
+        if (states[i] != OUTSIDE) != member:
             report.mismatches.append(
-                {
-                    "point": [float(v) for v in x],
-                    "state": verdict.state,
-                    "margin": verdict.margin,
-                    **oracle_desc,
-                }
+                {"point": x.tolist(), "state": states[i], "margin": margins[i], **desc}
             )
     return report
 

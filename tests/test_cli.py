@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minsum import cli, membership
-from minsum.geometry import INSIDE, Verdict
+from minsum.geometry import INSIDE
 from minsum.serialize import save_scenario
 
 
@@ -271,10 +271,15 @@ def test_verify_requires_input(capsys):
 
 def test_verify_flags_corrupted_predicate(capsys, monkeypatch, bounded_path):
     # simulate a broken closed form: every point reported inside
-    def always_inside(scenario, x, predicate=None):
-        return Verdict(INSIDE, 1.0)
+    def always_inside(scenario, predicate=None):
+        def kernel(points, coef):
+            n = len(points)
+            inside = membership.STATE_NAMES.index(INSIDE)
+            return np.full(n, inside), np.ones(n), np.zeros(n, np.int8)
 
-    monkeypatch.setattr(membership, "evaluate", always_inside)
+        return "two_nonsmooth_bounded", kernel
+
+    monkeypatch.setattr(membership, "_kernel", always_inside)
     code, out, _ = run(capsys, "verify", bounded_path, "--points", "80")
     assert code == 1
     payload = json.loads(out)

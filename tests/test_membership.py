@@ -9,12 +9,19 @@ from minsum.geometry import (
     BOUNDARY,
     CoincidentPointsError,
     DimensionMismatchError,
+    HalfSpace,
     INSIDE,
     OUTSIDE,
     eps_for,
     tol_coefficient,
 )
-from minsum.interpolation import ClassParams, Triplet, check_interpolation, witness_values
+from minsum.interpolation import (
+    ClassParams,
+    Triplet,
+    check_interpolation,
+    geometric_ball,
+    witness_values,
+)
 from minsum.membership import (
     COND_BASE,
     COND_DET,
@@ -46,7 +53,7 @@ from minsum.membership import (
 )
 from minsum import membership
 from minsum.membership import _kernel
-from minsum.oracle import _gradient_set, random_smooth_scenario, random_two_nonsmooth_scenario
+from minsum.oracle import random_smooth_scenario, random_two_nonsmooth_scenario
 
 coord = st.floats(-5, 5, allow_nan=False)
 point2 = st.tuples(coord, coord)
@@ -415,9 +422,18 @@ def test_focal_point_unsupported_cases(mixed_pair):
 # ---------------------------------------------------------------- witnesses
 
 
+def _gradient_set(x, s):
+    """s's subgradient set at x: the gradient ball when L < inf, else
+    the half-space <g, d> >= mu |d|^2 (d = x - x*)."""
+    if s.params.is_smooth:
+        return geometric_ball(x, s.x_star, s.params)
+    d = x - s.x_star
+    return HalfSpace(-d, -s.params.mu * float(d @ d))
+
+
 def _check_witnesses(scenario, x):
     """Witness gradients at an admitted x: they sum to zero, each known
-    one is exact, and each unknown one lies in the oracle's gradient set,
+    one is exact, and each unknown one lies in its gradient set,
     certifies through witness_values and check_interpolation, and
     respects the cap."""
     gs = witness_gradients(scenario, x)
@@ -591,13 +607,6 @@ def test_kernel_tolerance_is_eps_for(pattern, monkeypatch):
         columns, eps = seen[-1]
         extra = [c[:, 0] for c in columns[1:]]
         assert float(eps[0]) == eps_for(x, *extra, *data, sc.bound_B or 0.0)
-
-
-def test_raster_workers_bitwise_identical(smooth_pair):
-    a = rasterize_region(smooth_pair, (-1.5, 1.5, -1, 1), (20, 15), workers=1)
-    b = rasterize_region(smooth_pair, (-1.5, 1.5, -1, 1), (20, 15), workers=4)
-    assert [c.state for c in a.cells] == [c.state for c in b.cells]
-    assert [c.margin for c in a.cells] == [c.margin for c in b.cells]
 
 
 def test_raster_input_validation(smooth_pair):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from minsum import _projection
-from minsum.geometry import Ball, CoincidentPointsError, HalfSpace, INSIDE, OUTSIDE, Verdict
+from minsum.geometry import (
+    Ball,
+    CoincidentPointsError,
+    DimensionMismatchError,
+    HalfSpace,
+    INSIDE,
+    OUTSIDE,
+    Verdict,
+)
 from minsum.interpolation import ClassParams
 from minsum.membership import (
     KnownFunction,
@@ -313,17 +321,36 @@ def test_cross_check_known_scenario(smooth_pair):
     assert report.ok, report.mismatches
 
 
-@pytest.mark.parametrize("state", [INSIDE, OUTSIDE], ids=["inside", "outside"])
-@pytest.mark.parametrize(
-    "name, oracle",
-    [
+def known_single():
+    # one known summand and one unknown nonsmooth one: the containment route
+    k = KnownFunction(np.diag([2.0, 1.0]), vec(0.5, 0.0))
+    return Scenario(
+        (
+            Summand(vec(0.5, 0.0), ClassParams(0.9, 2.1), k),
+            Summand(vec(-0.5, 0.2), ClassParams(1.0, math.inf)),
+        )
+    )
+
+
+CORRUPTIONS = [
+    pytest.param(name, oracle, state, id=f"{name}-{oracle}-{state}")
+    for name, oracle in (
         ("smooth_pair", "projection"),
         ("triple", "block_projection"),
         ("bounded_pair", "qp"),
-    ],
-)
+    )
+    for state in (INSIDE, OUTSIDE)
+] + [
+    # the containment route skips every admitted point (its distance is 0
+    # there), so only a corruption that admits is caught on it
+    pytest.param("known_single", "containment", INSIDE, id="known_single-containment-inside"),
+]
+
+
+@pytest.mark.parametrize("name, oracle, state", CORRUPTIONS)
 def test_cross_check_catches_corrupted_predicate(request, name, oracle, state):
-    sc = smooth_triple() if name == "triple" else request.getfixturevalue(name)
+    scenarios = {"triple": smooth_triple, "known_single": known_single}
+    sc = scenarios[name]() if name in scenarios else request.getfixturevalue(name)
 
     def corrupted(scenario, x):
         return Verdict(state, 1.0 if state == INSIDE else -1.0)
@@ -342,6 +369,22 @@ def test_cross_check_catches_corrupted_predicate(request, name, oracle, state):
 def test_cross_check_empty_points(smooth_pair):
     report = cross_check(smooth_pair, [])
     assert report.ok and report.total == 0
+
+
+def test_cross_check_rejects_bad_points(smooth_pair):
+    with pytest.raises(DimensionMismatchError):
+        cross_check(smooth_pair, np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatchError):
+        cross_check(smooth_pair, np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        cross_check(smooth_pair, [[0.0, 0.0], [math.nan, 1.0]])
+
+
+def test_cross_check_rejects_all_known_scenario():
+    known = [KnownFunction(np.eye(2), c) for c in (vec(0.0, 0.0), vec(1.0, 0.0))]
+    sc = Scenario(tuple(Summand(k.center, ClassParams(0.5, 2.0), k) for k in known))
+    with pytest.raises(UnsupportedPatternError, match="unknown summand"):
+        cross_check(sc, [[0.5, 0.0]])
 
 
 # --------------------------------------------------------- necessity sweep

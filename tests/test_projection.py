@@ -20,14 +20,32 @@ def random_halfspace(rng, n):
     return HalfSpace(rng.normal(size=n), rng.uniform(-2.0, 1.0))
 
 
+def stack(rows):
+    """Balls or HalfSpaces from one geometry set per row, or one list of
+    k sets per row; every set has the type of the first."""
+    if isinstance(rows[0], list):
+        shape = (len(rows), len(rows[0]))
+        flat = [s for row in rows for s in row]
+    else:
+        shape = (len(rows),)
+        flat = rows
+    if isinstance(flat[0], Ball):
+        return _projection.Balls(
+            np.array([s.center for s in flat]).reshape(shape + (-1,)),
+            np.array([s.radius for s in flat]).reshape(shape),
+        )
+    return _projection.HalfSpaces(
+        np.array([s.normal for s in flat]).reshape(shape + (-1,)),
+        np.array([s.offset for s in flat]).reshape(shape),
+    )
+
+
 def batch(problems, max_iter):
     """Run batch_block_projection on (blocks, coupled) problems, where
     blocks[i] lists block i's sets."""
     n_sets = len(problems[0][0][0])
-    blocks = [
-        _projection.stack([[b[j] for b in p[0]] for p in problems]) for j in range(n_sets)
-    ]
-    coupled = _projection.stack([p[1] for p in problems])
+    blocks = [stack([[b[j] for b in p[0]] for p in problems]) for j in range(n_sets)]
+    coupled = stack([p[1] for p in problems])
     return _projection.batch_block_projection(blocks, coupled, TOL, max_iter)
 
 
@@ -136,3 +154,19 @@ def test_batch_row_does_not_depend_on_row_count():
             assert status[0] == together[0][r]
             assert res[0] == together[1][r]
             assert iters[0] == together[2][r]
+
+
+def test_batch_zero_rows_returns_at_once(monkeypatch):
+    calls = []
+    project = _projection.Balls.project
+
+    def spy(self, g):
+        calls.append(g.shape)
+        return project(self, g)
+
+    monkeypatch.setattr(_projection.Balls, "project", spy)
+    blocks = [_projection.Balls(np.zeros((0, 2, 3)), np.zeros((0, 2)))]
+    coupled = _projection.Balls(np.zeros((0, 3)), np.zeros(0))
+    status, res, iters = _projection.batch_block_projection(blocks, coupled, TOL, 20_000)
+    assert status.shape == res.shape == iters.shape == (0,)
+    assert calls == []
