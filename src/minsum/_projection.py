@@ -3,23 +3,24 @@
 Internal helper of the numerical feasibility oracle.  Two scalar
 solvers: a flat one (one unknown vector, a list of sets) and a
 sum-constrained block one (several unknown vectors whose sum must land
-in a coupled set).  They solve one problem per call: the flat one serves
-feasibility_by_projection, and both are the reference the batched solver
-is tested against.
+in a coupled set).  The flat one serves feasibility_by_projection, and
+both are the reference the batched solver is tested against.
 
 batch_block_projection solves many block problems of one shape at once,
-one per row of the set arrays in Balls and HalfSpaces.  The oracle's
-cross_check builds those arrays straight from its (N, n) points and
+one per row of the set arrays in Balls and HalfSpaces: cross_check
 hands it every projection problem of one run.  Each row follows the
 scalar rules step for step, with the flat problem as the one-block
-case, so a row's status and iteration count are those of the matching
-scalar call.  On a single problem the scalar solvers are the
-faster ones, which is why single problems stay on them.
+case, and so keeps the scalar call's status and iteration count, except
+that a row the scalar call leaves stagnated or at the cap may leave
+early, separated.  Single problems stay on the faster scalar solvers.
 
-Status strings: "feasible" when the residual drops below tol,
-"stagnated" when it plateaus well above tol (strong numerical evidence
-of an empty intersection, but not a certificate), "cap" when the
-iteration budget runs out undecided.
+Status strings: "feasible" when the residual drops below tol;
+"separated" (batch only) when a direction separates the block sum's
+sets from the coupled set, a certificate of an empty intersection
+(Bauschke & Borwein, SIAM Review 38, 1996); "stagnated" when the
+residual plateaus well above tol (strong numerical evidence of an empty
+intersection, but not a certificate); "cap" when the iteration budget
+runs out undecided.
 """
 from __future__ import annotations
 
@@ -34,13 +35,13 @@ _STALL_FRACTION = 1e-5
 _STALL_RESIDUAL_FACTOR = 10.0
 
 
+def _stalled(res, prev, tol):
+    """A plateau well above tol over one window; elementwise on arrays."""
+    return (res > _STALL_RESIDUAL_FACTOR * tol) & (prev - res < _STALL_FRACTION * res)
+
+
 def _max_violation(sets, g) -> float:
-    res = 0.0
-    for s in sets:
-        d = s.distance(g)
-        if d > res:
-            res = d
-    return res
+    return max((s.distance(g) for s in sets), default=0.0)
 
 
 def cyclic_projection(sets, dim: int, tol: float, max_iter: int):
@@ -62,10 +63,7 @@ def cyclic_projection(sets, dim: int, tol: float, max_iter: int):
         if res <= tol:
             return "feasible", g, res, it
         if it % _WINDOW == 0:
-            if (
-                res > _STALL_RESIDUAL_FACTOR * tol
-                and prev - res < _STALL_FRACTION * res
-            ):
+            if _stalled(res, prev, tol):
                 return "stagnated", g, res, it
             prev = res
     return "cap", g, res, max_iter
@@ -82,12 +80,7 @@ def block_cyclic_projection(block_sets, coupled, dim: int, tol: float, max_iter:
     projection onto that constraint).
     """
     k = len(block_sets)
-    z = []
-    for sets_i in block_sets:
-        zi = np.zeros(dim)
-        if sets_i:
-            zi = sets_i[0].project(zi)
-        z.append(zi)
+    z = [sets_i[0].project(np.zeros(dim)) if sets_i else np.zeros(dim) for sets_i in block_sets]
 
     def residual():
         r = coupled.distance(sum(z)) if k else 0.0
@@ -105,16 +98,12 @@ def block_cyclic_projection(block_sets, coupled, dim: int, tol: float, max_iter:
                 z[i] = s.project(z[i])
         total = sum(z)
         corr = (coupled.project(total) - total) / k
-        for i in range(k):
-            z[i] = z[i] + corr
+        z = [zi + corr for zi in z]
         res = residual()
         if res <= tol:
             return "feasible", z, res, it
         if it % _WINDOW == 0:
-            if (
-                res > _STALL_RESIDUAL_FACTOR * tol
-                and prev - res < _STALL_FRACTION * res
-            ):
+            if _stalled(res, prev, tol):
                 return "stagnated", z, res, it
             prev = res
     return "cap", z, res, max_iter
@@ -146,6 +135,9 @@ class _RowSets:
         }
         return out
 
+    def distance(self, g):
+        return np.maximum(0.0, self.signed_distance(g))
+
 
 class Balls(_RowSets):
     """Closed balls |g - centre| <= radius."""
@@ -154,9 +146,10 @@ class Balls(_RowSets):
         self.centres = np.ascontiguousarray(np.asarray(centres, dtype=float).T)
         self.radii = np.ascontiguousarray(np.asarray(radii, dtype=float).T)
 
-    def distance(self, g):
+    def signed_distance(self, g):
+        """|g - centre| - radius, negative inside."""
         d = g - self.centres
-        return np.maximum(0.0, np.sqrt(_dot(d, d)) - self.radii)
+        return np.sqrt(_dot(d, d)) - self.radii
 
     def project(self, g):
         d = g - self.centres
@@ -177,11 +170,14 @@ class HalfSpaces(_RowSets):
         self._zero = n2 == 0.0
         # a zero normal makes every step, and so the projection, zero
         self._n2 = np.where(self._zero, 1.0, n2)
-        self._zero_distance = np.where(self.offsets >= 0.0, 0.0, np.inf)
+        # every point lies infinitely deep in a vacuous set, and
+        # infinitely far from an empty one
+        self._zero_signed = np.where(self.offsets >= 0.0, -np.inf, np.inf)
 
-    def distance(self, g):
-        d = np.maximum(0.0, (_dot(self.normals, g) - self.offsets) / self._norm)
-        return np.where(self._zero, self._zero_distance, d)
+    def signed_distance(self, g):
+        """(<normal, g> - offset) / |normal|, negative inside."""
+        d = (_dot(self.normals, g) - self.offsets) / self._norm
+        return np.where(self._zero, self._zero_signed, d)
 
     def project(self, g):
         v = _dot(self.normals, g) - self.offsets
@@ -193,7 +189,38 @@ def _shape(sets):
     return (sets.centres if isinstance(sets, Balls) else sets.normals).shape
 
 
-_STATUS = np.array(["feasible", "stagnated", "cap"])
+def _separation(blocks, coupled, t, p):
+    """Per row, sum_i min <u, z_i> over block i's sets minus max <u, g>
+    over the coupled set, for a unit u: where it is positive, u separates
+    the block sum's sets from the coupled set and the row is infeasible.
+    u = n/|n| for a coupled half-space (max offset/|n|), else
+    (t - p)/|t - p| for the block sum t and its projection p (max
+    <centre, u> + radius).  Block i's min is at least the largest
+    <centre, u> - radius of its Balls entries, and two disjoint Balls
+    entries leave it empty, so their gap counts too.  The NaN of a
+    zero normal or of t inside the coupled ball certifies nothing.
+    """
+    if isinstance(coupled, HalfSpaces):
+        u = coupled.normals / coupled._norm
+        top = coupled.offsets / coupled._norm
+    else:
+        u = t - p
+        u = u / np.sqrt(_dot(u, u))
+        top = _dot(coupled.centres, u) + coupled.radii
+    balls = [s for s in blocks if isinstance(s, Balls)]
+    low = apart = np.full(_shape(blocks[0])[1:], -np.inf)
+    for a, s in enumerate(balls):
+        low = np.maximum(low, _dot(s.centres, u[:, None]) - s.radii)
+        for b in balls[:a]:
+            apart = np.maximum(apart, s.signed_distance(b.centres) - b.radii)
+    out = low[0]
+    for i in range(1, len(low)):
+        out = out + low[i]
+    return np.fmax(out - top, apart.max(axis=0))
+
+
+_STATUS = np.array(["feasible", "separated", "stagnated", "cap"])
+_UNDECIDED = 3
 
 
 def batch_block_projection(blocks, coupled, tol: float, max_iter: int):
@@ -205,14 +232,20 @@ def batch_block_projection(blocks, coupled, tol: float, max_iter: int):
     z_i in the i-th set of row r of every entry of blocks, and
     z_1 + ... + z_k in row r of coupled.  With k = 1 the coupled projection
     replaces the block vector outright, which makes the one-block
-    problem cyclic_projection over blocks followed by coupled.  A row
-    leaves the batch once it is decided, and N = 0 returns at once.
+    problem cyclic_projection over blocks followed by coupled.
+
+    At iteration 0, every power of two and every stagnation window, an
+    undecided row whose _separation exceeds (k + 1) tol is "separated",
+    with that separation as its residual.  The sets of a row the solver
+    could still call feasible (each z_i and the sum within tol of their
+    sets) lie within that margin.  A row leaves the batch once it is
+    decided, and N = 0 returns at once.
 
     Returns (status, residual, iterations), arrays of N entries.
     """
     dim, n_rows = _shape(coupled)
     k = _shape(blocks[0])[1]
-    status = np.full(n_rows, 2)
+    status = np.full(n_rows, _UNDECIDED)
     residual = np.zeros(n_rows)
     iterations = np.full(n_rows, max_iter)
     if not n_rows:
@@ -234,27 +267,30 @@ def batch_block_projection(blocks, coupled, tol: float, max_iter: int):
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = blocks[0].project(np.zeros((dim, k, n_rows)))
+        t = total()
+        p = coupled.project(t)
         res = max_violation()
         for it in range(max_iter + 1):
             if it:
                 for s in blocks:
                     z = s.project(z)
-                if k == 1:
-                    z = coupled.project(z[:, 0])[:, None]
-                else:
-                    t = total()
-                    z = z + ((coupled.project(t) - t) / k)[:, None]
+                t = total()
+                p = coupled.project(t)
+                z = p[:, None] if k == 1 else z + ((p - t) / k)[:, None]
                 res = max_violation()
-            done = feasible = res <= tol
-            if it and it % _WINDOW == 0:
-                stalled = (res > _STALL_RESIDUAL_FACTOR * tol) & (
-                    prev - res < _STALL_FRACTION * res
-                )
-                done = feasible | stalled
-                prev = res
+            done = res <= tol
+            code = 0  # without the tests below only feasibility decides a row
+            if not it & (it - 1) or not it % _WINDOW:
+                gap = _separation(blocks, coupled, t, p)
+                code = np.where(done, 0, np.where(gap > (k + 1) * tol, 1, _UNDECIDED))
+                if it and not it % _WINDOW:
+                    code[(code == _UNDECIDED) & _stalled(res, prev, tol)] = 2
+                    prev = res
+                res = np.where(code == 1, gap, res)
+                done = code != _UNDECIDED
             if np.count_nonzero(done):
                 finished = rows[done]
-                status[finished] = np.where(feasible[done], 0, 1)
+                status[finished] = np.broadcast_to(code, done.shape)[done]
                 residual[finished] = res[done]
                 iterations[finished] = it
                 keep = ~done

@@ -54,14 +54,8 @@ def eps_for(*values) -> float:
     Non-finite entries (an infinite smoothness constant, say) are ignored;
     they never enter a margin formula directly.
     """
-    scale = 0.0
-    for v in values:
-        a = np.asarray(v, dtype=float).ravel()
-        if a.size == 0:
-            continue
-        finite = np.abs(a[np.isfinite(a)])
-        if finite.size:
-            scale = max(scale, float(finite.max()))
+    a = np.concatenate([np.asarray(v, dtype=float).ravel() for v in values] or [[]])
+    scale = float(np.abs(a).max(initial=0.0, where=np.isfinite(a)))
     return tol_coefficient() * (1.0 + scale)
 
 
@@ -97,7 +91,7 @@ def as_vec(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-d coordinate vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("coordinates must be finite")
     return v
 
@@ -139,13 +133,6 @@ class Ball:
         if n <= self.radius:
             return np.array(g, dtype=float)
         return self.center + d * (self.radius / n)
-
-    def negated(self) -> "Ball":
-        """The set {-g : g in self}."""
-        return Ball(-self.center, self.radius)
-
-    def translated(self, shift: np.ndarray) -> "Ball":
-        return Ball(self.center + shift, self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,12 +179,6 @@ class HalfSpace:
         if v <= 0.0:
             return np.array(g, dtype=float)
         return g - (v / n2) * self.normal
-
-    def negated(self) -> "HalfSpace":
-        return HalfSpace(-self.normal, self.offset)
-
-    def translated(self, shift: np.ndarray) -> "HalfSpace":
-        return HalfSpace(self.normal, self.offset + float(self.normal @ shift))
 
 
 def gram_matrix(x_star, x1, x2, mu1: float, mu2: float, alpha: float) -> np.ndarray:

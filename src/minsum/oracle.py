@@ -6,8 +6,8 @@ Three routes that do not share algebra with the predicates:
   probing the necessity direction of every membership test;
 * cyclic-projection feasibility of the per-summand gradient sets, built
   as arrays over all points and solved in one batch, probing sufficiency
-  for the smooth and mixed patterns (the only use of iterative
-  projection: membership writes its witnesses in closed form);
+  for the smooth and mixed patterns; a separating direction certifies
+  each infeasible row (membership writes its witnesses in closed form);
 * a tiny QP (minimum gradient norm under two strong-convexity
   constraints) solved by KKT case enumeration, probing the bounded
   two-nonsmooth pattern: x* is a member iff the optimum is at most B^2.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -152,40 +153,31 @@ def _pairwise_gap(s1, s2) -> float:
     if isinstance(s1, HalfSpace) and isinstance(s2, Ball):
         s1, s2 = s2, s1
     if isinstance(s1, Ball):
-        # as cross_check's flat route: the ball's centre against the other set
+        # the distance from the ball's centre to the other set, less the radius
         return max(0.0, s2.distance(s1.center) - s1.radius)
     # two half-spaces: disjoint only when anti-parallel with a gap
-    n1 = float(np.linalg.norm(s1.normal))
-    n2 = float(np.linalg.norm(s2.normal))
+    n1, n2 = s1._norm(), s2._norm()
     if n1 == 0.0 or n2 == 0.0:
-        empty1 = n1 == 0.0 and s1.offset < 0.0
-        empty2 = n2 == 0.0 and s2.offset < 0.0
-        return math.inf if (empty1 or empty2) else 0.0
-    cos = float(s1.normal @ s2.normal) / (n1 * n2)
-    if cos > -1.0 + 1e-12:
+        empty = (n1 == 0.0 and s1.offset < 0.0) or (n2 == 0.0 and s2.offset < 0.0)
+        return math.inf if empty else 0.0
+    if float(s1.normal @ s2.normal) / (n1 * n2) > -1.0 + 1e-12:
         return 0.0
-    # s2.normal = -t s1.normal with t = n2/n1
-    t = n2 / n1
-    return max(0.0, (-s2.offset / t - s1.offset) / n1)
+    # along u = n1/|n1| = -n2/|n2|, H1 ends at offset1/|n1|, H2 starts at -offset2/|n2|
+    return max(0.0, -s1.offset / n1 - s2.offset / n2)
 
 
 def _certified_infeasibility(sets, tol: float):
     """Residual of a closed-form infeasibility certificate (a pair of
     sets more than tol apart, or an empty half-space), or None."""
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            gap = _pairwise_gap(sets[i], sets[j])
-            if gap > tol:
-                return gap
-    for s in sets:
-        if isinstance(s, HalfSpace) and s._norm() == 0.0 and s.offset < 0.0:
-            return math.inf
-    return None
+    # a set paired with itself has gap 0, or inf when it is empty
+    gaps = (_pairwise_gap(a, b) for a, b in combinations_with_replacement(sets, 2))
+    return next((gap for gap in gaps if gap > tol), None)
 
 
 # status of the projection solvers -> (member, reported status, certified)
 _SOLVER_STATUS = {
     "feasible": (True, "feasible", True),
+    "separated": (False, "infeasible", True),
     "stagnated": (False, "infeasible", False),
     "cap": (None, "indeterminate", False),
 }
@@ -227,10 +219,10 @@ def qp_min_norm_gradient(x_star, x1, x2, mu1: float, mu2: float) -> float:
 class CrossCheckReport:
     """Counts over the points of one cross_check.
 
-    Every point is checked, boundary_skipped or indeterminate.
-    uncertified counts the checked points whose projection oracle
-    plateaued well above tolerance: taken as infeasible, with no
-    closed-form certificate behind it.
+    Every point is checked, boundary_skipped or indeterminate.  A
+    separating direction certifies each infeasible projection verdict;
+    uncertified counts the checked points where none was found and the
+    oracle only plateaued well above tolerance (the stagnation fallback).
     """
 
     total: int = 0
@@ -300,35 +292,25 @@ def _gradient_sets(scenario: Scenario, pts: np.ndarray):
 
 def _projection_outcomes(scenario: Scenario, pts, rows, tol: float, band: float) -> dict:
     """{row: (member or None when undecided, descriptor)} of the
-    projection routes.  A flat problem whose ball and coupled set lie
-    more than tol apart is certified infeasible in closed form; the rest
-    go to one batched projection."""
+    projection routes, all solved in one batch.  The containment route
+    (no block) reads the signed distance from 0 to the coupled set
+    instead: positive outside, negative inside."""
     balls, coupled = _gradient_sets(scenario, pts[rows])
     k = len(scenario.unknown_summands) - 1
     if k == 0:
-        dist = coupled.distance(np.zeros((scenario.dim, 1)))
+        depth = coupled.signed_distance(np.zeros((scenario.dim, 1)))
         # a forced gradient essentially on the set border is skipped
         return {
-            i: (False, {"oracle": "containment", "distance": t})
-            for i, t in zip(rows.tolist(), dist.tolist())
-            if t > band
+            i: (t < 0.0, {"oracle": "containment", "signed_distance": t})
+            for i, t in zip(rows.tolist(), depth.tolist())
+            if abs(t) > band
         }
     name = "projection" if k == 1 else "block_projection"
-    # only the flat problem has a closed-form certificate: the gap
-    # between its one ball and the coupled set
-    gap = np.zeros(len(rows))
-    if k == 1:
-        gap = np.maximum(0.0, coupled.distance(balls.centres[:, 0]) - balls.radii[0])
-    certified = gap > tol
-    out = {
-        i: (False, {"oracle": name, "status": "infeasible", "certified": True, "residual": g})
-        for i, g in zip(rows[certified].tolist(), gap[certified].tolist())
-    }
-    pending = ~certified
     status, residual, _ = _projection.batch_block_projection(
-        [balls.take(pending)], coupled.take(pending), tol, PROJECTION_MAX_ITER
+        [balls], coupled, tol, PROJECTION_MAX_ITER
     )
-    for i, st, r in zip(rows[pending].tolist(), status.tolist(), residual.tolist()):
+    out = {}
+    for i, st, r in zip(rows.tolist(), status.tolist(), residual.tolist()):
         member, reported, cert = _SOLVER_STATUS[st]
         out[i] = (member, {"oracle": name, "status": reported, "certified": cert, "residual": r})
     return out

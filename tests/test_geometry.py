@@ -52,6 +52,37 @@ def test_eps_scales_with_magnitude():
     assert eps_for(2.0, math.inf) == eps_for(2.0)
 
 
+def eps_for_loop(*values):
+    """eps_for as a loop over its arguments, the reference for the
+    one-pass version."""
+    scale = 0.0
+    for v in values:
+        a = np.asarray(v, dtype=float).ravel()
+        if a.size == 0:
+            continue
+        finite = np.abs(a[np.isfinite(a)])
+        if finite.size:
+            scale = max(scale, float(finite.max()))
+    return tol_coefficient() * (1.0 + scale)
+
+
+def test_eps_for_matches_loop_bitwise():
+    rng = np.random.default_rng(4)
+    specials = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e300, -5e-324]
+    cases = [(), ([],), (np.zeros((0, 3)),), (math.inf,), ([math.nan, -math.inf],),
+             (-0.0, np.zeros(2)), (2.0, math.inf, [[1.0, -3.5]], np.zeros(0))]
+    for _ in range(300):
+        values = []
+        for _ in range(int(rng.integers(1, 6))):
+            size = int(rng.integers(0, 4))
+            v = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
+            v[rng.random(size) < 0.3] = rng.choice(specials)
+            values.append(v if rng.random() < 0.7 else (float(v[0]) if size else []))
+        cases.append(tuple(values))
+    for values in cases:
+        assert eps_for(*values) == eps_for_loop(*values), values
+
+
 def test_tol_env_override(monkeypatch):
     monkeypatch.setenv(TOL_ENV_VAR, "1e-3")
     assert tol_coefficient() == 1e-3
@@ -120,19 +151,6 @@ def test_ball_projection_lands_inside(center, r, point):
     assert np.allclose(b.project(p), p)
 
 
-@given(st.lists(small, min_size=2, max_size=2), radii, st.lists(small, min_size=2, max_size=2))
-def test_ball_negation_translation(center, r, point):
-    b = Ball(np.array(center), r)
-    g = np.array(point)
-    assert b.negated().contains(-g) == b.contains(g)
-    # translation commutes with membership away from the exact boundary,
-    # where one rounding step can legitimately flip the answer
-    t = vec(0.5, -2.0)
-    gap = float(np.linalg.norm(g - b.center)) - b.radius
-    if abs(gap) > 1e-7 * (1 + np.linalg.norm(g) + np.linalg.norm(t)):
-        assert b.translated(t).contains(g + t) == b.contains(g)
-
-
 # --------------------------------------------------------------- HalfSpace
 
 
@@ -163,13 +181,6 @@ def test_halfspace_projection(normal, offset, point):
     if h._norm() > 1e-6:
         assert h.contains(p, eps=1e-7 * (1 + np.linalg.norm(p)))
         assert np.allclose(h.project(p), p, atol=1e-9)
-
-
-@given(st.lists(small, min_size=2, max_size=2), small, st.lists(small, min_size=2, max_size=2))
-def test_halfspace_negation(normal, offset, point):
-    h = HalfSpace(np.array(normal), offset)
-    g = np.array(point)
-    assert h.negated().contains(-g) == h.contains(g)
 
 
 # ------------------------------------------ intersection gaps (the oracle's)

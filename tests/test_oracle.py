@@ -294,12 +294,12 @@ def test_cross_check_triple_block_oracle():
     pts = np.random.default_rng(9).uniform(-2, 2, (25, 2))
     report = cross_check(sc, pts)
     assert report.ok, report.mismatches
-    # the block route has no closed-form certificate, so every checked
-    # point it finds infeasible is a plateau: uncertified
+    # every point the block route finds infeasible is separated, so
+    # none rests on a plateau alone: uncertified stays 0
     assert report.checked + report.boundary_skipped + report.indeterminate == 25
     assert report.boundary_skipped == report.indeterminate == 0
     outside = sum(evaluate(sc, p).state == OUTSIDE for p in pts)
-    assert report.uncertified == outside > 0
+    assert outside > 0 and report.uncertified == 0
 
 
 def test_cross_check_certified_gaps_are_not_uncertified(smooth_pair):
@@ -341,9 +341,8 @@ CORRUPTIONS = [
     )
     for state in (INSIDE, OUTSIDE)
 ] + [
-    # the containment route skips every admitted point (its distance is 0
-    # there), so only a corruption that admits is caught on it
-    pytest.param("known_single", "containment", INSIDE, id="known_single-containment-inside"),
+    pytest.param("known_single", "containment", state, id=f"known_single-containment-{state}")
+    for state in (INSIDE, OUTSIDE)
 ]
 
 
@@ -355,8 +354,10 @@ def test_cross_check_catches_corrupted_predicate(request, name, oracle, state):
     def corrupted(scenario, x):
         return Verdict(state, 1.0 if state == INSIDE else -1.0)
 
-    # a box small enough for both states to be common on every route
-    pts = np.random.default_rng(2).uniform(-1.5, 1.5, (40, 2))
+    # a box small enough for both states to be common on every route; the
+    # containment scenario's admitted set is smaller, so its box is too
+    half = 0.6 if name == "known_single" else 1.5
+    pts = np.random.default_rng(2).uniform(-half, half, (40, 2))
     report = cross_check(sc, pts, predicate=corrupted)
     wrong = sum(evaluate(sc, p).admits != (state == INSIDE) for p in pts)
     assert not report.ok

@@ -1,4 +1,6 @@
 """The batched projection solver against the scalar ones, row by row."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -65,11 +67,37 @@ def scalar(problem, max_iter):
     return status, res, iters
 
 
+def separated_in_closed_form(problem, margin):
+    """True when the problem is infeasible by more than margin in closed
+    form: two balls of one block lie that far apart, or some choice of
+    one ball per block sums, as a Minkowski sum, to the ball
+    B(sum c_i, sum r_i), and that ball lies that far from the coupled
+    set."""
+    blocks, coupled = problem
+    for block in blocks:
+        for a, b in itertools.combinations(block, 2):
+            if np.linalg.norm(a.center - b.center) - a.radius - b.radius > margin:
+                return True
+    for pick in itertools.product(*blocks):
+        centre = np.sum([b.center for b in pick], axis=0)
+        radius = sum(b.radius for b in pick)
+        if coupled.distance(centre) - radius > margin:
+            return True
+    return False
+
+
 def assert_rows_match(problems, max_iter):
+    """A row the scalar solver calls feasible keeps its status and
+    iteration count; a row it leaves stagnated or at the cap either does
+    too, or is separated and infeasible in closed form."""
     status, res, iters = batch(problems, max_iter)
     assert len(status) == len(problems)
     for r, p in enumerate(problems):
         s_status, s_res, s_iters = scalar(p, max_iter)
+        if status[r] == "separated":
+            assert s_status in ("stagnated", "cap"), f"row {r}"
+            assert separated_in_closed_form(p, (len(p[0]) + 1) * TOL), f"row {r}"
+            continue
         assert (status[r], iters[r]) == (s_status, s_iters), f"row {r}"
         if np.isfinite(s_res):
             assert res[r] == pytest.approx(s_res, rel=1e-9, abs=TOL)
@@ -100,7 +128,7 @@ def test_batch_matches_cyclic_projection_one_block(n):
     for kind in range(3):
         problems = [flat_problem(rng, n, kind) for _ in range(20)]
         seen.update(assert_rows_match(problems, 2000)[0])
-    assert {"feasible", "stagnated"} <= seen
+    assert seen == {"feasible", "separated"}
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -108,7 +136,7 @@ def test_batch_matches_cyclic_projection_one_block(n):
 def test_batch_matches_block_projection(k, halfspace):
     rng = np.random.default_rng(10 + k)
     problems = [block_problem(rng, 3, k, halfspace) for _ in range(20)]
-    assert_rows_match(problems, 2000)
+    assert set(assert_rows_match(problems, 2000)[0]) == {"feasible", "separated"}
 
 
 def test_batch_zero_normal_rows():
@@ -127,18 +155,38 @@ def test_batch_zero_normal_rows():
 
 def test_batch_feasible_at_iteration_zero_and_cap():
     # row 0 holds the origin in every set, so the first projection is
-    # feasible; rows 1 and 2 are infeasible and still undecided at the
-    # cap, which comes before the first stagnation window
+    # feasible.  Row 1, and the ball beyond the half-space below, are
+    # infeasible: separated at iteration 0, by their distance, where the
+    # scalar solver is still undecided at the cap.  Row 2's balls touch:
+    # no direction separates them, and the iterates crawl toward the
+    # tangency, undecided at the cap
     problems = [
         ([[Ball(vec(0.1, 0.0), 1.0)]], Ball(vec(0.0, 0.2), 1.0)),
         ([[Ball(vec(0.0, 0.0), 0.5)]], Ball(vec(3.0, 0.0), 0.5)),
+        ([[Ball(vec(0.0, 1.0), 1.0)]], Ball(vec(2.0, 1.0), 1.0)),
     ]
     status, iters = assert_rows_match(problems, 30)
-    assert list(status) == ["feasible", "cap"]
-    assert list(iters) == [0, 30]
+    assert list(status) == ["feasible", "separated", "cap"]
+    assert list(iters) == [0, 0, 30]
+    assert batch(problems, 30)[1][1] == pytest.approx(2.0)
     problems = [([[Ball(vec(0.0, 0.0), 1.0)]], HalfSpace(vec(-1.0, 0.0), -2.0))]
     status, iters = assert_rows_match(problems, 30)
-    assert list(status) == ["cap"] and list(iters) == [30]
+    assert list(status) == ["separated"] and list(iters) == [0]
+    assert batch(problems, 30)[1][0] == pytest.approx(1.0)
+
+
+def test_batch_separation_keeps_its_margin():
+    # each row is infeasible by less than its (k + 1) tol margin, inside
+    # which the solver could still call a row feasible, so it is not
+    # separated; its residual stays between tol and the stall level
+    # 10 tol, and it runs to the cap as in the scalar solver
+    problems = [([[Ball(vec(0.0, 0.0), 1.0)]], Ball(vec(2.0 + 1.5 * TOL, 0.0), 1.0))]
+    status, iters = assert_rows_match(problems, 200)
+    assert list(status) == ["cap"] and list(iters) == [200]
+    half = [Ball(vec(0.0, 0.0), 0.5)]
+    problems = [([half, half], Ball(vec(2.0 + 2.5 * TOL, 0.0), 1.0))]
+    status, iters = assert_rows_match(problems, 200)
+    assert list(status) == ["cap"] and list(iters) == [200]
 
 
 def test_batch_row_does_not_depend_on_row_count():

@@ -1,8 +1,10 @@
-"""The benchmark's tracer names minsum functions by string; a renamed or
-deleted one would only surface when a traced benchmark run stops."""
+"""Names that one part of the project looks up in another by string or
+by key: a renamed or missing one would only surface when a run stops."""
 import importlib
 import importlib.util
 from pathlib import Path
+
+from minsum import _projection, oracle
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -23,4 +25,10 @@ def test_traced_names_resolve():
         for name in names
         if not callable(getattr(importlib.import_module(f"minsum.{module}"), name, None))
     ]
+    assert missing == []
+
+
+def test_solver_statuses_have_oracle_verdicts():
+    # a new solver status must not reach cross_check as a KeyError
+    missing = [s for s in _projection._STATUS.tolist() if s not in oracle._SOLVER_STATUS]
     assert missing == []
