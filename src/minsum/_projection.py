@@ -7,20 +7,20 @@ in a coupled set).  The flat one serves feasibility_by_projection, and
 both are the reference the batched solver is tested against.
 
 batch_block_projection solves many block problems of one shape at once,
-one per row of the set arrays in Balls and HalfSpaces: cross_check
-hands it every projection problem of one run.  Each row follows the
-scalar rules step for step, with the flat problem as the one-block
-case, and so keeps the scalar call's status and iteration count, except
-that a row the scalar call leaves stagnated or at the cap may leave
-early, separated.  Single problems stay on the faster scalar solvers.
+one ball per block and one coupled ball or half-space per row of the
+arrays in Balls and HalfSpaces: cross_check hands it every projection
+problem of one run.  A sum of balls is a ball, so each row's gap is
+known in closed form before the loop, and a row infeasible by more
+than the solver's margin leaves at once, separated.  Every other row
+follows the scalar rules step for step, with the flat problem as the
+one-block case, and so keeps the scalar call's status and iteration
+count.  Single problems stay on the faster scalar solvers.
 
 Status strings: "feasible" when the residual drops below tol;
-"separated" (batch only) when a direction separates the block sum's
-sets from the coupled set, a certificate of an empty intersection
-(Bauschke & Borwein, SIAM Review 38, 1996); "stagnated" when the
-residual plateaus well above tol (strong numerical evidence of an empty
-intersection, but not a certificate); "cap" when the iteration budget
-runs out undecided.
+"separated" (batch only) when the closed-form gap certifies an empty
+intersection; "stagnated" when the residual plateaus well above tol
+(strong numerical evidence of an empty intersection, but not a
+certificate); "cap" when the iteration budget runs out undecided.
 """
 from __future__ import annotations
 
@@ -184,113 +184,72 @@ class HalfSpaces(_RowSets):
         return g - (np.maximum(v, 0.0) / self._n2) * self.normals
 
 
-def _shape(sets):
-    """(n, N) or (n, k, N): coordinates, blocks if any, rows."""
-    return (sets.centres if isinstance(sets, Balls) else sets.normals).shape
-
-
-def _separation(blocks, coupled, t, p):
-    """Per row, sum_i min <u, z_i> over block i's sets minus max <u, g>
-    over the coupled set, for a unit u: where it is positive, u separates
-    the block sum's sets from the coupled set and the row is infeasible.
-    u = n/|n| for a coupled half-space (max offset/|n|), else
-    (t - p)/|t - p| for the block sum t and its projection p (max
-    <centre, u> + radius).  Block i's min is at least the largest
-    <centre, u> - radius of its Balls entries, and two disjoint Balls
-    entries leave it empty, so their gap counts too.  The NaN of a
-    zero normal or of t inside the coupled ball certifies nothing.
-    """
-    if isinstance(coupled, HalfSpaces):
-        u = coupled.normals / coupled._norm
-        top = coupled.offsets / coupled._norm
-    else:
-        u = t - p
-        u = u / np.sqrt(_dot(u, u))
-        top = _dot(coupled.centres, u) + coupled.radii
-    balls = [s for s in blocks if isinstance(s, Balls)]
-    low = apart = np.full(_shape(blocks[0])[1:], -np.inf)
-    for a, s in enumerate(balls):
-        low = np.maximum(low, _dot(s.centres, u[:, None]) - s.radii)
-        for b in balls[:a]:
-            apart = np.maximum(apart, s.signed_distance(b.centres) - b.radii)
-    out = low[0]
-    for i in range(1, len(low)):
-        out = out + low[i]
-    return np.fmax(out - top, apart.max(axis=0))
-
-
 _STATUS = np.array(["feasible", "separated", "stagnated", "cap"])
 _UNDECIDED = 3
 
 
-def batch_block_projection(blocks, coupled, tol: float, max_iter: int):
-    """block_cyclic_projection of N problems with k blocks each, at once.
+def _block_sum(a):
+    """a summed over its block axis (second to last), left to right."""
+    out = a[..., 0, :]
+    for i in range(1, a.shape[-2]):
+        out = out + a[..., i, :]
+    return out
 
-    blocks lists the sets every block must meet, at least one, in
-    projection order: each is a Balls or HalfSpaces holding N rows of k
-    sets.  coupled holds N rows of one set.  Row r is the problem with
-    z_i in the i-th set of row r of every entry of blocks, and
-    z_1 + ... + z_k in row r of coupled.  With k = 1 the coupled projection
-    replaces the block vector outright, which makes the one-block
-    problem cyclic_projection over blocks followed by coupled.
 
-    At iteration 0, every power of two and every stagnation window, an
-    undecided row whose _separation exceeds (k + 1) tol is "separated",
-    with that separation as its residual.  The sets of a row the solver
-    could still call feasible (each z_i and the sum within tol of their
-    sets) lie within that margin.  A row leaves the batch once it is
-    decided, and N = 0 returns at once.
+def batch_block_projection(balls, coupled, tol: float, max_iter: int):
+    """block_cyclic_projection of N problems with one ball per block, at
+    once.
+
+    balls holds N rows of k balls, (N, k, n), and coupled N rows of one
+    Balls or HalfSpaces set.  Row r is the problem with z_i in ball i of
+    row r and z_1 + ... + z_k in row r of coupled.  With k = 1 the coupled
+    projection replaces the block vector outright, which makes the
+    one-block problem cyclic_projection over the ball and then coupled.
+
+    Before the loop each row gets its gap in closed form: the block sum
+    ranges over the ball B(sum c_i, sum r_i), so the gap is the coupled
+    set's signed distance from sum c_i less sum r_i.  A row whose gap
+    exceeds (k + 1) tol is "separated" at iteration 0, with the gap as its
+    residual: the sets of a row the solver could still call feasible
+    (each z_i and the sum within tol of their sets) lie within that
+    margin.  A row leaves the batch once it is decided, and N = 0 returns
+    at once.
 
     Returns (status, residual, iterations), arrays of N entries.
     """
-    dim, n_rows = _shape(coupled)
-    k = _shape(blocks[0])[1]
-    status = np.full(n_rows, _UNDECIDED)
-    residual = np.zeros(n_rows)
-    iterations = np.full(n_rows, max_iter)
-    if not n_rows:
-        return _STATUS[status], residual, iterations
-    rows = np.arange(n_rows)
-    prev = np.full(n_rows, np.inf)
-
-    def total():
-        out = z[:, 0]
-        for i in range(1, k):
-            out = out + z[:, i]
-        return out
+    dim, k, _ = balls.centres.shape
 
     def max_violation():
-        r = coupled.distance(total())
-        for s in blocks:
-            r = np.maximum(r, s.distance(z).max(axis=0))
-        return r
+        return np.maximum(coupled.distance(_block_sum(z)), balls.distance(z).max(axis=0))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = blocks[0].project(np.zeros((dim, k, n_rows)))
-        t = total()
-        p = coupled.project(t)
+        gap = coupled.signed_distance(_block_sum(balls.centres)) - _block_sum(balls.radii)
+        separated = gap > (k + 1) * tol
+        status = np.where(separated, 1, _UNDECIDED)
+        residual = np.where(separated, gap, 0.0)
+        iterations = np.where(separated, 0, max_iter)
+        rows = np.flatnonzero(~separated)
+        if not len(rows):
+            return _STATUS[status], residual, iterations
+        balls, coupled = balls.take(~separated), coupled.take(~separated)
+        prev = np.full(len(rows), np.inf)
+        z = balls.project(np.zeros((dim, k, len(rows))))
         res = max_violation()
         for it in range(max_iter + 1):
             if it:
-                for s in blocks:
-                    z = s.project(z)
-                t = total()
+                z = balls.project(z)
+                t = _block_sum(z)
                 p = coupled.project(t)
                 z = p[:, None] if k == 1 else z + ((p - t) / k)[:, None]
                 res = max_violation()
-            done = res <= tol
-            code = 0  # without the tests below only feasibility decides a row
-            if not it & (it - 1) or not it % _WINDOW:
-                gap = _separation(blocks, coupled, t, p)
-                code = np.where(done, 0, np.where(gap > (k + 1) * tol, 1, _UNDECIDED))
-                if it and not it % _WINDOW:
-                    code[(code == _UNDECIDED) & _stalled(res, prev, tol)] = 2
-                    prev = res
-                res = np.where(code == 1, gap, res)
-                done = code != _UNDECIDED
+            code = np.where(res <= tol, 0, _UNDECIDED)
+            if it and not it % _WINDOW:
+                code[(code == _UNDECIDED) & _stalled(res, prev, tol)] = 2
+                prev = res
+            done = code != _UNDECIDED
             if np.count_nonzero(done):
                 finished = rows[done]
-                status[finished] = np.broadcast_to(code, done.shape)[done]
+                status[finished] = code[done]
                 residual[finished] = res[done]
                 iterations[finished] = it
                 keep = ~done
@@ -299,8 +258,7 @@ def batch_block_projection(blocks, coupled, tol: float, max_iter: int):
                 rows, res, prev = rows[keep], res[keep], prev[keep]
                 # compress keeps the arrays contiguous, unlike a[..., keep]
                 z = np.compress(keep, z, axis=-1)
-                blocks = [s.take(keep) for s in blocks]
-                coupled = coupled.take(keep)
+                balls, coupled = balls.take(keep), coupled.take(keep)
         else:
             # rows still undecided at the cap
             residual[rows] = res

@@ -312,10 +312,11 @@ def _bounded_pair(points, coef, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
     certifies a unit-vector completion of the constraint system (see
     geometry.gram_matrix).  fired records every satisfied clause.
     """
+    # the anchors' own tolerance, so the answer does not depend on the points
+    if sep <= coef * (1.0 + scale):
+        raise CoincidentPointsError("summand minimizers coincide")
     x = points.T
     eps = _eps(coef, scale, x)
-    if np.any(sep <= eps):
-        raise CoincidentPointsError("summand minimizers coincide")
     d1 = x - a1
     d2 = x - a2
     r1 = _norm(d1)

@@ -6,8 +6,10 @@ Three routes that do not share algebra with the predicates:
   probing the necessity direction of every membership test;
 * cyclic-projection feasibility of the per-summand gradient sets, built
   as arrays over all points and solved in one batch, probing sufficiency
-  for the smooth and mixed patterns; a separating direction certifies
-  each infeasible row (membership writes its witnesses in closed form);
+  for the smooth and mixed patterns; the balls of all but the last
+  unknown sum to one ball, whose closed-form gap to the last one's set
+  certifies each infeasible row (membership writes its witnesses in
+  closed form);
 * a tiny QP (minimum gradient norm under two strong-convexity
   constraints) solved by KKT case enumeration, probing the bounded
   two-nonsmooth pattern: x* is a member iff the optimum is at most B^2.
@@ -219,10 +221,12 @@ def qp_min_norm_gradient(x_star, x1, x2, mu1: float, mu2: float) -> float:
 class CrossCheckReport:
     """Counts over the points of one cross_check.
 
-    Every point is checked, boundary_skipped or indeterminate.  A
-    separating direction certifies each infeasible projection verdict;
-    uncertified counts the checked points where none was found and the
-    oracle only plateaued well above tolerance (the stagnation fallback).
+    Every point is checked, boundary_skipped or indeterminate.  The
+    closed-form gap between the sum of the gradient balls and the coupled
+    set certifies each infeasible projection verdict; uncertified counts
+    the checked points whose gap was within the solver's margin and whose
+    projection only plateaued well above tolerance (the stagnation
+    fallback).
     """
 
     total: int = 0
@@ -307,7 +311,7 @@ def _projection_outcomes(scenario: Scenario, pts, rows, tol: float, band: float)
         }
     name = "projection" if k == 1 else "block_projection"
     status, residual, _ = _projection.batch_block_projection(
-        [balls], coupled, tol, PROJECTION_MAX_ITER
+        balls, coupled, tol, PROJECTION_MAX_ITER
     )
     out = {}
     for i, st, r in zip(rows.tolist(), status.tolist(), residual.tolist()):

@@ -260,6 +260,18 @@ def test_bounded_coincident_anchors():
         member_two_nonsmooth_bounded(vec(1, 1), s1, s2, 3.0)
 
 
+def test_bounded_close_anchors_do_not_depend_on_the_points():
+    # anchors 5e-7 apart are distinct at the anchors' tolerance, so every
+    # cell of a wide raster is evaluated, far corners included, and the
+    # centre cell still equals evaluate there
+    sc = Scenario(
+        (summand(0, 0, 1.0, math.inf), summand(5e-7, 0, 1.0, math.inf)), bound_B=1.0
+    )
+    raster = rasterize_region(sc, (-2000, 2000, -2000, 2000), (3, 3))
+    assert raster.cells[4] == evaluate(sc, vec(0, 0))
+    assert raster.cells[4].admits and raster.state_names().count(OUTSIDE) == 8
+
+
 def test_bounded_flat_side_unbounded_toward_flat_anchor(bounded_pair_flat):
     s1, s2 = bounded_pair_flat.summands
     # mu2 = 0: the cap only restrains distance from the strongly convex anchor

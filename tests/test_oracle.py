@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from minsum import _projection
+from minsum.cli import _sample_points
 from minsum.geometry import (
     Ball,
     CoincidentPointsError,
@@ -386,6 +387,45 @@ def test_cross_check_rejects_all_known_scenario():
     sc = Scenario(tuple(Summand(k.center, ClassParams(0.5, 2.0), k) for k in known))
     with pytest.raises(UnsupportedPatternError, match="unknown summand"):
         cross_check(sc, [[0.5, 0.0]])
+
+
+def first_nonsmooth(sc):
+    """sc with L = inf on its first summand: the one-nonsmooth route."""
+    s, *rest = sc.summands
+    return Scenario((Summand(s.x_star, ClassParams(s.params.mu, math.inf)), *rest))
+
+
+def oracle_counts(sc, pts):
+    """cross_check's counts, and the points the oracle rules out: the
+    mismatches of an always-inside predicate."""
+    r = cross_check(sc, pts)
+    ruled_out = cross_check(sc, pts, predicate=lambda s, x: Verdict(INSIDE, 1.0)).mismatches
+    counts = (r.checked, r.boundary_skipped, r.indeterminate, r.uncertified, len(r.mismatches))
+    return counts, [m["point"] for m in ruled_out]
+
+
+@pytest.mark.parametrize(
+    "make, seeds",
+    [
+        pytest.param(random_smooth_scenario, range(0, 40, 2), id="smooth"),
+        pytest.param(
+            lambda seed: first_nonsmooth(random_smooth_scenario(seed)),
+            range(0, 12, 2),
+            id="one_nonsmooth",
+        ),
+    ],
+)
+def test_cross_check_counts_do_not_depend_on_summand_order(make, seeds):
+    # reversing the unknowns reorders the blocks and, when all are
+    # smooth, makes another summand the coupled set; the oracle's
+    # verdicts must not change
+    for seed in seeds:
+        sc = make(seed)
+        pts = _sample_points(sc, 150, 1000 + seed)
+        flipped = Scenario(tuple(reversed(sc.summands)))
+        counts, ruled_out = oracle_counts(sc, pts)
+        assert oracle_counts(flipped, pts) == (counts, ruled_out), f"seed {seed}"
+        assert counts[4] == 0 and 0 < len(ruled_out) < 150, f"seed {seed}"
 
 
 # --------------------------------------------------------- necessity sweep

@@ -1,6 +1,4 @@
 """The batched projection solver against the scalar ones, row by row."""
-import itertools
-
 import numpy as np
 import pytest
 
@@ -42,61 +40,54 @@ def stack(rows):
     )
 
 
-def batch(problems, max_iter):
-    """Run batch_block_projection on (blocks, coupled) problems, where
-    blocks[i] lists block i's sets."""
-    n_sets = len(problems[0][0][0])
-    blocks = [stack([[b[j] for b in p[0]] for p in problems]) for j in range(n_sets)]
+def batch(problems, max_iter, tol=TOL):
+    """Run batch_block_projection on (balls, coupled) problems, where
+    balls lists one ball per block."""
+    balls = stack([p[0] for p in problems])
     coupled = stack([p[1] for p in problems])
-    return _projection.batch_block_projection(blocks, coupled, TOL, max_iter)
+    return _projection.batch_block_projection(balls, coupled, tol, max_iter)
 
 
 def scalar(problem, max_iter):
     """(status, residual, iterations) of the scalar solver for the same
     problem: cyclic_projection for one block, the block solver otherwise."""
-    blocks, coupled = problem
+    balls, coupled = problem
     dim = coupled.dim
-    if len(blocks) == 1:
+    if len(balls) == 1:
         status, _, res, iters = _projection.cyclic_projection(
-            blocks[0] + [coupled], dim, TOL, max_iter
+            balls + [coupled], dim, TOL, max_iter
         )
     else:
         status, _, res, iters = _projection.block_cyclic_projection(
-            blocks, coupled, dim, TOL, max_iter
+            [[b] for b in balls], coupled, dim, TOL, max_iter
         )
     return status, res, iters
 
 
-def separated_in_closed_form(problem, margin):
-    """True when the problem is infeasible by more than margin in closed
-    form: two balls of one block lie that far apart, or some choice of
-    one ball per block sums, as a Minkowski sum, to the ball
-    B(sum c_i, sum r_i), and that ball lies that far from the coupled
-    set."""
-    blocks, coupled = problem
-    for block in blocks:
-        for a, b in itertools.combinations(block, 2):
-            if np.linalg.norm(a.center - b.center) - a.radius - b.radius > margin:
-                return True
-    for pick in itertools.product(*blocks):
-        centre = np.sum([b.center for b in pick], axis=0)
-        radius = sum(b.radius for b in pick)
-        if coupled.distance(centre) - radius > margin:
-            return True
-    return False
+def closed_form_gap(problem):
+    """The coupled set's distance from sum c_i less sum r_i: where it is
+    positive, the distance from the Minkowski sum of the balls, the ball
+    B(sum c_i, sum r_i), to the coupled set."""
+    balls, coupled = problem
+    centre = np.sum([b.center for b in balls], axis=0)
+    return coupled.distance(centre) - sum(b.radius for b in balls)
 
 
 def assert_rows_match(problems, max_iter):
     """A row the scalar solver calls feasible keeps its status and
     iteration count; a row it leaves stagnated or at the cap either does
-    too, or is separated and infeasible in closed form."""
+    too, or is separated at iteration 0 and infeasible in closed form,
+    with that gap as its residual."""
     status, res, iters = batch(problems, max_iter)
     assert len(status) == len(problems)
     for r, p in enumerate(problems):
         s_status, s_res, s_iters = scalar(p, max_iter)
         if status[r] == "separated":
             assert s_status in ("stagnated", "cap"), f"row {r}"
-            assert separated_in_closed_form(p, (len(p[0]) + 1) * TOL), f"row {r}"
+            assert iters[r] == 0, f"row {r}"
+            gap = closed_form_gap(p)
+            assert gap > (len(p[0]) + 1) * TOL, f"row {r}"
+            assert res[r] == pytest.approx(gap, rel=1e-9, abs=TOL), f"row {r}"
             continue
         assert (status[r], iters[r]) == (s_status, s_iters), f"row {r}"
         if np.isfinite(s_res):
@@ -108,24 +99,21 @@ def assert_rows_match(problems, max_iter):
 
 def flat_problem(rng, n, kind):
     # the oracle's two-summand shapes: a ball, then a ball or half-space
-    # as the coupled set, or two balls and a ball cap
-    if kind == 0:
-        return [[random_ball(rng, n)]], random_ball(rng, n)
-    if kind == 1:
-        return [[random_ball(rng, n)]], random_halfspace(rng, n)
-    return [[random_ball(rng, n), random_ball(rng, n)]], random_ball(rng, n)
+    # as the coupled set
+    coupled = random_halfspace(rng, n) if kind else random_ball(rng, n)
+    return [random_ball(rng, n)], coupled
 
 
 def block_problem(rng, n, k, halfspace):
     coupled = random_halfspace(rng, n) if halfspace else random_ball(rng, n)
-    return [[random_ball(rng, n)] for _ in range(k)], coupled
+    return [random_ball(rng, n) for _ in range(k)], coupled
 
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_batch_matches_cyclic_projection_one_block(n):
     rng = np.random.default_rng(n)
     seen = set()
-    for kind in range(3):
+    for kind in range(2):
         problems = [flat_problem(rng, n, kind) for _ in range(20)]
         seen.update(assert_rows_match(problems, 2000)[0])
     assert seen == {"feasible", "separated"}
@@ -141,15 +129,18 @@ def test_batch_matches_block_projection(k, halfspace):
 
 def test_batch_zero_normal_rows():
     # x on a nonsmooth anchor gives a zero normal: vacuous with offset 0,
-    # empty with a negative offset (that one never decides: cap)
+    # empty with a negative offset.  The empty one lies infinitely far
+    # from every ball, so it is separated at once, where the scalar
+    # solver never decides and runs to the cap
     ball = Ball(vec(0.5, 0.0), 1.0)
     vacuous = HalfSpace(vec(0.0, 0.0), 0.0)
     empty = HalfSpace(vec(0.0, 0.0), -1.0)
-    problems = [([[ball]], vacuous), ([[ball]], empty)]
+    problems = [([ball], vacuous), ([ball], empty)]
     status, iters = assert_rows_match(problems, 120)
-    assert list(status) == ["feasible", "cap"]
-    assert list(iters) == [0, 120]
-    block = [([[ball], [Ball(vec(-0.5, 0.0), 1.0)]], vacuous)]
+    assert list(status) == ["feasible", "separated"]
+    assert list(iters) == [0, 0]
+    assert batch(problems, 120)[1][1] == np.inf
+    block = [([ball, Ball(vec(-0.5, 0.0), 1.0)], vacuous)]
     assert list(assert_rows_match(block, 120)[0]) == ["feasible"]
 
 
@@ -161,18 +152,34 @@ def test_batch_feasible_at_iteration_zero_and_cap():
     # no direction separates them, and the iterates crawl toward the
     # tangency, undecided at the cap
     problems = [
-        ([[Ball(vec(0.1, 0.0), 1.0)]], Ball(vec(0.0, 0.2), 1.0)),
-        ([[Ball(vec(0.0, 0.0), 0.5)]], Ball(vec(3.0, 0.0), 0.5)),
-        ([[Ball(vec(0.0, 1.0), 1.0)]], Ball(vec(2.0, 1.0), 1.0)),
+        ([Ball(vec(0.1, 0.0), 1.0)], Ball(vec(0.0, 0.2), 1.0)),
+        ([Ball(vec(0.0, 0.0), 0.5)], Ball(vec(3.0, 0.0), 0.5)),
+        ([Ball(vec(0.0, 1.0), 1.0)], Ball(vec(2.0, 1.0), 1.0)),
     ]
     status, iters = assert_rows_match(problems, 30)
     assert list(status) == ["feasible", "separated", "cap"]
     assert list(iters) == [0, 0, 30]
     assert batch(problems, 30)[1][1] == pytest.approx(2.0)
-    problems = [([[Ball(vec(0.0, 0.0), 1.0)]], HalfSpace(vec(-1.0, 0.0), -2.0))]
+    problems = [([Ball(vec(0.0, 0.0), 1.0)], HalfSpace(vec(-1.0, 0.0), -2.0))]
     status, iters = assert_rows_match(problems, 30)
     assert list(status) == ["separated"] and list(iters) == [0]
     assert batch(problems, 30)[1][0] == pytest.approx(1.0)
+
+
+def test_batch_flat_ball_pair_separated_at_iteration_zero():
+    # a known_smooth verify row: a gradient ball and a coupled ball
+    # 0.0087 apart, off the line the first projections take.  A
+    # direction found by projection needed 16 iterations to separate it
+    # at the oracle's tolerance; the closed-form gap needs none
+    problem = (
+        [Ball(vec(-0.4267289993979349, 1.356877699596754), 0.9765469334304326)],
+        Ball(vec(2.8971514735995925, 2.0017782264180797), 2.4006600848246453),
+    )
+    for tol in (TOL, 6.23647902689095e-08):
+        status, res, iters = batch([problem], 100, tol)
+        assert (status[0], iters[0]) == ("separated", 0)
+        assert res[0] == pytest.approx(closed_form_gap(problem), rel=1e-12)
+    assert list(assert_rows_match([problem], 100)[1]) == [0]
 
 
 def test_batch_separation_keeps_its_margin():
@@ -180,10 +187,10 @@ def test_batch_separation_keeps_its_margin():
     # which the solver could still call a row feasible, so it is not
     # separated; its residual stays between tol and the stall level
     # 10 tol, and it runs to the cap as in the scalar solver
-    problems = [([[Ball(vec(0.0, 0.0), 1.0)]], Ball(vec(2.0 + 1.5 * TOL, 0.0), 1.0))]
+    problems = [([Ball(vec(0.0, 0.0), 1.0)], Ball(vec(2.0 + 1.5 * TOL, 0.0), 1.0))]
     status, iters = assert_rows_match(problems, 200)
     assert list(status) == ["cap"] and list(iters) == [200]
-    half = [Ball(vec(0.0, 0.0), 0.5)]
+    half = Ball(vec(0.0, 0.0), 0.5)
     problems = [([half, half], Ball(vec(2.0 + 2.5 * TOL, 0.0), 1.0))]
     status, iters = assert_rows_match(problems, 200)
     assert list(status) == ["cap"] and list(iters) == [200]
@@ -213,8 +220,8 @@ def test_batch_zero_rows_returns_at_once(monkeypatch):
         return project(self, g)
 
     monkeypatch.setattr(_projection.Balls, "project", spy)
-    blocks = [_projection.Balls(np.zeros((0, 2, 3)), np.zeros((0, 2)))]
+    balls = _projection.Balls(np.zeros((0, 2, 3)), np.zeros((0, 2)))
     coupled = _projection.Balls(np.zeros((0, 3)), np.zeros(0))
-    status, res, iters = _projection.batch_block_projection(blocks, coupled, TOL, 20_000)
+    status, res, iters = _projection.batch_block_projection(balls, coupled, TOL, 20_000)
     assert status.shape == res.shape == iters.shape == (0,)
     assert calls == []
