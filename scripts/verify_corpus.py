@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Replay the verify corpus and print every run's stdout.
+
+The corpus is 388 `verify` runs:
+
+* the benchmark's verify preset files (perfbench/inputs.py) of seeds 0,
+  1009 and 7: 8 cycles of 4 variants of 4 presets, each run as
+  `verify <file> --points 50 --seed <seed * 1000 + cycle>`;
+* `verify --random` at 8x60, 4x100, 24x150 and 6x40 (seeds x points).
+
+The scenario files go to a temporary directory, and every run goes
+through cli.main in-process.  One line per run: `<run-id>\t<stdout as
+compact JSON>`.  Two checkouts that decide alike print the same lines,
+so `diff` of their outputs checks a change to the oracle:
+
+    python scripts/verify_corpus.py > corpus.txt
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import inputs  # noqa: E402  (perfbench/inputs.py)
+from minsum import cli  # noqa: E402
+
+SEEDS = (0, 1009, 7)
+CYCLES = 8
+VARIANTS = 4
+POINTS = 50
+RANDOM = ((8, 60), (4, 100), (24, 150), (6, 40))
+
+
+def preset_runs(tmp: str):
+    """(run id, argv) of every preset file, written to tmp as the
+    benchmark writes them."""
+    for seed in SEEDS:
+        for c in range(CYCLES):
+            for spec in inputs.VERIFY_PRESETS:
+                for k in range(VARIANTS):
+                    variant = c * VARIANTS + k
+                    name = spec[0] + (f"_v{variant}" if variant else "")
+                    sc = inputs.scenario_dict(seed, spec, inputs.RASTER_DIM, variant)
+                    path = os.path.join(tmp, f"s{seed}_{name}.json")
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(inputs.scenario_text(sc))
+                    argv = ["verify", path, "--points", POINTS, "--seed", seed * 1000 + c]
+                    yield f"seed{seed}/c{c}/{name}", argv
+
+
+def random_runs():
+    for seeds, points in RANDOM:
+        yield f"random/{seeds}x{points}", ["verify", "--random", "--seeds", seeds, "--points", points]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for run_id, argv in [*preset_runs(tmp), *random_runs()]:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                cli.main([str(a) for a in argv])
+            compact = json.dumps(json.loads(buf.getvalue()), separators=(",", ":"))
+            print(f"{run_id}\t{compact}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,9 +18,11 @@ count.  Single problems stay on the faster scalar solvers.
 
 Status strings: "feasible" when the residual drops below tol;
 "separated" (batch only) when the closed-form gap certifies an empty
-intersection; "stagnated" when the residual plateaus well above tol
-(strong numerical evidence of an empty intersection, but not a
-certificate); "cap" when the iteration budget runs out undecided.
+intersection; "stagnated" (scalar only) when the residual plateaus well
+above tol (strong numerical evidence of an empty intersection, but not
+a certificate); "cap" when the iteration budget runs out undecided.
+The batch needs no plateau test: a row the gap leaves in the loop is
+infeasible by at most its margin, too little for a plateau.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ _STALL_RESIDUAL_FACTOR = 10.0
 
 
 def _stalled(res, prev, tol):
-    """A plateau well above tol over one window; elementwise on arrays."""
+    """A plateau well above tol over one window."""
     return (res > _STALL_RESIDUAL_FACTOR * tol) & (prev - res < _STALL_FRACTION * res)
 
 
@@ -184,8 +186,7 @@ class HalfSpaces(_RowSets):
         return g - (np.maximum(v, 0.0) / self._n2) * self.normals
 
 
-_STATUS = np.array(["feasible", "separated", "stagnated", "cap"])
-_UNDECIDED = 3
+_STATUS = np.array(["feasible", "separated", "cap"])
 
 
 def _block_sum(a):
@@ -212,8 +213,9 @@ def batch_block_projection(balls, coupled, tol: float, max_iter: int):
     exceeds (k + 1) tol is "separated" at iteration 0, with the gap as its
     residual: the sets of a row the solver could still call feasible
     (each z_i and the sum within tol of their sets) lie within that
-    margin.  A row leaves the batch once it is decided, and N = 0 returns
-    at once.
+    margin.  Every other row stays in the loop until it is "feasible", or
+    else ends at the "cap"; it leaves the batch once it is decided, and
+    N = 0 returns at once.
 
     Returns (status, residual, iterations), arrays of N entries.
     """
@@ -225,14 +227,14 @@ def batch_block_projection(balls, coupled, tol: float, max_iter: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = coupled.signed_distance(_block_sum(balls.centres)) - _block_sum(balls.radii)
         separated = gap > (k + 1) * tol
-        status = np.where(separated, 1, _UNDECIDED)
+        # indices into _STATUS: a row not yet decided is at the cap
+        status = np.where(separated, 1, 2)
         residual = np.where(separated, gap, 0.0)
         iterations = np.where(separated, 0, max_iter)
         rows = np.flatnonzero(~separated)
         if not len(rows):
             return _STATUS[status], residual, iterations
         balls, coupled = balls.take(~separated), coupled.take(~separated)
-        prev = np.full(len(rows), np.inf)
         z = balls.project(np.zeros((dim, k, len(rows))))
         res = max_violation()
         for it in range(max_iter + 1):
@@ -242,20 +244,16 @@ def batch_block_projection(balls, coupled, tol: float, max_iter: int):
                 p = coupled.project(t)
                 z = p[:, None] if k == 1 else z + ((p - t) / k)[:, None]
                 res = max_violation()
-            code = np.where(res <= tol, 0, _UNDECIDED)
-            if it and not it % _WINDOW:
-                code[(code == _UNDECIDED) & _stalled(res, prev, tol)] = 2
-                prev = res
-            done = code != _UNDECIDED
+            done = res <= tol
             if np.count_nonzero(done):
                 finished = rows[done]
-                status[finished] = code[done]
+                status[finished] = 0
                 residual[finished] = res[done]
                 iterations[finished] = it
                 keep = ~done
                 if not np.count_nonzero(keep):
                     break
-                rows, res, prev = rows[keep], res[keep], prev[keep]
+                rows, res = rows[keep], res[keep]
                 # compress keeps the arrays contiguous, unlike a[..., keep]
                 z = np.compress(keep, z, axis=-1)
                 balls, coupled = balls.take(keep), coupled.take(keep)

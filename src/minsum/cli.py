@@ -144,7 +144,6 @@ def _verify_one(scenario: Scenario, points: int, seed: int, predicate=None) -> d
         "checked": report.checked,
         "boundary_skipped": report.boundary_skipped,
         "indeterminate": report.indeterminate,
-        "uncertified": report.uncertified,
         "mismatches": report.mismatches,
     }
     if all(s.params.is_smooth for s in scenario.unknown_summands):

@@ -89,19 +89,23 @@ class WitnessValues:
     energy: float
 
 
+def _energy(dg: np.ndarray, dx: np.ndarray, params: ClassParams) -> float:
+    """1/(2L) |dg|^2 + mu/2 |dx|^2 - mu/L <dg, dx>: the right-hand side of
+    the pairwise class inequality."""
+    return (
+        0.5 * params.inv_L * float(dg @ dg)
+        + 0.5 * params.mu * float(dx @ dx)
+        - params.mu_over_L * float(dg @ dx)
+    )
+
+
 def pair_slack(ti: Triplet, tj: Triplet, params: ClassParams) -> float:
     """Slack of the class inequality for the ordered pair (i, j), with the
     1/(1 - mu/L) prefactor multiplied through so L = inf never divides."""
     q = 1.0 - params.mu_over_L
     dx = ti.x - tj.x
-    dg = ti.g - tj.g
     lhs = q * (ti.f - tj.f - float(tj.g @ dx))
-    rhs = (
-        0.5 * params.inv_L * float(dg @ dg)
-        + 0.5 * params.mu * float(dx @ dx)
-        - params.mu_over_L * float(dg @ dx)
-    )
-    return lhs - rhs
+    return lhs - _energy(ti.g - tj.g, dx, params)
 
 
 def check_interpolation(triplets, params: ClassParams) -> Verdict:
@@ -184,10 +188,6 @@ def witness_values(x, g, x_star, params: ClassParams) -> WitnessValues:
             f"(x, g) is not attainable for a class member minimized at x_star "
             f"(margin {margin:.3e})"
         )
-    energy = (
-        0.5 * params.inv_L * float(gv @ gv)
-        + 0.5 * params.mu * float(dx @ dx)
-        - params.mu_over_L * float(gv @ dx)
-    )
+    energy = _energy(gv, dx, params)
     f_x = energy / (1.0 - params.mu_over_L)
     return WitnessValues(f_x=f_x, f_star=0.0, energy=energy)

@@ -86,17 +86,13 @@ class UnsupportedPatternError(ValueError):
 class KnownFunction:
     """A fully known summand: a convex quadratic 1/2 (x-c)^T A (x-c).
 
-    Only the gradient is ever consulted, so other differentiable convex
-    models can slot in later by matching the gradient() contract.
+    Only the gradient is ever consulted.
     """
 
     matrix: np.ndarray
     center: np.ndarray
-    kind: str = "quadratic"
 
     def __post_init__(self):
-        if self.kind != "quadratic":
-            raise ValueError(f"unsupported known-function kind {self.kind!r}")
         a = np.asarray(self.matrix, dtype=float)
         c = as_vec(self.center)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -728,10 +724,16 @@ def rasterize_region(
         raise DimensionMismatchError("rasters are 2-d only")
     xmin, xmax, ymin, ymax = bbox = tuple(map(float, bbox))
     nx, ny = resolution = tuple(map(int, resolution))
+    if not np.all(np.isfinite(bbox)):
+        raise ValueError("bbox values must be finite")
     if not (xmin < xmax and ymin < ymax):
         raise ValueError("bbox must satisfy xmin < xmax and ymin < ymax")
     if nx < 1 or ny < 1:
         raise ValueError("resolution must be at least 1x1")
+    centers = _cell_centers(bbox, resolution)
+    # a finite bbox can still be wider than the largest float
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("cell centers must be finite")
     name, kernel = _kernel(scenario, predicate)
-    states, margins, fired = kernel(_cell_centers(bbox, resolution), tol_coefficient())
+    states, margins, fired = kernel(centers, tol_coefficient())
     return RegionRaster(bbox, resolution, name, states, margins, fired)

@@ -164,6 +164,18 @@ def test_region_writes_outputs(capsys, tmp_path, bounded_path):
     assert svg_path.read_text().startswith("<?xml")
 
 
+def test_region_rejects_non_finite_bbox(capsys, tmp_path, smooth_path):
+    # used to exit 0 and write inf,0.25,boundary,nan,0 rows
+    csv_path = tmp_path / "o.csv"
+    bbox = ("0", "inf", "0", "1")
+    code, out, err = run(
+        capsys, "region", smooth_path, "--bbox", *bbox, "--res", "2", "2", "--out", str(csv_path)
+    )
+    assert code == 64
+    assert out == "" and "finite" in err
+    assert not csv_path.exists()
+
+
 def test_region_deterministic_across_workers(capsys, tmp_path, smooth_path):
     outs = []
     for tag, workers in (("a", "1"), ("b", "4"), ("c", "1")):
@@ -256,11 +268,11 @@ def test_verify_random_ok(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert len(payload["runs"]) == 4
+    keys = {"points", "checked", "boundary_skipped", "indeterminate", "mismatches", "seed"}
     for r in payload["runs"]:
         assert r["checked"] + r["boundary_skipped"] + r["indeterminate"] == 40
-        # every outside verdict of the projection routes is certified by
-        # a separating direction, none by a plateau alone
-        assert r["uncertified"] == 0
+        # every checked verdict is certified, so there is no uncertified count
+        assert set(r) - {"necessity"} == keys
 
 
 def test_verify_requires_input(capsys):

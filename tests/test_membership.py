@@ -96,8 +96,6 @@ def test_known_function_validation():
         KnownFunction(-np.eye(2), vec(0, 0))
     with pytest.raises(ValueError, match="square"):
         KnownFunction(np.ones((2, 3)), vec(0, 0))
-    with pytest.raises(ValueError, match="kind"):
-        KnownFunction(np.eye(2), vec(0, 0), kind="cubic")
     k = KnownFunction(np.diag([2.0, 3.0]), vec(1.0, -1.0))
     assert np.allclose(k.gradient(vec(2.0, 0.0)), vec(2.0, 3.0))
 
@@ -634,6 +632,23 @@ def test_raster_input_validation(smooth_pair):
     )
     with pytest.raises(DimensionMismatchError):
         rasterize_region(sc3, (-1, 1, -1, 1), (4, 4))
+
+
+@pytest.mark.parametrize(
+    "bbox",
+    [
+        (0, math.inf, -1, 1),
+        (-math.inf, 0, -1, 1),
+        (0, 1, -1, math.inf),
+        # finite, but the cell width overflows to inf
+        (0, 1e308, -1e308, 1e308),
+    ],
+)
+def test_raster_rejects_non_finite_cells(smooth_pair, bbox):
+    # such a raster used to come back as boundary cells with inf
+    # centres and nan margins
+    with pytest.raises(ValueError, match="finite"):
+        rasterize_region(smooth_pair, bbox, (2, 2))
 
 
 # ------------------------------------------------- witnesses at the edges

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from minsum import _projection
+from minsum import _projection, oracle
 from minsum.cli import _sample_points
 from minsum.geometry import (
     Ball,
@@ -24,6 +24,8 @@ from minsum.membership import (
     member_two_nonsmooth_bounded,
 )
 from minsum.oracle import (
+    PROJECTION_MAX_ITER,
+    PROJECTION_TOL,
     FeasibilityProblem,
     cross_check,
     feasibility_by_projection,
@@ -290,26 +292,43 @@ def smooth_triple():
     )
 
 
+def batch_statuses(sc, pts):
+    """The batch solver's status of every gradient-set problem of
+    cross_check(sc, pts), at the tolerance cross_check uses; asserts that
+    each row is decided with a certificate, a separated one at
+    iteration 0."""
+    pts = np.asarray(pts, dtype=float)
+    balls, coupled = oracle._gradient_sets(sc, pts)
+    tol = PROJECTION_TOL * oracle._scale(sc, pts)
+    status, _, iters = _projection.batch_block_projection(
+        balls, coupled, tol, PROJECTION_MAX_ITER
+    )
+    assert set(status.tolist()) <= {"feasible", "separated"}
+    assert (iters[status == "separated"] == 0).all()
+    return status.tolist()
+
+
 def test_cross_check_triple_block_oracle():
     sc = smooth_triple()
     pts = np.random.default_rng(9).uniform(-2, 2, (25, 2))
     report = cross_check(sc, pts)
     assert report.ok, report.mismatches
-    # every point the block route finds infeasible is separated, so
-    # none rests on a plateau alone: uncertified stays 0
     assert report.checked + report.boundary_skipped + report.indeterminate == 25
     assert report.boundary_skipped == report.indeterminate == 0
-    outside = sum(evaluate(sc, p).state == OUTSIDE for p in pts)
-    assert outside > 0 and report.uncertified == 0
+    # every point the block route finds infeasible is separated in
+    # closed form before any iteration
+    outside = [evaluate(sc, p).state == OUTSIDE for p in pts]
+    assert any(outside)
+    assert [s == "separated" for s in batch_statuses(sc, pts)] == outside
 
 
-def test_cross_check_certified_gaps_are_not_uncertified(smooth_pair):
+def test_cross_check_far_smooth_pair_separated_at_iteration_zero(smooth_pair):
     # far points of a smooth pair have disjoint gradient balls: a
-    # closed-form gap certifies them, so none counts as uncertified
+    # closed-form gap certifies them before any iteration
     pts = np.array([[9.0, 9.0], [-8.0, 5.0], [7.0, -9.0]])
     report = cross_check(smooth_pair, pts)
     assert report.ok and report.checked == 3
-    assert report.uncertified == 0
+    assert batch_statuses(smooth_pair, pts) == ["separated"] * 3
 
 
 def test_cross_check_known_scenario(smooth_pair):
@@ -378,6 +397,8 @@ def test_cross_check_rejects_bad_points(smooth_pair):
         cross_check(smooth_pair, np.zeros((3, 3)))
     with pytest.raises(DimensionMismatchError):
         cross_check(smooth_pair, np.zeros(2))
+    with pytest.raises(DimensionMismatchError):
+        cross_check(smooth_pair, 5.0)
     with pytest.raises(ValueError, match="finite"):
         cross_check(smooth_pair, [[0.0, 0.0], [math.nan, 1.0]])
 
@@ -400,7 +421,7 @@ def oracle_counts(sc, pts):
     mismatches of an always-inside predicate."""
     r = cross_check(sc, pts)
     ruled_out = cross_check(sc, pts, predicate=lambda s, x: Verdict(INSIDE, 1.0)).mismatches
-    counts = (r.checked, r.boundary_skipped, r.indeterminate, r.uncertified, len(r.mismatches))
+    counts = (r.checked, r.boundary_skipped, r.indeterminate, len(r.mismatches))
     return counts, [m["point"] for m in ruled_out]
 
 
@@ -425,7 +446,7 @@ def test_cross_check_counts_do_not_depend_on_summand_order(make, seeds):
         flipped = Scenario(tuple(reversed(sc.summands)))
         counts, ruled_out = oracle_counts(sc, pts)
         assert oracle_counts(flipped, pts) == (counts, ruled_out), f"seed {seed}"
-        assert counts[4] == 0 and 0 < len(ruled_out) < 150, f"seed {seed}"
+        assert counts[-1] == 0 and 0 < len(ruled_out) < 150, f"seed {seed}"
 
 
 # --------------------------------------------------------- necessity sweep

@@ -29,6 +29,8 @@ def test_traced_names_resolve():
 
 
 def test_solver_statuses_have_oracle_verdicts():
+    # every batch verdict is certified or undecided: no plateau status
+    assert _projection._STATUS.tolist() == ["feasible", "separated", "cap"]
     # a new solver status must not reach cross_check as a KeyError
     missing = [s for s in _projection._STATUS.tolist() if s not in oracle._SOLVER_STATUS]
     assert missing == []
