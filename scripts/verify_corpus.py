@@ -14,15 +14,22 @@ compact JSON>`.  Two checkouts that decide alike print the same lines,
 so `diff` of their outputs checks a change to the oracle:
 
     python scripts/verify_corpus.py > corpus.txt
+
+With --times, each run's wall time in ms (`<run-id>\t<ms>`) and the
+total go to stderr; stdout is the same with or without it:
+
+    python scripts/verify_corpus.py --times > corpus.txt 2> times.txt
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,14 +67,27 @@ def random_runs():
         yield f"random/{seeds}x{points}", ["verify", "--random", "--seeds", seeds, "--points", points]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Replay the verify corpus.")
+    parser.add_argument(
+        "--times", action="store_true", help="write each run's wall time in ms to stderr"
+    )
+    args = parser.parse_args(argv)
+    total = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         for run_id, argv in [*preset_runs(tmp), *random_runs()]:
             buf = io.StringIO()
+            start = time.perf_counter()
             with contextlib.redirect_stdout(buf):
                 cli.main([str(a) for a in argv])
+            ms = (time.perf_counter() - start) * 1e3
+            total += ms
             compact = json.dumps(json.loads(buf.getvalue()), separators=(",", ":"))
             print(f"{run_id}\t{compact}", flush=True)
+            if args.times:
+                print(f"{run_id}\t{ms:.3f}", file=sys.stderr)
+    if args.times:
+        print(f"total\t{total:.3f}", file=sys.stderr)
     return 0
 
 

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -41,7 +42,17 @@ EXIT_UNSUPPORTED = 66
 _STATE_CODES = {INSIDE: EXIT_INSIDE, OUTSIDE: EXIT_OUTSIDE, BOUNDARY: EXIT_BOUNDARY}
 
 
+# argparse's own pattern (-1, -.5) misses exponents, so it would take
+# -1e3 for an option flag
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # sub-commands are _Parsers too, so every numeric argument is covered
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse normally exits 2 on usage errors; 2 means "boundary" here
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -99,21 +99,29 @@ class KnownFunction:
             raise ValueError("matrix must be square")
         if a.shape[0] != c.shape[0]:
             raise DimensionMismatchError("matrix and center dimensions differ")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        eps = eps_for(a)
-        if float(np.abs(a - a.T).max()) > eps:
-            raise ValueError("matrix must be symmetric")
-        a = 0.5 * (a + a.T)
-        if float(np.linalg.eigvalsh(a).min()) < -eps:
-            raise ValueError("matrix must be positive semidefinite")
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", _checked_matrices(a[None])[0])
         object.__setattr__(self, "center", c)
 
     def gradient(self, x) -> np.ndarray:
         xv = as_vec(x)
         check_same_dim(xv, self.center)
         return self.matrix @ (xv - self.center)
+
+
+def _checked_matrices(a: np.ndarray) -> np.ndarray:
+    """A (..., n, n) stack of matrices, symmetrized, after KnownFunction's
+    checks on each: finite entries, and symmetric and positive
+    semidefinite within the matrix's eps_for."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    eps = tol_coefficient() * (1.0 + np.abs(a).max(axis=(-2, -1)))
+    a_t = np.swapaxes(a, -1, -2)
+    if (np.abs(a - a_t).max(axis=(-2, -1)) > eps).any():
+        raise ValueError("matrix must be symmetric")
+    a = 0.5 * (a + a_t)
+    if (np.linalg.eigvalsh(a).min(axis=-1) < -eps).any():
+        raise ValueError("matrix must be positive semidefinite")
+    return a
 
 
 @dataclass(frozen=True, eq=False)

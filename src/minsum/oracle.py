@@ -3,7 +3,9 @@
 Three routes that do not share algebra with the predicates:
 
 * random quadratic instances whose exact sum minimizer is computable,
-  probing the necessity direction of every membership test;
+  probing the necessity direction of every membership test; each seed
+  draws from its own stream, and the instances of all seeds are built,
+  validated and solved as stacked arrays;
 * cyclic-projection feasibility of the per-summand gradient sets, built
   as arrays over all points and solved in one batch, probing sufficiency
   for the smooth and mixed patterns; the balls of all but the last
@@ -17,12 +19,14 @@ Three routes that do not share algebra with the predicates:
   The solver sits in membership, whose bounded-pair witness is its
   argmin; it shares no algebra with the three-clause test it checks.
 
-cross_check reads every verdict from one run of the routed kernel, and
-every oracle verdict it counts is certified: a projection row the
-iteration cap leaves undecided counts as indeterminate.
+cross_check and necessity_sweep each read every verdict from one run of
+the routed kernel.  Every oracle verdict cross_check counts is
+certified: a projection row the iteration cap leaves undecided counts as
+indeterminate.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -64,53 +68,108 @@ class QuadraticInstance:
     exact_minimizer: np.ndarray
 
 
+def _orthogonal(g: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization of each matrix of a (..., n, n) stack,
+    with the sign of R's diagonal fixed, so equal draws give equal Q."""
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
 def random_orthogonal(n: int, rng) -> np.ndarray:
-    """Haar-ish orthogonal matrix from a QR factorization with the sign
-    of R's diagonal fixed, so equal seeds give equal matrices."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+    """Haar-ish orthogonal matrix from one standard normal draw."""
+    return _orthogonal(rng.standard_normal((n, n)))
+
+
+def _draw(unknown, n: int, rng) -> list:
+    """One instance's draws from rng, in the order they are taken: per
+    unknown summand an (n, n) standard normal matrix, then its n
+    eigenvalues, uniform in [mu, L]."""
+    out = []
+    for s in unknown:
+        out += [rng.standard_normal((n, n)), rng.uniform(s.params.mu, s.params.L, n)]
+    return out
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, as the dot product of the row with
+    itself, like the norm of a single vector."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _solve_rows(total: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve total @ x = rhs for each row; a singular row gives NaN."""
+    try:
+        return np.linalg.solve(total, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the stacked call: solve row by row
+        x = np.full(rhs.shape, math.nan)
+        for i, (a, b) in enumerate(zip(total, rhs)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[i] = np.linalg.solve(a, b[:, None])[:, 0]
+        return x
+
+
+def _instances(scenario: Scenario, seeds: list):
+    """The matrices (S, u, n, n) of the u unknown summands and the exact
+    sum minimizers (S, n) of one quadratic instance per seed.
+
+    Each seed draws from its own stream (_draw).  The matrices of all
+    seeds are built, validated and solved as stacks: the minimizer solves
+    (sum A_i) x = sum A_i c_i over every summand, known ones included.
+    When every modulus is zero the sum can be singular; such a seed
+    redraws from its stream, up to 64 times, so each instance is a
+    deterministic function of its seed alone.
+    """
+    unknown = scenario.unknown_summands
+    if not all(s.params.is_smooth for s in unknown):
+        raise UnsupportedPatternError(
+            "quadratic instances need finite L on every unknown summand"
+        )
+    n, u = scenario.dim, len(unknown)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    matrices = np.empty((len(rngs), u, n, n))
+    minimizers = np.empty((len(rngs), n))
+    todo = np.arange(len(rngs))
+    for _ in range(64):
+        draws = [_draw(unknown, n, rngs[i]) for i in todo.tolist()]
+        g = np.reshape([d[0::2] for d in draws], (len(todo), u, n, n))
+        spectra = np.reshape([d[1::2] for d in draws], (len(todo), u, 1, n))
+        q = _orthogonal(g)
+        mats = membership._checked_matrices((q * spectra) @ np.swapaxes(q, -1, -2))
+        total = np.zeros((len(todo), n, n))
+        rhs = np.zeros((len(todo), n))
+        column = iter(range(u))
+        for s in scenario.summands:
+            if s.known is not None:
+                a, c = s.known.matrix, s.known.center
+            else:
+                a, c = mats[:, next(column)], s.x_star
+            total = total + a
+            rhs = rhs + a @ c
+        x = _solve_rows(total, rhs)
+        resid = _row_norms((total @ x[..., None])[..., 0] - rhs)
+        scale = 1.0 + _row_norms(rhs) + np.abs(total).max(axis=(-2, -1))
+        ok = np.isfinite(x).all(axis=-1) & ~(resid > 1e-8 * scale)
+        matrices[todo[ok]] = mats[ok]
+        minimizers[todo[ok]] = x[ok]
+        todo = todo[~ok]
+        if not len(todo):
+            return matrices, minimizers
+    raise ValueError("could not draw a nonsingular instance; are all moduli zero?")
 
 
 def sample_quadratic_instance(scenario: Scenario, seed: int) -> QuadraticInstance:
-    """Draw one quadratic per unknown summand with Hessian spectrum inside
-    [mu_i, L_i] and center x_i*; known summands keep their own matrix.
-
-    The exact minimizer solves (sum A_i) x = sum A_i c_i.  When every
-    modulus is zero the sum can be singular; such draws are rejected and
-    redrawn from the same stream, keeping the result a deterministic
-    function of the seed.
-    """
-    for s in scenario.unknown_summands:
-        if not s.params.is_smooth:
-            raise UnsupportedPatternError(
-                "quadratic instances need finite L on every unknown summand"
-            )
-    rng = np.random.default_rng(seed)
-    n = scenario.dim
-    for _ in range(64):
-        funcs = []
-        for s in scenario.summands:
-            if s.known is not None:
-                funcs.append(s.known)
-                continue
-            q = random_orthogonal(n, rng)
-            spectrum = rng.uniform(s.params.mu, s.params.L, n)
-            funcs.append(KnownFunction((q * spectrum) @ q.T, s.x_star))
-        total = np.zeros((n, n))
-        rhs = np.zeros(n)
-        for f in funcs:
-            total = total + f.matrix
-            rhs = rhs + f.matrix @ f.center
-        try:
-            x = np.linalg.solve(total, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        resid = float(np.linalg.norm(total @ x - rhs))
-        scale = 1.0 + float(np.linalg.norm(rhs)) + float(np.abs(total).max())
-        if not np.all(np.isfinite(x)) or resid > 1e-8 * scale:
-            continue
-        return QuadraticInstance(tuple(funcs), x)
-    raise ValueError("could not draw a nonsingular instance; are all moduli zero?")
+    """One quadratic per unknown summand with Hessian spectrum inside
+    [mu_i, L_i] and center x_i*, known summands keeping their own
+    matrix, and the exact sum minimizer: the instance of seed in
+    necessity_sweep, drawn as a batch of one."""
+    (mats,), (x,) = _instances(scenario, [seed])
+    unknown = iter(mats)
+    funcs = tuple(
+        s.known if s.known is not None else KnownFunction(next(unknown), s.x_star)
+        for s in scenario.summands
+    )
+    return QuadraticInstance(funcs, x)
 
 
 # ---------------------------------------------------------------------------
@@ -396,26 +455,31 @@ def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
 
 def necessity_sweep(scenario: Scenario, seeds) -> dict:
     """For each seed, draw a quadratic instance and require its exact sum
-    minimizer to land inside the closed-form set."""
-    worst = math.inf
-    failures = []
-    count = 0
+    minimizer to land inside the closed-form set.
+
+    The instances of all seeds are drawn as stacked arrays and their
+    minimizers judged by one kernel run.  A minimizer fails when it is
+    outside by more than the boundary band, scaled as in cross_check
+    with the minimizer as the only point; failures are listed in seed
+    order.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        return {"instances": 0, "worst_margin": math.inf, "failures": []}
+    _, x = _instances(scenario, seeds)
+    codes, margins, _ = membership._kernel(scenario, None)[1](x, tol_coefficient())
     band = PROJECTION_TOL * BOUNDARY_BAND_FACTOR
-    for seed in seeds:
-        inst = sample_quadratic_instance(scenario, seed)
-        v = membership.evaluate(scenario, inst.exact_minimizer)
-        count += 1
-        worst = min(worst, v.margin)
-        scale = _scale(scenario, [inst.exact_minimizer]) * _margin_weight(scenario)
-        if v.state == OUTSIDE and v.margin < -band * scale:
-            failures.append(
-                {
-                    "seed": int(seed),
-                    "minimizer": [float(t) for t in inst.exact_minimizer],
-                    "margin": v.margin,
-                }
-            )
-    return {"instances": count, "worst_margin": worst, "failures": failures}
+    # _scale of each minimizer alone: the larger of max(1, |x_i*|) and |x|
+    scale = np.maximum(_scale(scenario, x[:0]), np.linalg.norm(x, axis=1))
+    outside = codes == STATE_NAMES.index(OUTSIDE)
+    failed = outside & (margins < -band * (scale * _margin_weight(scenario)))
+    failures = [
+        {"seed": int(seeds[i]), "minimizer": x[i].tolist(), "margin": float(margins[i])}
+        for i in np.flatnonzero(failed).tolist()
+    ]
+    # min over the margins from inf, as a running min(worst, margin) would
+    worst = min([math.inf, *margins.tolist()])
+    return {"instances": len(seeds), "worst_margin": worst, "failures": failures}
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,32 @@ def test_parser_reused_across_calls(capsys, smooth_path):
     assert json.loads(out)["predicate_used"] == "two_smooth"
 
 
+@pytest.mark.parametrize("exp, plain", [("-1e-3", "-0.001"), ("-1E+0", "-1"), ("-.5e1", "-5")])
+def test_check_takes_negative_exponent_coordinates(capsys, smooth_path, exp, plain):
+    # argparse's own negative-number pattern has no exponent, so -1e-3
+    # was taken for an option flag and --point got no argument
+    code, out, err = run(capsys, "check", smooth_path, "--point", exp, "0")
+    assert (code, out, err) == run(capsys, "check", smooth_path, "--point", plain, "0")
+    assert err == "" and json.loads(out)["state"] in ("inside", "outside")
+
+
+def test_flag_after_a_coordinate_list_still_parses(capsys, smooth_path):
+    for point in (("1", "0"), ("-1e-3", "0")):
+        code, out, _ = run(capsys, "check", smooth_path, "--point", *point, "--predicate", "two_smooth")
+        assert code in (0, 1) and json.loads(out)["predicate_used"] == "two_smooth"
+    code, _, err = run(capsys, "check", smooth_path, "--point", "1", "-e3")
+    assert code == 64 and "unrecognized arguments: -e3" in err
+
+
 # ------------------------------------------------------------------- region
+
+
+def test_region_takes_negative_exponent_bbox(capsys, smooth_path):
+    code, out, err = run(capsys, "region", smooth_path, "--bbox", "-1e3", "1e3", "-1", "1", "--res", "2", "2")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "region", smooth_path, "--bbox", "-1000", "1000", "-1", "1", "--res", "2", "2")[1]
+    assert json.loads(out)["cells"] == 4
+
 
 
 def test_region_writes_outputs(capsys, tmp_path, bounded_path):

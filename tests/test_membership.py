@@ -98,6 +98,30 @@ def test_known_function_validation():
         KnownFunction(np.ones((2, 3)), vec(0, 0))
     k = KnownFunction(np.diag([2.0, 3.0]), vec(1.0, -1.0))
     assert np.allclose(k.gradient(vec(2.0, 0.0)), vec(2.0, 3.0))
+    # asymmetry within eps is averaged away
+    a = np.array([[2.0, 1.0 + 1e-12], [1.0, 3.0]])
+    assert KnownFunction(a, vec(0, 0)).matrix.tobytes() == (0.5 * (a + a.T)).tobytes()
+
+
+def test_checked_matrices_judge_each_matrix_of_a_stack():
+    # the stacked checks behind KnownFunction: one eps per matrix, so a
+    # large matrix in the stack does not widen a small one's tolerance
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((3, 4, 3, 3))
+    stack = g @ np.swapaxes(g, -1, -2) * np.array([1e-3, 1.0, 1e3, 1e6])[:, None, None]
+    checked = membership._checked_matrices(stack)
+    for a, c in zip(stack.reshape(-1, 3, 3), checked.reshape(-1, 3, 3)):
+        assert KnownFunction(a, vec(0, 0, 0)).matrix.tobytes() == c.tobytes()
+    # each defect is far beyond the small matrix's eps and far within the
+    # eps of the 1e6-scaled ones
+    skew = stack[0, 1].copy()
+    skew[0, 1] += 1e-6
+    for bad, msg in ((skew, "symmetric"), (-1e-6 * np.eye(3), "semidefinite"),
+                     (np.full((3, 3), math.nan), "finite")):
+        broken = stack.copy()
+        broken[0, 1] = bad
+        with pytest.raises(ValueError, match=msg):
+            membership._checked_matrices(broken)
 
 
 # -------------------------------------------------------------- two smooth

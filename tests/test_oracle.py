@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from minsum import _projection, oracle
+from minsum import _projection, membership, oracle
 from minsum.cli import _sample_points
 from minsum.geometry import (
     Ball,
@@ -89,6 +89,10 @@ def test_sampled_instance_uses_known_matrices(smooth_pair):
 def test_sampled_instance_rejects_nonsmooth(mixed_pair):
     with pytest.raises(UnsupportedPatternError):
         sample_quadratic_instance(mixed_pair, seed=0)
+    k = KnownFunction(np.eye(2), vec(0.0, 1.0))
+    with_known = Scenario((Summand(k.center, ClassParams(1.0, 2.0), k), *mixed_pair.summands))
+    with pytest.raises(UnsupportedPatternError, match="finite L"):
+        sample_quadratic_instance(with_known, seed=0)
 
 
 # -------------------------------------------------- projection feasibility
@@ -450,6 +454,163 @@ def test_cross_check_counts_do_not_depend_on_summand_order(make, seeds):
 
 
 # --------------------------------------------------------- necessity sweep
+
+
+def reference_instance(scenario, seed):
+    """(functions, exact minimizer) of seed, drawn the way necessity_sweep
+    drew it before its batch: one QR, KnownFunction and solve per draw,
+    and a redraw from the same stream when the sum is singular."""
+    rng = np.random.default_rng(seed)
+    n = scenario.dim
+    for _ in range(64):
+        funcs = []
+        for s in scenario.summands:
+            if s.known is not None:
+                funcs.append(s.known)
+                continue
+            q, r = np.linalg.qr(rng.standard_normal((n, n)))
+            q = q * np.sign(np.diag(r))
+            spectrum = rng.uniform(s.params.mu, s.params.L, n)
+            funcs.append(KnownFunction((q * spectrum) @ q.T, s.x_star))
+        total = np.zeros((n, n))
+        rhs = np.zeros(n)
+        for f in funcs:
+            total = total + f.matrix
+            rhs = rhs + f.matrix @ f.center
+        try:
+            x = np.linalg.solve(total, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        resid = float(np.linalg.norm(total @ x - rhs))
+        scale = 1.0 + float(np.linalg.norm(rhs)) + float(np.abs(total).max())
+        if not np.all(np.isfinite(x)) or resid > 1e-8 * scale:
+            continue
+        return funcs, x
+    raise ValueError("could not draw a nonsingular instance")
+
+
+def reference_sweep(scenario, seeds):
+    """necessity_sweep one seed at a time: one evaluate and one _scale
+    per instance."""
+    worst = math.inf
+    failures = []
+    count = 0
+    band = PROJECTION_TOL * oracle.BOUNDARY_BAND_FACTOR
+    for seed in seeds:
+        _, x = reference_instance(scenario, seed)
+        v = evaluate(scenario, x)
+        count += 1
+        worst = min(worst, v.margin)
+        scale = oracle._scale(scenario, [x]) * oracle._margin_weight(scenario)
+        if v.state == OUTSIDE and v.margin < -band * scale:
+            failures.append(
+                {"seed": int(seed), "minimizer": [float(t) for t in x], "margin": v.margin}
+            )
+    return {"instances": count, "worst_margin": worst, "failures": failures}
+
+
+def with_known(sc, seed):
+    """sc with a known quadratic in place of its second summand."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((sc.dim, sc.dim))
+    first, s, *rest = sc.summands
+    k = KnownFunction(0.5 * a @ a.T + 0.1 * np.eye(sc.dim), s.x_star + 0.1)
+    return Scenario((first, Summand(s.x_star, s.params, k), *rest))
+
+
+SWEEP_CASES = [
+    *(pytest.param(random_smooth_scenario(k, n=n), id=f"{n}d_{k}") for n in (2, 3, 8) for k in range(4)),
+    *(pytest.param(with_known(random_smooth_scenario(k, n=n), k), id=f"known_{n}d_{k}")
+      for n in (2, 3) for k in range(3)),
+]
+
+
+@pytest.mark.parametrize("sc", SWEEP_CASES)
+def test_batched_sweep_matches_per_seed_reference(sc):
+    seeds = range(1000, 1025)
+    assert repr(necessity_sweep(sc, seeds)) == repr(reference_sweep(sc, seeds))
+    mats, x = oracle._instances(sc, list(seeds))
+    for seed, m, row in zip(seeds, mats, x):
+        funcs, ref = reference_instance(sc, seed)
+        assert row.tobytes() == ref.tobytes(), f"seed {seed}"
+        drawn = [f.matrix for f, s in zip(funcs, sc.summands) if s.known is None]
+        assert m.tobytes() == np.array(drawn).tobytes(), f"seed {seed}"
+    # sample_quadratic_instance is the batch on one seed
+    inst = sample_quadratic_instance(sc, seeds[-1])
+    assert inst.exact_minimizer.tobytes() == ref.tobytes()
+    for f, g in zip(inst.functions, funcs):
+        assert f.matrix.tobytes() == g.matrix.tobytes()
+
+
+def test_random_orthogonal_matches_reference():
+    for n in (1, 2, 3, 8):
+        q, r = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+        ref = q * np.sign(np.diag(r))
+        assert random_orthogonal(n, np.random.default_rng(n)).tobytes() == ref.tobytes()
+
+
+def test_necessity_sweep_no_seeds(smooth_pair, mixed_pair):
+    empty = {"instances": 0, "worst_margin": math.inf, "failures": []}
+    assert necessity_sweep(smooth_pair, []) == empty
+    # as before the batch: no instance is drawn, so no pattern is rejected
+    assert necessity_sweep(mixed_pair, iter(())) == empty
+
+
+def test_singular_first_draw_is_redrawn_from_its_stream(monkeypatch):
+    # seed 7's first draw gets all-zero spectra: the matrices sum to zero,
+    # the stacked solve fails, and seed 7 alone redraws
+    sc = random_smooth_scenario(3)
+    make = np.random.default_rng
+    unperturbed = sample_quadratic_instance(sc, 7).exact_minimizer
+
+    class FlatFirstDraw:
+        def __init__(self, seed):
+            self.rng = make(seed)
+            self.flat = len(sc.unknown_summands) if seed == 7 else 0
+
+        def standard_normal(self, shape):
+            return self.rng.standard_normal(shape)
+
+        def uniform(self, low, high, size):
+            v = self.rng.uniform(low, high, size)
+            if self.flat:
+                self.flat -= 1
+                return 0.0 * v
+            return v
+
+    monkeypatch.setattr(np.random, "default_rng", FlatFirstDraw)
+    seeds = range(5, 10)
+    assert repr(necessity_sweep(sc, seeds)) == repr(reference_sweep(sc, seeds))
+    redrawn = sample_quadratic_instance(sc, 7).exact_minimizer
+    assert redrawn.tobytes() == reference_instance(sc, 7)[1].tobytes()
+    assert not np.array_equal(redrawn, unperturbed)
+
+
+def test_sweep_failures_in_seed_order(monkeypatch):
+    # a kernel that calls every minimizer right of x = 0 outside
+    real = membership._kernel
+
+    def right_half_outside(scenario, predicate):
+        name, kernel = real(scenario, predicate)
+
+        def run(points, coef):
+            codes, margins, fired = kernel(points, coef)
+            right = points[:, 0] > 0.0
+            return np.where(right, 0, codes), np.where(right, -1.0 - abs(margins), margins), fired
+
+        return name, run
+
+    monkeypatch.setattr(membership, "_kernel", right_half_outside)
+    sc = random_smooth_scenario(5)
+    seeds = [9, 3, *range(20, 40)]
+    out = necessity_sweep(sc, seeds)
+    assert repr(out) == repr(reference_sweep(sc, seeds))
+    failed = [f["seed"] for f in out["failures"]]
+    assert 0 < len(failed) < len(seeds)
+    assert failed == [s for s in seeds if s in failed]
+    for f in out["failures"]:
+        assert list(f) == ["seed", "minimizer", "margin"]
+        assert f["minimizer"][0] > 0.0 and f["margin"] < -1.0
 
 
 def test_necessity_sweep_clean(smooth_pair):

@@ -2,18 +2,23 @@
 by key: a renamed or missing one would only surface when a run stops."""
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from minsum import _projection, oracle
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load(ROOT / "perfbench" / "tracing.py", "perfbench_tracing")
 
 
 def test_traced_names_resolve():
@@ -34,3 +39,20 @@ def test_solver_statuses_have_oracle_verdicts():
     # a new solver status must not reach cross_check as a KeyError
     missing = [s for s in _projection._STATUS.tolist() if s not in oracle._SOLVER_STATUS]
     assert missing == []
+
+
+def test_verify_corpus_times_go_to_stderr_only(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script prepends to it
+    corpus = load(ROOT / "scripts" / "verify_corpus.py", "verify_corpus")
+    runs = [("random/1x5", ["verify", "--random", "--seeds", 1, "--points", 5])]
+    monkeypatch.setattr(corpus, "preset_runs", lambda tmp: iter(()))
+    monkeypatch.setattr(corpus, "random_runs", lambda: iter(runs))
+    assert corpus.main([]) == 0
+    plain = capsys.readouterr()
+    assert corpus.main(["--times"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.out.startswith("random/1x5\t{")
+    assert plain.err == ""
+    lines = [line.split("\t") for line in timed.err.splitlines()]
+    assert [tag for tag, _ in lines] == ["random/1x5", "total"]
+    assert float(lines[0][1]) == float(lines[1][1]) > 0.0
