@@ -19,6 +19,14 @@ With --times, each run's wall time in ms (`<run-id>\t<ms>`) and the
 total go to stderr; stdout is the same with or without it:
 
     python scripts/verify_corpus.py --times > corpus.txt 2> times.txt
+
+With --projection-stats, each run's calls of the batched projection
+solver are summed on stderr as `<run-id>\t<JSON>`: rows by status, the
+batch calls, the loop iterations (a call loops until its slowest row is
+decided) and the most iterations of any row; a `total` line follows.
+stdout is again the same:
+
+    python scripts/verify_corpus.py --projection-stats > corpus.txt 2> stats.txt
 """
 from __future__ import annotations
 
@@ -31,12 +39,13 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
-from minsum import cli  # noqa: E402
+from minsum import _projection, cli  # noqa: E402
 
 SEEDS = (0, 1009, 7)
 CYCLES = 8
@@ -67,14 +76,46 @@ def random_runs():
         yield f"random/{seeds}x{points}", ["verify", "--random", "--seeds", seeds, "--points", points]
 
 
+def projection_stats(batches) -> dict:
+    """Rows by status, batch calls, loop iterations and the most
+    iterations of one row, over batch_block_projection results."""
+    stats = dict.fromkeys(_projection._STATUS.tolist(), 0)
+    loop = longest = 0
+    for status, _, iterations in batches:
+        for s in status.tolist():
+            stats[s] += 1
+        slowest = int(iterations.max(initial=0))
+        loop += slowest
+        longest = max(longest, slowest)
+    return {**stats, "batches": len(batches), "loop_iterations": loop,
+            "max_row_iterations": longest}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Replay the verify corpus.")
     parser.add_argument(
         "--times", action="store_true", help="write each run's wall time in ms to stderr"
     )
+    parser.add_argument(
+        "--projection-stats", action="store_true",
+        help="write each run's batched projection rows and iterations to stderr",
+    )
     args = parser.parse_args(argv)
     total = 0.0
-    with tempfile.TemporaryDirectory() as tmp:
+    batches, every = [], []
+    solve = _projection.batch_block_projection
+
+    def recorded(*a):
+        out = solve(*a)
+        batches.append(out)
+        return out
+
+    patch = (
+        mock.patch.object(_projection, "batch_block_projection", recorded)
+        if args.projection_stats
+        else contextlib.nullcontext()
+    )
+    with tempfile.TemporaryDirectory() as tmp, patch:
         for run_id, argv in [*preset_runs(tmp), *random_runs()]:
             buf = io.StringIO()
             start = time.perf_counter()
@@ -86,8 +127,14 @@ def main(argv=None) -> int:
             print(f"{run_id}\t{compact}", flush=True)
             if args.times:
                 print(f"{run_id}\t{ms:.3f}", file=sys.stderr)
+            if args.projection_stats:
+                print(f"{run_id}\t{json.dumps(projection_stats(batches))}", file=sys.stderr)
+                every += batches
+                batches.clear()
     if args.times:
         print(f"total\t{total:.3f}", file=sys.stderr)
+    if args.projection_stats:
+        print(f"total\t{json.dumps(projection_stats(every))}", file=sys.stderr)
     return 0
 
 

@@ -12,15 +12,22 @@ arrays in Balls and HalfSpaces: cross_check hands it every projection
 problem of one run.  A sum of balls is a ball, so each row's gap is
 known in closed form before the loop, and a row infeasible by more
 than the solver's margin leaves at once, separated.  Every other row
-follows the scalar rules step for step, with the flat problem as the
-one-block case, and so keeps the scalar call's status and iteration
-count.  Single problems stay on the faster scalar solvers.
+follows the scalar iteration step for step, with the flat problem as the
+one-block case.  Every few iterations a row also tries points along its
+last step, each followed by one plain step, and leaves when one of them
+lies within tol of every set: near tangency the plain iterates crawl
+toward the intersection, and such a point reaches it far sooner.  So a
+row the scalar call finds feasible is feasible here in at most the
+scalar's iterations, and a row the scalar call leaves at the cap may be
+found feasible.  Single problems stay on the faster scalar solvers.
 
-Status strings: "feasible" when the residual drops below tol;
-"separated" (batch only) when the closed-form gap certifies an empty
-intersection; "stagnated" (scalar only) when the residual plateaus well
-above tol (strong numerical evidence of an empty intersection, but not
-a certificate); "cap" when the iteration budget runs out undecided.
+Status strings: "feasible" when the residual of the iterate, or of a
+point tried along its step, drops below tol (an explicit point within
+tol of every set); "separated" (batch only) when the closed-form gap
+certifies an empty intersection; "stagnated" (scalar only) when the
+residual plateaus well above tol (strong numerical evidence of an empty
+intersection, but not a certificate); "cap" when the iteration budget
+runs out undecided.
 The batch needs no plateau test: a row the gap leaves in the loop is
 infeasible by at most its margin, too little for a plateau.
 """
@@ -129,13 +136,18 @@ class _RowSets:
     Arrays are given row first, (N, n) or (N, k, n) with one set per row
     (and block), and stored transposed, coordinates first."""
 
+    def _map(self, f):
+        out = object.__new__(type(self))
+        out.__dict__ = {name: f(a) for name, a in self.__dict__.items()}
+        return out
+
     def take(self, keep):
         """The rows where the boolean mask keep is set."""
-        out = object.__new__(type(self))
-        out.__dict__ = {
-            name: np.compress(keep, a, axis=-1) for name, a in self.__dict__.items()
-        }
-        return out
+        return self._map(lambda a: np.compress(keep, a, axis=-1))
+
+    def repeat(self, rows, count):
+        """The rows in the slice rows, each repeated count times."""
+        return self._map(lambda a: np.repeat(a[..., rows], count, axis=-1))
 
     def distance(self, g):
         return np.maximum(0.0, self.signed_distance(g))
@@ -188,6 +200,16 @@ class HalfSpaces(_RowSets):
 
 _STATUS = np.array(["feasible", "separated", "cap"])
 
+# every _EXTRAPOLATE iterations each row also tries the points one step
+# after z + m (z - z_prev), m in _STRETCH: near tangency the steps shrink
+# while keeping their direction, so one of these points comes within tol
+# of every set long before the plain iterates do.  At most
+# _CANDIDATE_FLOATS candidate coordinates are held at a time, so memory
+# stays flat however many rows a batch has
+_EXTRAPOLATE = 8
+_STRETCH = 1.25 ** np.arange(1, 80)
+_CANDIDATE_FLOATS = 1 << 16
+
 
 def _block_sum(a):
     """a summed over its block axis (second to last), left to right."""
@@ -195,6 +217,40 @@ def _block_sum(a):
     for i in range(1, a.shape[-2]):
         out = out + a[..., i, :]
     return out
+
+
+def _step(balls, coupled, z):
+    """One round of the block iteration: each block onto its ball, then
+    the block sum onto the coupled set, the correction spread evenly over
+    the k blocks.  With k = 1 the coupled projection replaces the block
+    vector outright."""
+    k = z.shape[1]
+    z = balls.project(z)
+    t = _block_sum(z)
+    p = coupled.project(t)
+    return p[:, None] if k == 1 else z + ((p - t) / k)[:, None]
+
+
+def _row_violation(balls, coupled, z):
+    """Each row's largest distance: of the block sum from the coupled
+    set, and of each block from its ball."""
+    return np.maximum(coupled.distance(_block_sum(z)), balls.distance(z).max(axis=0))
+
+
+def _extrapolated(balls, coupled, z, step):
+    """Each row's smallest _row_violation over the points one _step
+    after z + m step, m in _STRETCH."""
+    dim, k, n_rows = z.shape
+    count = len(_STRETCH)
+    chunk = max(1, _CANDIDATE_FLOATS // (count * dim * k))
+    best = np.empty(n_rows)
+    for lo in range(0, n_rows, chunk):
+        rows = slice(lo, lo + chunk)
+        w = (z[..., rows, None] + step[..., rows, None] * _STRETCH).reshape(dim, k, -1)
+        b, c = balls.repeat(rows, count), coupled.repeat(rows, count)
+        v = _row_violation(b, c, _step(b, c, w))
+        best[rows] = v.reshape(-1, count).min(axis=1)
+    return best
 
 
 def batch_block_projection(balls, coupled, tol: float, max_iter: int):
@@ -217,13 +273,19 @@ def batch_block_projection(balls, coupled, tol: float, max_iter: int):
     else ends at the "cap"; it leaves the batch once it is decided, and
     N = 0 returns at once.
 
+    The loop's iterates are those of the scalar solver.  At every
+    _EXTRAPOLATE-th iteration each row still in the loop also tries, with
+    one vectorized call, the points one _step after z + m (z - z_prev)
+    for m in _STRETCH, z_prev being its previous iterate.  A row whose
+    best such point lies within tol of every set leaves as "feasible",
+    with that point's residual: the same certificate as a plain iterate,
+    from the oracle's own sets alone.  A row the scalar solver finds
+    feasible is thus feasible in at most its iterations, and a row it
+    leaves at the cap may be found feasible too.
+
     Returns (status, residual, iterations), arrays of N entries.
     """
     dim, k, _ = balls.centres.shape
-
-    def max_violation():
-        return np.maximum(coupled.distance(_block_sum(z)), balls.distance(z).max(axis=0))
-
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = coupled.signed_distance(_block_sum(balls.centres)) - _block_sum(balls.radii)
         separated = gap > (k + 1) * tol
@@ -236,15 +298,17 @@ def batch_block_projection(balls, coupled, tol: float, max_iter: int):
             return _STATUS[status], residual, iterations
         balls, coupled = balls.take(~separated), coupled.take(~separated)
         z = balls.project(np.zeros((dim, k, len(rows))))
-        res = max_violation()
+        res = _row_violation(balls, coupled, z)
         for it in range(max_iter + 1):
             if it:
-                z = balls.project(z)
-                t = _block_sum(z)
-                p = coupled.project(t)
-                z = p[:, None] if k == 1 else z + ((p - t) / k)[:, None]
-                res = max_violation()
+                prev, z = z, _step(balls, coupled, z)
+                res = _row_violation(balls, coupled, z)
             done = res <= tol
+            if it and it % _EXTRAPOLATE == 0:
+                best = _extrapolated(balls, coupled, z, z - prev)
+                jump = ~done & (best <= tol)
+                res = np.where(jump, best, res)
+                done |= jump
             if np.count_nonzero(done):
                 finished = rows[done]
                 status[finished] = 0

@@ -102,6 +102,15 @@ class KnownFunction:
         object.__setattr__(self, "matrix", _checked_matrices(a[None])[0])
         object.__setattr__(self, "center", c)
 
+    @classmethod
+    def _checked(cls, matrix: np.ndarray, center: np.ndarray) -> KnownFunction:
+        """A KnownFunction of a matrix that _checked_matrices returned and
+        a validated center, which the constructor would check again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", matrix)
+        object.__setattr__(out, "center", center)
+        return out
+
     def gradient(self, x) -> np.ndarray:
         xv = as_vec(x)
         check_same_dim(xv, self.center)

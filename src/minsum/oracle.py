@@ -11,8 +11,9 @@ Three routes that do not share algebra with the predicates:
   for the smooth and mixed patterns; the balls of all but the last
   unknown sum to one ball, whose closed-form gap to the last one's set
   certifies each infeasible row, as an explicit point within tolerance
-  certifies each feasible one (membership writes its witnesses in
-  closed form);
+  of every set certifies each feasible one; that point is an iterate or
+  a point tried along an extrapolated step, and reads nothing of the
+  predicates (membership writes its witnesses in closed form);
 * a tiny QP (minimum gradient norm under two strong-convexity
   constraints) solved by KKT case enumeration, probing the bounded
   two-nonsmooth pattern: x* is a member iff the optimum is at most B^2.
@@ -166,7 +167,7 @@ def sample_quadratic_instance(scenario: Scenario, seed: int) -> QuadraticInstanc
     (mats,), (x,) = _instances(scenario, [seed])
     unknown = iter(mats)
     funcs = tuple(
-        s.known if s.known is not None else KnownFunction(next(unknown), s.x_star)
+        s.known if s.known is not None else KnownFunction._checked(next(unknown), s.x_star)
         for s in scenario.summands
     )
     return QuadraticInstance(funcs, x)

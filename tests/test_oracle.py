@@ -540,6 +540,23 @@ def test_batched_sweep_matches_per_seed_reference(sc):
     assert inst.exact_minimizer.tobytes() == ref.tobytes()
     for f, g in zip(inst.functions, funcs):
         assert f.matrix.tobytes() == g.matrix.tobytes()
+        assert f.center.tobytes() == g.center.tobytes()
+
+
+def test_sampled_instance_checks_its_matrices_once(monkeypatch):
+    # the stack is checked as a whole; its matrices are not checked again
+    # one by one when they become KnownFunctions
+    calls = []
+    checked = membership._checked_matrices
+
+    def spy(a):
+        calls.append(a.shape)
+        return checked(a)
+
+    monkeypatch.setattr(membership, "_checked_matrices", spy)
+    inst = sample_quadratic_instance(random_smooth_scenario(2, m=4, n=3), 5)
+    assert calls == [(1, 4, 3, 3)]
+    assert all(isinstance(f, KnownFunction) for f in inst.functions)
 
 
 def test_random_orthogonal_matches_reference():

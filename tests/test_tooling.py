@@ -2,6 +2,7 @@
 by key: a renamed or missing one would only surface when a run stops."""
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -56,3 +57,38 @@ def test_verify_corpus_times_go_to_stderr_only(capsys, monkeypatch):
     lines = [line.split("\t") for line in timed.err.splitlines()]
     assert [tag for tag, _ in lines] == ["random/1x5", "total"]
     assert float(lines[0][1]) == float(lines[1][1]) > 0.0
+
+
+def test_verify_corpus_projection_stats_go_to_stderr_only(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    corpus = load(ROOT / "scripts" / "verify_corpus.py", "verify_corpus")
+    runs = [
+        ("random/1x10", ["verify", "--random", "--seeds", 1, "--points", 10]),
+        ("random/2x20", ["verify", "--random", "--seeds", 2, "--points", 20]),
+    ]
+    monkeypatch.setattr(corpus, "preset_runs", lambda tmp: iter(()))
+    monkeypatch.setattr(corpus, "random_runs", lambda: iter(runs))
+    solve = _projection.batch_block_projection
+    assert corpus.main([]) == 0
+    plain = capsys.readouterr()
+    assert corpus.main(["--projection-stats"]) == 0
+    stats = capsys.readouterr()
+    assert stats.out == plain.out and plain.err == ""
+    # the solver is unwrapped again after the run
+    assert _projection.batch_block_projection is solve
+    lines = [line.split("\t") for line in stats.err.splitlines()]
+    assert [tag for tag, _ in lines] == ["random/1x10", "random/2x20", "total"]
+    first, second, total = (json.loads(v) for _, v in lines)
+    assert list(total) == [
+        "feasible", "separated", "cap", "batches", "loop_iterations", "max_row_iterations"
+    ]
+    # every point of these runs is a projection row
+    assert [sum(r[s] for s in ("feasible", "separated", "cap")) for r in (first, second)] == [
+        10, 20
+    ]
+    for key in ("feasible", "separated", "cap", "batches", "loop_iterations"):
+        assert total[key] == first[key] + second[key]
+    assert total["max_row_iterations"] == max(
+        first["max_row_iterations"], second["max_row_iterations"]
+    )
+    assert 0 < second["max_row_iterations"] <= second["loop_iterations"]
