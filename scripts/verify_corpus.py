@@ -21,10 +21,8 @@ total go to stderr; stdout is the same with or without it:
     python scripts/verify_corpus.py --times > corpus.txt 2> times.txt
 
 With --projection-stats, each run's calls of the batched projection
-solver are summed on stderr as `<run-id>\t<JSON>`: rows by status, the
-batch calls, the loop iterations (a call loops until its slowest row is
-decided) and the most iterations of any row; a `total` line follows.
-stdout is again the same:
+solver are summed on stderr as `<run-id>\t<JSON>`: rows by status and
+the batch calls; a `total` line follows.  stdout is again the same:
 
     python scripts/verify_corpus.py --projection-stats > corpus.txt 2> stats.txt
 """
@@ -77,18 +75,13 @@ def random_runs():
 
 
 def projection_stats(batches) -> dict:
-    """Rows by status, batch calls, loop iterations and the most
-    iterations of one row, over batch_block_projection results."""
+    """Rows by status and batch calls, over batch_block_projection
+    results."""
     stats = dict.fromkeys(_projection._STATUS.tolist(), 0)
-    loop = longest = 0
-    for status, _, iterations in batches:
+    for status, _ in batches:
         for s in status.tolist():
             stats[s] += 1
-        slowest = int(iterations.max(initial=0))
-        loop += slowest
-        longest = max(longest, slowest)
-    return {**stats, "batches": len(batches), "loop_iterations": loop,
-            "max_row_iterations": longest}
+    return {**stats, "batches": len(batches)}
 
 
 def main(argv=None) -> int:
@@ -98,7 +91,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--projection-stats", action="store_true",
-        help="write each run's batched projection rows and iterations to stderr",
+        help="write each run's batched projection rows by status to stderr",
     )
     args = parser.parse_args(argv)
     total = 0.0

@@ -6,14 +6,15 @@ Three routes that do not share algebra with the predicates:
   probing the necessity direction of every membership test; each seed
   draws from its own stream, and the instances of all seeds are built,
   validated and solved as stacked arrays;
-* cyclic-projection feasibility of the per-summand gradient sets, built
-  as arrays over all points and solved in one batch, probing sufficiency
-  for the smooth and mixed patterns; the balls of all but the last
-  unknown sum to one ball, whose closed-form gap to the last one's set
-  certifies each infeasible row, as an explicit point within tolerance
-  of every set certifies each feasible one; that point is an iterate or
-  a point tried along an extrapolated step, and reads nothing of the
-  predicates (membership writes its witnesses in closed form);
+* projection feasibility of the per-summand gradient sets, built as
+  arrays over all points and decided in one batch, probing sufficiency
+  for the smooth and mixed patterns.  The balls of all but the last
+  unknown sum to one ball, and both verdicts come from that ball-sum
+  algebra in closed form: its gap to the last unknown's set certifies
+  each infeasible row, and a point written from it, within tolerance of
+  every set, each feasible one.  The feasible point thus comes from the
+  same algebra as the gap; only its certificate, the point's distance
+  from each set, reads the oracle's sets alone;
 * a tiny QP (minimum gradient norm under two strong-convexity
   constraints) solved by KKT case enumeration, probing the bounded
   two-nonsmooth pattern: x* is a member iff the optimum is at most B^2.
@@ -22,27 +23,19 @@ Three routes that do not share algebra with the predicates:
 
 cross_check and necessity_sweep each read every verdict from one run of
 the routed kernel.  Every oracle verdict cross_check counts is
-certified: a projection row the iteration cap leaves undecided counts as
-indeterminate.
+certified: a projection row whose closed-form point misses the tolerance
+by rounding is undecided, and counts as indeterminate.
 """
 from __future__ import annotations
 
 import contextlib
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import _projection, membership
-from .geometry import (
-    Ball,
-    DimensionMismatchError,
-    HalfSpace,
-    OUTSIDE,
-    check_same_dim,
-    tol_coefficient,
-)
+from .geometry import DimensionMismatchError, OUTSIDE, tol_coefficient
 from .interpolation import ClassParams
 from .membership import (
     STATE_NAMES,
@@ -56,7 +49,6 @@ from .membership import (
 )
 
 PROJECTION_TOL = 1e-8
-PROJECTION_MAX_ITER = 100_000
 BOUNDARY_BAND_FACTOR = 1e3
 
 
@@ -174,100 +166,6 @@ def sample_quadratic_instance(scenario: Scenario, seed: int) -> QuadraticInstanc
 
 
 # ---------------------------------------------------------------------------
-# projection feasibility
-
-
-@dataclass(frozen=True, eq=False)
-class FeasibilityProblem:
-    """Intersection test for a list of balls/half-spaces in gradient
-    space (the two-summand systems after the sum-zero elimination)."""
-
-    sets: tuple
-    max_iter: int = PROJECTION_MAX_ITER
-    tol: float = PROJECTION_TOL
-
-    def __post_init__(self):
-        ss = tuple(self.sets)
-        if not ss:
-            raise ValueError("need at least one constraint set")
-        check_same_dim(*(s.center if isinstance(s, Ball) else s.normal for s in ss))
-        object.__setattr__(self, "sets", ss)
-
-    @property
-    def dim(self) -> int:
-        s = self.sets[0]
-        return s.center.shape[0] if isinstance(s, Ball) else s.normal.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionResult:
-    status: str  # "feasible" | "infeasible" | "indeterminate"
-    certified: bool
-    point: np.ndarray | None
-    residual: float
-    iterations: int
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible"
-
-
-def _pairwise_gap(s1, s2) -> float:
-    """Closed-form distance between two constraint sets (0 when they
-    intersect); used only for certified infeasibility."""
-    if isinstance(s1, HalfSpace) and isinstance(s2, Ball):
-        s1, s2 = s2, s1
-    if isinstance(s1, Ball):
-        # the distance from the ball's centre to the other set, less the radius
-        return max(0.0, s2.distance(s1.center) - s1.radius)
-    # two half-spaces: disjoint only when anti-parallel with a gap
-    n1, n2 = s1._norm(), s2._norm()
-    if n1 == 0.0 or n2 == 0.0:
-        empty = (n1 == 0.0 and s1.offset < 0.0) or (n2 == 0.0 and s2.offset < 0.0)
-        return math.inf if empty else 0.0
-    if float(s1.normal @ s2.normal) / (n1 * n2) > -1.0 + 1e-12:
-        return 0.0
-    # along u = n1/|n1| = -n2/|n2|, H1 ends at offset1/|n1|, H2 starts at -offset2/|n2|
-    return max(0.0, -s1.offset / n1 - s2.offset / n2)
-
-
-def _certified_infeasibility(sets, tol: float):
-    """Residual of a closed-form infeasibility certificate (a pair of
-    sets more than tol apart, or an empty half-space), or None."""
-    # a set paired with itself has gap 0, or inf when it is empty
-    gaps = (_pairwise_gap(a, b) for a, b in combinations_with_replacement(sets, 2))
-    return next((gap for gap in gaps if gap > tol), None)
-
-
-# status of the projection solvers -> (member, reported status, certified)
-_SOLVER_STATUS = {
-    "feasible": (True, "feasible", True),
-    "separated": (False, "infeasible", True),
-    "stagnated": (False, "infeasible", False),
-    "cap": (None, "indeterminate", False),
-}
-
-
-def feasibility_by_projection(problem: FeasibilityProblem) -> ProjectionResult:
-    """Numerical stand-in for the geometric intersection arguments.
-
-    Feasibility is certified by an explicit point within tol of every
-    set.  Infeasibility is certified when some pair of sets has positive
-    closed-form distance; a residual plateau well above tol is reported
-    as infeasible too, but flagged uncertified.  Hitting the iteration
-    cap without a decision yields "indeterminate".
-    """
-    gap = _certified_infeasibility(problem.sets, problem.tol)
-    if gap is not None:
-        return ProjectionResult("infeasible", True, None, gap, 0)
-    status, point, residual, iterations = _projection.cyclic_projection(
-        list(problem.sets), problem.dim, problem.tol, problem.max_iter
-    )
-    _, reported, certified = _SOLVER_STATUS[status]
-    return ProjectionResult(reported, certified, point, residual, iterations)
-
-
-# ---------------------------------------------------------------------------
 # minimum-gradient-norm QP
 
 
@@ -286,9 +184,13 @@ class CrossCheckReport:
 
     Every point is checked, boundary_skipped or indeterminate, and each
     checked verdict is certified: a feasible projection by an explicit
-    point, an infeasible one by the closed-form gap between the sum of
-    the gradient balls and the coupled set, a containment by its signed
-    distance, and a bounded pair by the exact KKT QP.
+    point within tolerance of every set, an infeasible one by the
+    closed-form gap between the sum of the gradient balls and the
+    coupled set, a containment by its signed distance, and a bounded
+    pair by the exact KKT QP.  The feasible point is written in closed
+    form from the same ball sum as the gap; only the check of its
+    distances reads the gradient sets alone.  A projection row whose
+    point misses the tolerance by rounding is indeterminate.
     """
 
     total: int = 0
@@ -355,6 +257,15 @@ def _gradient_sets(scenario: Scenario, pts: np.ndarray):
     return _projection.Balls(centres, radii), _projection.HalfSpaces(d, offsets)
 
 
+# status of the batched projection solver -> (member, reported status);
+# an undecided row's member is None: cross_check counts it indeterminate
+_SOLVER_STATUS = {
+    "feasible": (True, "feasible"),
+    "separated": (False, "infeasible"),
+    "undecided": (None, "indeterminate"),
+}
+
+
 def _projection_outcomes(scenario: Scenario, pts, rows, tol: float, band: float) -> dict:
     """{row: (member or None when undecided, descriptor)} of the
     projection routes, all solved in one batch.  The containment route
@@ -371,12 +282,10 @@ def _projection_outcomes(scenario: Scenario, pts, rows, tol: float, band: float)
             if abs(t) > band
         }
     name = "projection" if k == 1 else "block_projection"
-    status, residual, _ = _projection.batch_block_projection(
-        balls, coupled, tol, PROJECTION_MAX_ITER
-    )
+    status, residual = _projection.batch_block_projection(balls, coupled, tol)
     out = {}
     for i, st, r in zip(rows.tolist(), status.tolist(), residual.tolist()):
-        member, reported, _ = _SOLVER_STATUS[st]
+        member, reported = _SOLVER_STATUS[st]
         out[i] = (member, {"oracle": name, "status": reported, "residual": r})
     return out
 

@@ -23,7 +23,6 @@ from minsum.geometry import (
     gram_matrix,
     tol_coefficient,
 )
-from minsum.oracle import _pairwise_gap
 
 coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 small = st.floats(-100, 100, allow_nan=False)
@@ -181,52 +180,6 @@ def test_halfspace_projection(normal, offset, point):
     if h._norm() > 1e-6:
         assert h.contains(p, eps=1e-7 * (1 + np.linalg.norm(p)))
         assert np.allclose(h.project(p), p, atol=1e-9)
-
-
-# ------------------------------------------ intersection gaps (the oracle's)
-
-
-def test_balls_intersect_margin_signs():
-    # the gap is max(0, -margin), margin = (r1 + r2) - |c1 - c2|
-    a = Ball(vec(0.0, 0.0), 1.0)
-    assert _pairwise_gap(a, Ball(vec(1.5, 0.0), 1.0)) == 0.0
-    assert _pairwise_gap(a, Ball(vec(2.0, 0.0), 1.0)) == pytest.approx(0.0)
-    assert _pairwise_gap(a, Ball(vec(3.0, 0.0), 1.0)) == pytest.approx(1.0)
-
-
-def test_ball_halfspace_margin_signs():
-    # the gap is -margin/|n|, margin = offset - (<n, c> - r|n|), when
-    # the margin is negative, and 0 otherwise; either argument order
-    b = Ball(vec(0.0, 0.0), 1.0)
-    # half-space x <= o
-    assert _pairwise_gap(b, HalfSpace(vec(1.0, 0.0), 0.0)) == 0.0
-    assert _pairwise_gap(b, HalfSpace(vec(1.0, 0.0), -1.0)) == pytest.approx(0.0)
-    assert _pairwise_gap(b, HalfSpace(vec(1.0, 0.0), -2.0)) == pytest.approx(1.0)
-    # scaling the normal scales the margin, not the gap
-    assert _pairwise_gap(HalfSpace(vec(2.0, 0.0), -4.0), b) == pytest.approx(1.0)
-
-
-@given(
-    st.lists(small, min_size=2, max_size=2),
-    radii,
-    st.lists(small, min_size=2, max_size=2),
-    radii,
-)
-def test_balls_margin_matches_pointwise_truth(c1, r1, c2, r2):
-    b1, b2 = Ball(np.array(c1), r1), Ball(np.array(c2), r2)
-    gap = _pairwise_gap(b1, b2)
-    assert gap == pytest.approx(_pairwise_gap(b2, b1))
-    scale = 1e-7 * (1 + max(map(abs, [*c1, *c2, r1, r2])))
-    if gap == 0.0:
-        # the point of b1 nearest c2 lies in b2
-        dist = np.linalg.norm(b1.center - b2.center)
-        if dist > 0:
-            w = b1.center + (b2.center - b1.center) * min(1.0, b1.radius / dist)
-        else:
-            w = b1.center
-        assert b2.distance(w) <= scale + b2.radius * 1e-12
-    if gap > scale:
-        assert b2.distance(b1.project(b2.center)) == pytest.approx(gap)
 
 
 # -------------------------------------------------------------- gram matrix

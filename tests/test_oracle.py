@@ -9,7 +9,6 @@ from minsum.geometry import (
     Ball,
     CoincidentPointsError,
     DimensionMismatchError,
-    HalfSpace,
     INSIDE,
     OUTSIDE,
     Verdict,
@@ -24,11 +23,8 @@ from minsum.membership import (
     member_two_nonsmooth_bounded,
 )
 from minsum.oracle import (
-    PROJECTION_MAX_ITER,
     PROJECTION_TOL,
-    FeasibilityProblem,
     cross_check,
-    feasibility_by_projection,
     necessity_sweep,
     qp_min_norm_gradient,
     qp_min_norm_gradient_solution,
@@ -95,84 +91,7 @@ def test_sampled_instance_rejects_nonsmooth(mixed_pair):
         sample_quadratic_instance(with_known, seed=0)
 
 
-# -------------------------------------------------- projection feasibility
-
-
-def test_projection_feasible_overlapping_balls():
-    prob = FeasibilityProblem(
-        (Ball(vec(0.0, 0.0), 1.0), Ball(vec(1.5, 0.0), 1.0)), tol=1e-9
-    )
-    res = feasibility_by_projection(prob)
-    assert res.status == "feasible" and res.certified
-    for s in prob.sets:
-        assert s.distance(res.point) <= 1e-8
-
-
-def test_projection_certified_infeasible_disjoint_balls():
-    prob = FeasibilityProblem(
-        (Ball(vec(0.0, 0.0), 1.0), Ball(vec(4.0, 0.0), 1.0)), tol=1e-9
-    )
-    res = feasibility_by_projection(prob)
-    assert res.status == "infeasible" and res.certified
-    assert res.residual == pytest.approx(2.0)
-    assert res.iterations == 0
-
-
-def test_projection_certified_infeasible_antiparallel_halfspaces():
-    # x <= -1 and x >= 1 cannot hold together
-    h1 = HalfSpace(vec(1.0, 0.0), -1.0)
-    h2 = HalfSpace(vec(-2.0, 0.0), -2.0)
-    res = feasibility_by_projection(FeasibilityProblem((h1, h2), tol=1e-9))
-    assert res.status == "infeasible" and res.certified
-    assert res.residual == pytest.approx(2.0)
-
-
-def test_projection_empty_halfspace():
-    empty = HalfSpace(vec(0.0, 0.0), -1.0)
-    res = feasibility_by_projection(
-        FeasibilityProblem((Ball(vec(0.0, 0.0), 1.0), empty), tol=1e-9)
-    )
-    assert res.status == "infeasible" and res.certified
-    assert res.residual == math.inf
-
-
-def test_projection_ball_halfspace_mixed():
-    ball = Ball(vec(0.0, 0.0), 1.0)
-    ok = feasibility_by_projection(
-        FeasibilityProblem((ball, HalfSpace(vec(1.0, 0.0), -0.5)), tol=1e-9)
-    )
-    assert ok.feasible
-    bad = feasibility_by_projection(
-        FeasibilityProblem((ball, HalfSpace(vec(1.0, 0.0), -1.5)), tol=1e-9)
-    )
-    assert bad.status == "infeasible" and bad.certified
-    assert bad.residual == pytest.approx(0.5)
-
-
-def test_projection_tangent_balls_loose_tolerance():
-    # touching balls: the iterates crawl toward the single common point,
-    # so a loose tolerance must succeed and land near the tangency
-    prob = FeasibilityProblem(
-        (Ball(vec(0.0, 0.0), 1.0), Ball(vec(2.0, 0.0), 1.0)),
-        tol=1e-3,
-        max_iter=200_000,
-    )
-    res = feasibility_by_projection(prob)
-    assert res.feasible
-    assert float(np.linalg.norm(res.point - vec(1.0, 0.0))) < 0.1
-
-
-def test_projection_uncertified_infeasible_needs_three_sets():
-    # pairwise intersecting but jointly empty: three balls around an
-    # empty core; the plateau detector flags it without a certificate
-    balls = (
-        Ball(vec(0.0, 0.0), 1.0),
-        Ball(vec(1.8, 0.0), 1.0),
-        Ball(vec(0.9, 1.55), 1.0),
-    )
-    res = feasibility_by_projection(FeasibilityProblem(balls, tol=1e-10))
-    assert res.status == "infeasible"
-    assert not res.certified
+# ---------------------------------------------- reference block projection
 
 
 def test_block_projection_simple_sum_system():
@@ -299,16 +218,12 @@ def smooth_triple():
 def batch_statuses(sc, pts):
     """The batch solver's status of every gradient-set problem of
     cross_check(sc, pts), at the tolerance cross_check uses; asserts that
-    each row is decided with a certificate, a separated one at
-    iteration 0."""
+    each row is decided with a certificate."""
     pts = np.asarray(pts, dtype=float)
     balls, coupled = oracle._gradient_sets(sc, pts)
     tol = PROJECTION_TOL * oracle._scale(sc, pts)
-    status, _, iters = _projection.batch_block_projection(
-        balls, coupled, tol, PROJECTION_MAX_ITER
-    )
+    status, _ = _projection.batch_block_projection(balls, coupled, tol)
     assert set(status.tolist()) <= {"feasible", "separated"}
-    assert (iters[status == "separated"] == 0).all()
     return status.tolist()
 
 

@@ -36,7 +36,7 @@ def test_traced_names_resolve():
 
 def test_solver_statuses_have_oracle_verdicts():
     # every batch verdict is certified or undecided: no plateau status
-    assert _projection._STATUS.tolist() == ["feasible", "separated", "cap"]
+    assert _projection._STATUS.tolist() == ["feasible", "separated", "undecided"]
     # a new solver status must not reach cross_check as a KeyError
     missing = [s for s in _projection._STATUS.tolist() if s not in oracle._SOLVER_STATUS]
     assert missing == []
@@ -79,16 +79,9 @@ def test_verify_corpus_projection_stats_go_to_stderr_only(capsys, monkeypatch):
     lines = [line.split("\t") for line in stats.err.splitlines()]
     assert [tag for tag, _ in lines] == ["random/1x10", "random/2x20", "total"]
     first, second, total = (json.loads(v) for _, v in lines)
-    assert list(total) == [
-        "feasible", "separated", "cap", "batches", "loop_iterations", "max_row_iterations"
-    ]
+    statuses = ["feasible", "separated", "undecided"]
+    assert list(total) == [*statuses, "batches"]
     # every point of these runs is a projection row
-    assert [sum(r[s] for s in ("feasible", "separated", "cap")) for r in (first, second)] == [
-        10, 20
-    ]
-    for key in ("feasible", "separated", "cap", "batches", "loop_iterations"):
+    assert [sum(r[s] for s in statuses) for r in (first, second)] == [10, 20]
+    for key in total:
         assert total[key] == first[key] + second[key]
-    assert total["max_row_iterations"] == max(
-        first["max_row_iterations"], second["max_row_iterations"]
-    )
-    assert 0 < second["max_row_iterations"] <= second["loop_iterations"]
