@@ -47,7 +47,6 @@ from .geometry import (
     as_vec,
     check_same_dim,
     cofactor_det,
-    eps_for,
     tol_coefficient,
 )
 from .interpolation import ClassParams
@@ -360,13 +359,74 @@ def _bounded_pair(points, coef, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
     return states, margins, fired
 
 
-def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
+def _qp_eps(points, a1, a2, mu1: float, mu2: float):
+    """eps_for(x, a1, a2, mu1, mu2) of each row x of points."""
+    scale = max(float(np.abs(a1).max()), float(np.abs(a2).max()), mu1, mu2)
+    return _eps(tol_coefficient(), scale, points.T)
+
+
+def _min_norm_qp(points, a1, a2, mu1: float, mu2: float, eps):
     """Minimize |g|^2 subject to
-        <g, x1 - x*> <= -mu1 |x* - x1|^2
-        <g, x* - x2> <= -mu2 |x* - x2|^2
-    by enumerating KKT active sets.  Returns (optimal value, argmin); the
-    value is inf when the two half-spaces are disjoint, which happens
-    only for x* on the colinear ray outside the segment [x1, x2].
+        <g, u> <= -mu1 |u|^2,  u = a1 - x
+        <g, v> <= -mu2 |v|^2,  v = x - a2
+    at each row x of points, by enumerating the KKT active sets: none,
+    u, v and both.  eps holds each row's tolerance (_qp_eps).  Returns
+    each row's optimal value, inf where the half-spaces are disjoint
+    (x on the colinear ray outside the segment [a1, a2]), and its argmin
+    (N, n), NaN where the value is inf.  Ties go to the first active set
+    in that order.
+    """
+    x = points.T
+    u = a1[:, None] - x
+    v = x - a2[:, None]
+    nu = _fold(u * u)
+    nv = _fold(v * v)
+    if (np.minimum(nu, nv) <= eps * eps).any():
+        raise CoincidentPointsError("x_star coincides with an anchor point")
+    bu = -mu1 * nu
+    bv = -mu2 * nv
+    ftol = eps * (1.0 + np.sqrt(np.maximum(nu, nv)))
+    g1 = (bu / nu) * u
+    g2 = (bv / nv) * v
+    g1v = _fold(g1 * v)
+    # both constraints active: g1 plus the multiple of w, the part of v
+    # orthogonal to u, that meets the v constraint too.  w comes from two
+    # Gram-Schmidt passes, not from the Gram determinant nu nv - <u, v>^2
+    # = nu |w|^2, which keeps nearly colinear rows within ftol of both
+    # constraints.  The point exists iff |w| > 0; a colinear row divides
+    # by 1 instead, and its candidate is not feasible
+    w = v - (_fold(u * v) / nu) * u
+    w = w - (_fold(u * w) / nu) * u
+    nw = _fold(w * w)
+    both = nw > 1e-14 * nv
+    g3 = g1 + ((bv - g1v) / np.where(both, nw, 1.0)) * w
+    # where the both-active point exists, a one-constraint candidate must
+    # meet the other constraint exactly, or it would win by its slack
+    slack = np.where(both, 0.0, ftol)
+    feasible = np.stack((
+        (bu >= -ftol) & (bv >= -ftol),
+        g1v <= bv + slack,
+        _fold(g2 * u) <= bu + slack,
+        both,
+    ))
+    values = [np.zeros_like(nu), _fold(g1 * g1), _fold(g2 * g2), _fold(g3 * g3)]
+    values = np.where(feasible, values, math.inf)
+    opt = values.min(axis=0)
+    g = np.choose(values.argmin(axis=0), (np.zeros_like(x), g1, g2, g3))
+    return opt, np.where(np.isinf(opt), math.nan, g).T
+
+
+def _pair_qp(points, s1: Summand, s2: Summand):
+    """_min_norm_qp of validated points against the anchors and moduli of
+    the bounded pair s1, s2."""
+    pair = s1.x_star, s2.x_star, s1.params.mu, s2.params.mu
+    return _min_norm_qp(points, *pair, _qp_eps(points, *pair))
+
+
+def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
+    """The KKT QP of _min_norm_qp at the one point x_star, against the
+    anchors x1 and x2.  Returns (optimal value, argmin), or (inf, None)
+    when the two half-spaces are disjoint.
     The argmin is the bounded pair's witness; the oracle compares the
     optimum with B^2, with no algebra shared with _bounded_pair.
     """
@@ -374,37 +434,10 @@ def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
     check_same_dim(xs, a1, a2)
     if mu1 < 0.0 or mu2 < 0.0:
         raise ValueError("moduli must be nonnegative")
-    eps = eps_for(xs, a1, a2, mu1, mu2)
-    u = a1 - xs
-    v = xs - a2
-    nu = float(u @ u)
-    nv = float(v @ v)
-    if nu <= eps * eps or nv <= eps * eps:
-        raise CoincidentPointsError("x_star coincides with an anchor point")
-    bu = -mu1 * nu
-    bv = -mu2 * nv
-    ftol = eps * (1.0 + math.sqrt(max(nu, nv)))
-    # the minimizer of each KKT active set that is feasible: none, u, v, both
-    candidates = []
-    if bu >= -ftol and bv >= -ftol:
-        candidates.append(np.zeros_like(xs))
-    g1 = (bu / nu) * u
-    if float(g1 @ v) <= bv + ftol:
-        candidates.append(g1)
-    g2 = (bv / nv) * v
-    if float(g2 @ u) <= bu + ftol:
-        candidates.append(g2)
-    dot = float(u @ v)
-    det = nu * nv - dot * dot
-    if det > 1e-14 * nu * nv:
-        # both constraints active; the 2x2 Gram system has a unique
-        # solution in span{u, v} and is feasible by construction
-        al = (bu * nv - bv * dot) / det
-        be = (bv * nu - bu * dot) / det
-        candidates.append(al * u + be * v)
-    if not candidates:
-        return math.inf, None
-    return min(((float(g @ g), g) for g in candidates), key=lambda pair: pair[0])
+    row = xs[None, :]
+    opt, g = _min_norm_qp(row, a1, a2, mu1, mu2, _qp_eps(row, a1, a2, mu1, mu2))
+    value = float(opt[0])
+    return (value, g[0]) if math.isfinite(value) else (math.inf, None)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +718,9 @@ def witness_gradients(scenario: Scenario, x_star):
     - half-space: g_i = c_i - r_i d_m/|d_m|, the ball's point of least
       <g, d_m>, leaves the nonsmooth summand m the kernel's margin;
     - bounded pair: g_1 = -g_2 is the min-norm QP's argmin or, at an
-      anchor (no clause fired), the other summand's base-cap gradient.
+      anchor (no clause fired), the other summand's base-cap gradient,
+      which a point admitted only by the tolerance band also takes when
+      the argmin exceeds the cap.
     """
     x = _point(x_star, scenario.summands[:1])
     name, kernel = _kernel(scenario, None)
@@ -697,9 +732,15 @@ def witness_gradients(scenario: Scenario, x_star):
     unknown = _nonsmooth_last(scenario.unknown_summands)
     if name == TWO_NONSMOOTH_BOUNDED:
         s1, s2 = unknown
+        g = None
         if verdict.fired_conditions & (COND_FIRST | COND_SECOND | COND_DET):
-            mu1, mu2 = s1.params.mu, s2.params.mu
-            grads = [qp_min_norm_gradient_solution(x, s1.x_star, s2.x_star, mu1, mu2)[1]]
+            g = _pair_qp(x[None, :], s1, s2)[1][0]
+            # admitted only by the tolerance band, x may have no gradient
+            # meeting both constraints within the cap; keep the cap then
+            if verdict.margin < 0.0 and not np.linalg.norm(g) <= scenario.bound_B:
+                g = None
+        if g is not None:
+            grads = [g]
         elif np.linalg.norm(x - s1.x_star) <= np.linalg.norm(x - s2.x_star):
             grads = [s2.params.mu * (s2.x_star - x)]
         else:

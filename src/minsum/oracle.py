@@ -18,8 +18,9 @@ Three routes that do not share algebra with the predicates:
 * a tiny QP (minimum gradient norm under two strong-convexity
   constraints) solved by KKT case enumeration, probing the bounded
   two-nonsmooth pattern: x* is a member iff the optimum is at most B^2.
-  The solver sits in membership, whose bounded-pair witness is its
-  argmin; it shares no algebra with the three-clause test it checks.
+  The solver is an array kernel in membership, run once over all
+  points; the bounded-pair witness is its argmin at one point.  It
+  shares no algebra with the three-clause test it checks.
 
 cross_check and necessity_sweep each read every verdict from one run of
 the routed kernel.  Every oracle verdict cross_check counts is
@@ -292,23 +293,20 @@ def _projection_outcomes(scenario: Scenario, pts, rows, tol: float, band: float)
 
 def _qp_outcomes(scenario: Scenario, pts, rows, band: float) -> dict:
     """{row: (member, descriptor)} of the min-norm QP: the point is a
-    member iff the optimum is at most B^2.  Points near an anchor or with
-    the optimum's root within band of B are skipped."""
+    member iff the optimum is at most B^2.  Points near an anchor are
+    skipped, the rest solved as one batch, and then those with the
+    optimum's root within band of B are skipped too."""
     s1, s2 = scenario.unknown_summands
     b = scenario.bound_B
-    out = {}
-    for i in rows.tolist():
-        x = pts[i]
-        if (
-            float(np.linalg.norm(x - s1.x_star)) <= band
-            or float(np.linalg.norm(x - s2.x_star)) <= band
-        ):
-            continue
-        opt = qp_min_norm_gradient(x, s1.x_star, s2.x_star, s1.params.mu, s2.params.mu)
-        if math.isfinite(opt) and abs(math.sqrt(opt) - b) <= band:
-            continue
-        out[i] = (opt <= b * b, {"oracle": "qp", "optimum": opt, "threshold": b * b})
-    return out
+    x = pts[rows]
+    far = (_row_norms(x - s1.x_star) > band) & (_row_norms(x - s2.x_star) > band)
+    rows, x = rows[far], x[far]
+    opt, _ = membership._pair_qp(x, s1, s2)
+    keep = ~(np.abs(np.sqrt(opt) - b) <= band)
+    return {
+        i: (o <= b * b, {"oracle": "qp", "optimum": o, "threshold": b * b})
+        for i, o in zip(rows[keep].tolist(), opt[keep].tolist())
+    }
 
 
 def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
@@ -323,9 +321,9 @@ def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
     inject a corrupted predicate.
 
     The points enter as one (N, n) array.  Their verdicts come from one
-    kernel run, and the gradient sets of the projection routes are built
-    as arrays and solved in one batch; the bounded pair's QP runs point
-    by point.  Mismatches are collected in point order.
+    kernel run, the gradient sets of the projection routes are built as
+    arrays and solved in one batch, and the bounded pair's QP is one run
+    of its KKT kernel.  Mismatches are collected in point order.
     """
     pts = _points(points, scenario.dim)
     report = CrossCheckReport(total=len(pts))

@@ -764,3 +764,30 @@ def test_witness_gradients_iff_admitted(make):
                 assert witness_gradients(sc, x) is None
             else:
                 _check_witnesses(sc, x)
+
+
+def test_witness_gradients_near_bounded_anchors():
+    # points x_i* + t dir within 1e-3 of an anchor of a bounded pair where
+    # a clause beyond the base caps fired.  An exactly admitted point
+    # takes the QP's argmin, which must meet both of its constraints, not
+    # one of them only to within the QP's tolerance.  A point admitted
+    # only by the tolerance band may have no such gradient within the
+    # cap; its witness keeps the cap
+    ts = np.logspace(-10, -3, 15)
+    checked = 0
+    for seed in range(60):
+        sc = random_two_nonsmooth_scenario(seed)
+        dirs = np.random.default_rng(seed).standard_normal((4, 2))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        steps = (ts[:, None, None] * dirs).reshape(-1, 2)
+        pts = np.concatenate([s.x_star + steps for s in sc.summands])
+        states, margins, fired = _kernel(sc, None)[1](pts, tol_coefficient())
+        near = (states > 0) & (fired & ~COND_BASE > 0)
+        for x, margin in zip(pts[near], margins[near]):
+            if margin >= 0.0:
+                _check_witnesses(sc, x)
+                checked += 1
+            else:
+                gs = witness_gradients(sc, x)
+                assert max(np.linalg.norm(gs, axis=1)) <= sc.bound_B * (1 + 1e-9)
+    assert checked > 2000

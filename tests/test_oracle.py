@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from minsum.geometry import (
     INSIDE,
     OUTSIDE,
     Verdict,
+    eps_for,
 )
 from minsum.interpolation import ClassParams
 from minsum.membership import (
@@ -191,6 +193,88 @@ def test_qp_agrees_with_predicate(bounded_pair):
         checked += 1
         assert (opt <= b * b) == v.admits, f"disagreement at {x}"
     assert checked > 350
+
+
+def _qp_rows(x, a1, a2, mu1, mu2):
+    """The KKT kernel's (optimum, argmin, eps) of the rows of x."""
+    eps = membership._qp_eps(x, a1, a2, mu1, mu2)
+    return (*membership._min_norm_qp(x, a1, a2, mu1, mu2, eps), eps)
+
+
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("mu1, mu2", [(1.3, 0.4), (0.0, 2.0), (0.0, 0.0)])
+def test_qp_kernel_rows_equal_one_row_calls(n, mu1, mu2):
+    rng = np.random.default_rng(n)
+    a1, a2 = rng.uniform(-2, 2, (2, n))
+    x = rng.uniform(-3, 3, (120, n))
+    # colinear rows inside and outside the segment, and rows near an anchor
+    x[:4] = a1 + np.array([-0.5, 0.3, 0.5, 1.7])[:, None] * (a2 - a1)
+    x[4:8] = a2 + 1e-7 * rng.standard_normal((4, n))
+    opt, g, eps = _qp_rows(x, a1, a2, mu1, mu2)
+    for i, xi in enumerate(x):
+        assert eps[i] == eps_for(xi, a1, a2, mu1, mu2)
+        value, gi = qp_min_norm_gradient_solution(xi, a1, a2, mu1, mu2)
+        assert np.float64(value).tobytes() == opt[i].tobytes()
+        if gi is None:
+            assert value == math.inf and np.isnan(g[i]).all()
+        else:
+            assert gi.tobytes() == g[i].tobytes()
+    order = rng.permutation(len(x))
+    for rows in (order, order[:1], order[:7], order[7:64]):
+        sub_opt, sub_g, _ = _qp_rows(x[rows], a1, a2, mu1, mu2)
+        assert sub_opt.tobytes() == opt[rows].tobytes()
+        assert sub_g.tobytes() == g[rows].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_qp_kernel_kkt_certificate(n):
+    # min |g|^2 s.t. <g, u> <= bu, <g, v> <= bv (u = x1 - x, v = x - x2)
+    # is convex, so feasibility, multipliers from 2g + l1 u + l2 v = 0 that
+    # are nonnegative, and complementary slackness certify its optimum;
+    # 5 x 2,000 rows
+    rng = np.random.default_rng(20 + n)
+    for _ in range(5):
+        a1, a2 = rng.uniform(-2, 2, (2, n))
+        mu1, mu2 = rng.uniform(0.0, 3.0, 2)
+        x = rng.uniform(-3, 3, (2000, n))
+        opt, g, eps = _qp_rows(x, a1, a2, mu1, mu2)
+        assert np.isfinite(opt).all()
+        assert np.allclose(opt, (g * g).sum(axis=1), rtol=1e-12, atol=0.0)
+        u, v = a1 - x, x - a2
+        nu, nv = (u * u).sum(1), (v * v).sum(1)
+        gu, gv = (g * u).sum(1), (g * v).sum(1)
+        bu, bv = -mu1 * nu, -mu2 * nv
+        ftol = eps * (1.0 + np.sqrt(np.maximum(nu, nv)))
+        assert (gu <= bu + ftol).all() and (gv <= bv + ftol).all()
+        # multipliers by least squares over the active constraints' columns
+        # only, so an inactive constraint's multiplier is 0 (complementary
+        # slackness)
+        active = np.stack((gu >= bu - ftol, gv >= bv - ftol), axis=1)
+        cols = np.stack((u, v), axis=-1) * active[:, None, :]
+        lam = (np.linalg.pinv(cols) @ (-2.0 * g)[..., None])[..., 0]
+        residual = np.linalg.norm(2.0 * g + (cols @ lam[..., None])[..., 0], axis=1)
+        scale = 1.0 + np.linalg.norm(g, axis=1)
+        assert (residual <= 1e-9 * scale).all()
+        assert (lam >= -1e-9 * scale[:, None]).all()
+        assert not lam[~active].any()
+
+
+def test_qp_kernel_degenerate_rows_without_warnings():
+    a1, a2 = vec(-1.0, 0.0), vec(1.0, 0.0)
+    # colinear inside the segment, outside it on either side, off the line
+    x = np.array([[0.0, 0.0], [3.0, 0.0], [-3.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opt, g, _ = _qp_rows(x, a1, a2, 1.0, 2.0)
+        assert opt[0] == 4.0 and np.array_equal(g[0], vec(2.0, 0.0))
+        assert opt[1] == opt[2] == math.inf and np.isnan(g[1:3]).all()
+        # mu1 = 0: only the second constraint binds, g = -mu2 v
+        opt, g, _ = _qp_rows(x, a1, a2, 0.0, 2.0)
+        assert opt[3] == 8.0 and np.array_equal(g[3], vec(2.0, -2.0))
+        assert opt[1] == math.inf and np.isnan(g[1]).all()
+        # both moduli zero: g = 0 meets both constraints everywhere
+        opt, g, _ = _qp_rows(x, a1, a2, 0.0, 0.0)
+        assert not opt.any() and not g.any()
 
 
 # ------------------------------------------------------------- cross check
