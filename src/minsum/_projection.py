@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import fold
+
 # residual is re-checked every window; a relative drop below STALL_FRACTION
 # over one window counts as a plateau.  1/k-style tails near tangency keep
 # shrinking faster than this until far beyond any sane cap, so genuinely
@@ -114,15 +116,6 @@ def block_cyclic_projection(block_sets, coupled, dim: int, tol: float, max_iter:
 # batched solver
 
 
-def _dot(a, b):
-    """<a, b> over the first (coordinate) axis, summed left to right, so
-    a row's value does not depend on how many rows there are."""
-    out = a[0] * b[0]
-    for j in range(1, a.shape[0]):
-        out = out + a[j] * b[j]
-    return out
-
-
 class _RowSets:
     """Set data with the coordinate axis first and the row axis last.
     Arrays are given row first, (N, n) or (N, k, n) with one set per row
@@ -142,12 +135,12 @@ class Balls(_RowSets):
     def signed_distance(self, g):
         """|g - centre| - radius, negative inside."""
         d = g - self.centres
-        return np.sqrt(_dot(d, d)) - self.radii
+        return np.sqrt(fold(d * d)) - self.radii
 
     def toward(self, g):
         """The unit vector from g toward the centre; zero at the centre."""
         d = self.centres - g
-        n = np.sqrt(_dot(d, d))
+        n = np.sqrt(fold(d * d))
         return d / np.where(n > 0.0, n, 1.0)
 
 
@@ -159,7 +152,7 @@ class HalfSpaces(_RowSets):
     def __init__(self, normals, offsets):
         self.normals = np.ascontiguousarray(np.asarray(normals, dtype=float).T)
         self.offsets = np.ascontiguousarray(np.asarray(offsets, dtype=float).T)
-        n2 = _dot(self.normals, self.normals)
+        n2 = fold(self.normals * self.normals)
         self._zero = n2 == 0.0
         # a zero normal has no direction: it divides by 1, so toward
         # gives 0.  Its signed distance is set apart: every point lies
@@ -170,7 +163,7 @@ class HalfSpaces(_RowSets):
 
     def signed_distance(self, g):
         """(<normal, g> - offset) / |normal|, negative inside."""
-        d = (_dot(self.normals, g) - self.offsets) / self._norm
+        d = (fold(self.normals * g) - self.offsets) / self._norm
         return np.where(self._zero, self._zero_signed, d)
 
     def toward(self, g):
@@ -181,18 +174,10 @@ class HalfSpaces(_RowSets):
 _STATUS = np.array(["feasible", "separated", "undecided"])
 
 
-def _block_sum(a):
-    """a summed over its block axis (second to last), left to right."""
-    out = a[..., 0, :]
-    for i in range(1, a.shape[-2]):
-        out = out + a[..., i, :]
-    return out
-
-
 def _row_violation(balls, coupled, z):
     """Each row's largest distance: of the block sum from the coupled
     set, and of each block from its ball."""
-    return np.maximum(coupled.distance(_block_sum(z)), balls.distance(z).max(axis=0))
+    return np.maximum(coupled.distance(fold(z, -2)), balls.distance(z).max(axis=0))
 
 
 def batch_block_projection(balls, coupled, tol: float):
@@ -233,7 +218,7 @@ def batch_block_projection(balls, coupled, tol: float):
     """
     k = balls.radii.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        centre, radius = _block_sum(balls.centres), _block_sum(balls.radii)
+        centre, radius = fold(balls.centres, -2), fold(balls.radii)
         signed = coupled.signed_distance(centre)
         gap = signed - radius
         delta = np.maximum(signed, 0.0)

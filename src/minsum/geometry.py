@@ -5,18 +5,20 @@ determinant.  Margins follow one convention throughout the package:
 nonnegative means feasible (sets intersect, point admitted), negative
 means infeasible, and the magnitude is the slack in the defining
 inequality.
+
+Every verdict is decided within one relative band, TOL * (1 + the
+largest finite input magnitude): row_eps gives it for each row of an
+array, eps_for for one set of values.  TOL is fixed; no setting changes
+it.
 """
 from __future__ import annotations
 
-import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-TOL_ENV_VAR = "MINSUM_TOL"
-_BASE_TOL = 1e-9
+TOL = 1e-9
 
 INSIDE = "inside"
 BOUNDARY = "boundary"
@@ -31,32 +33,36 @@ class CoincidentPointsError(ValueError):
     """A construction that needs distinct points received equal ones."""
 
 
-def tol_coefficient() -> float:
-    # MINSUM_TOL overrides the scale-free 1e-9 coefficient; test use only.
-    return _parse_tol(os.environ.get(TOL_ENV_VAR))
+def fold(a, axis: int = 0):
+    """a summed along axis left to right, a[0] + a[1] + ..., never by
+    np.sum or a BLAS product, so a row's result does not depend on how
+    many rows share the call."""
+    if axis:
+        a = a.swapaxes(0, axis)
+    out = a[0]
+    for part in a[1:]:
+        out = out + part
+    return out
 
 
-@functools.lru_cache(maxsize=8)
-def _parse_tol(raw: str | None) -> float:
-    # keyed on the raw string, so a changed environment is seen at once
-    try:
-        value = float(raw) if raw else _BASE_TOL
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{TOL_ENV_VAR} must be finite and nonnegative, got {raw!r}")
-    return value
+def row_eps(scale, *columns):
+    """The tolerance of each row: TOL * (1 + the largest magnitude among
+    the static scale and the row's finite entries of each column array,
+    shaped (n, N) with the N rows on the last axis)."""
+    for c in columns:
+        finite = np.isfinite(c)
+        scale = np.maximum(scale, np.abs(c).max(axis=0, initial=0.0, where=finite))
+    return TOL * (1.0 + scale)
 
 
 def eps_for(*values) -> float:
-    """Comparison tolerance: coefficient * (1 + largest finite magnitude).
+    """row_eps of one row holding every entry of values.
 
     Non-finite entries (an infinite smoothness constant, say) are ignored;
     they never enter a margin formula directly.
     """
     a = np.concatenate([np.asarray(v, dtype=float).ravel() for v in values] or [[]])
-    scale = float(np.abs(a).max(initial=0.0, where=np.isfinite(a)))
-    return tol_coefficient() * (1.0 + scale)
+    return float(row_eps(0.0, a[:, None])[0])
 
 
 def classify(margin: float, eps: float) -> str:
@@ -181,45 +187,7 @@ class HalfSpace:
         return g - (v / n2) * self.normal
 
 
-def gram_matrix(x_star, x1, x2, mu1: float, mu2: float, alpha: float) -> np.ndarray:
-    """The 3x3 symmetric matrix whose PSD-ness closes the bounded
-    two-nonsmooth membership test.
-
-    Rows/columns correspond to the unit directions x*-x1, x*-x2 and a
-    slot for a gradient of squared norm alpha.  Requires x* distinct from
-    both anchor points.
-    """
-    xs, a1, a2 = as_vec(x_star), as_vec(x1), as_vec(x2)
-    check_same_dim(xs, a1, a2)
-    if mu1 < 0.0 or mu2 < 0.0:
-        raise ValueError("strong convexity moduli must be nonnegative")
-    if alpha < 0.0:
-        raise ValueError("alpha is a squared norm and must be nonnegative")
-    d1 = xs - a1
-    d2 = xs - a2
-    r1 = float(np.linalg.norm(d1))
-    r2 = float(np.linalg.norm(d2))
-    eps = eps_for(xs, a1, a2)
-    if r1 <= eps or r2 <= eps:
-        raise CoincidentPointsError("x_star coincides with an anchor point")
-    c = float(d1 @ d2) / (r1 * r2)
-    return np.array(
-        [
-            [1.0, c, mu1 * r1],
-            [c, 1.0, -mu2 * r2],
-            [mu1 * r1, -mu2 * r2, alpha],
-        ]
-    )
-
-
-def gram_det(x_star, x1, x2, mu1: float, mu2: float, alpha: float) -> float:
-    """Determinant of gram_matrix, by explicit cofactor expansion."""
-    m = gram_matrix(x_star, x1, x2, mu1, mu2, alpha)
-    return cofactor_det(m[0, 1], m[0, 2], m[1, 2], alpha)
-
-
 def cofactor_det(c, a, b, alpha):
     """Determinant of [[1, c, a], [c, 1, b], [a, b, alpha]], expanded along
-    the first row.  Branch-free and elementwise on arrays, so the batch
-    kernel and gram_det share one bitwise reproducible formula."""
+    the first row.  Branch-free and elementwise on arrays."""
     return 1.0 * (1.0 * alpha - b * b) - c * (c * alpha - b * a) + a * (c * b - 1.0 * a)

@@ -164,11 +164,13 @@ def geometric_ball(x, x_star, params: ClassParams) -> Ball:
         raise ValueError("geometric ball needs a finite L")
     xv, sv = as_vec(x), as_vec(x_star)
     check_same_dim(xv, sv)
-    d = xv - sv
-    return Ball(
-        0.5 * (params.L + params.mu) * d,
-        0.5 * (params.L - params.mu) * float(np.linalg.norm(d)),
-    )
+    return Ball(*_gradient_ball(xv - sv, params))
+
+
+def _gradient_ball(d: np.ndarray, params: ClassParams):
+    """(centre, radius) of geometric_ball at d = x - x*, over validated d."""
+    radius = 0.5 * (params.L - params.mu) * float(np.linalg.norm(d))
+    return 0.5 * (params.L + params.mu) * d, radius
 
 
 def witness_values(x, g, x_star, params: ClassParams) -> WitnessValues:

@@ -43,13 +43,15 @@ from .geometry import (
     DimensionMismatchError,
     INSIDE,
     OUTSIDE,
+    TOL,
     Verdict,
     as_vec,
     check_same_dim,
     cofactor_det,
-    tol_coefficient,
+    fold,
+    row_eps,
 )
-from .interpolation import ClassParams
+from .interpolation import ClassParams, _gradient_ball
 
 COND_BASE = 1
 COND_FIRST = 2
@@ -122,7 +124,7 @@ def _checked_matrices(a: np.ndarray) -> np.ndarray:
     semidefinite within the matrix's eps_for."""
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    eps = tol_coefficient() * (1.0 + np.abs(a).max(axis=(-2, -1)))
+    eps = TOL * (1.0 + np.abs(a).max(axis=(-2, -1)))
     a_t = np.swapaxes(a, -1, -2)
     if (np.abs(a - a_t).max(axis=(-2, -1)) > eps).any():
         raise ValueError("matrix must be symmetric")
@@ -238,31 +240,14 @@ def _cell_centers(bbox, resolution) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# array kernels: an (N, n) array of points and the tolerance coefficient
-# in; state codes, margins and fired bits out, one entry per point.
-# Inside, arrays hold coordinates on their first axis and points on
-# their last, so _fold and the summand loops index the first axis.
-
-
-def _fold(a):
-    """a[0] + a[1] + ..., left to right along the first axis."""
-    out = a[0]
-    for part in a[1:]:
-        out = out + part
-    return out
+# array kernels: an (N, n) array of points in; state codes, margins and
+# fired bits out, one entry per point.  Inside, arrays hold coordinates
+# on their first axis and points on their last, so fold and the summand
+# loops index the first axis.
 
 
 def _norm(d):
-    return np.sqrt(_fold(d * d))
-
-
-def _eps(coef, scale, *columns):
-    """eps_for per point: coef * (1 + the largest magnitude among the
-    static scale and the point's finite entries of each (n, N) array)."""
-    for c in columns:
-        finite = np.isfinite(c)
-        scale = np.maximum(scale, np.abs(c).max(axis=0, initial=0.0, where=finite))
-    return coef * (1.0 + scale)
+    return np.sqrt(fold(d * d))
 
 
 def _classify(margins, eps):
@@ -274,12 +259,12 @@ def _known_gradient(x, known):
     """sum_k A_k (x - c_k) over the known quadratics, or None."""
     grad = None
     for a_t, c in known:
-        g = _fold(a_t * (x - c)[:, None, :])
+        g = fold(a_t * (x - c)[:, None, :])
         grad = g if grad is None else grad + g
     return grad
 
 
-def _ball_chain(points, coef, *, anchors, plus, minus, known, scale, total_in_eps):
+def _ball_chain(points, *, anchors, plus, minus, known, scale, total_in_eps):
     """margin = sum_i (L_i-mu_i)|d_i| - |2 sum_k grad_k(x) + sum_i (L_i+mu_i) d_i|
     over the smooth unknowns i (d_i = x - x_i*) and known summands k."""
     x = points.T
@@ -291,11 +276,11 @@ def _ball_chain(points, coef, *, anchors, plus, minus, known, scale, total_in_ep
         total = total + weighted
         slack = slack + s
     margins = slack - _norm(total)
-    eps = _eps(coef, scale, x, total) if total_in_eps else _eps(coef, scale, x)
+    eps = row_eps(scale, x, total) if total_in_eps else row_eps(scale, x)
     return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
 
 
-def _ball_halfspace(points, coef, *, anchors, plus, minus, known, scale,
+def _ball_halfspace(points, *, anchors, plus, minus, known, scale,
                     anchor_m, mu_m):
     """margin = sum_i (L_i-mu_i)/2 |d_i||d_m| - mu_m |d_m|^2
                 - <sum_k grad_k(x), d_m> - sum_i (L_i+mu_i)/2 <d_i, d_m>
@@ -306,34 +291,42 @@ def _ball_halfspace(points, coef, *, anchors, plus, minus, known, scale,
     margins = -mu_m * rm * rm
     grad = _known_gradient(x, known)
     if grad is not None:
-        margins = margins - _fold(grad * dm)
+        margins = margins - fold(grad * dm)
     d = x[:, None, :] - anchors
-    for gain, loss in zip(minus * _norm(d) * rm, plus * _fold(d * dm[:, None, :])):
+    for gain, loss in zip(minus * _norm(d) * rm, plus * fold(d * dm[:, None, :])):
         margins = margins + gain
         margins = margins - loss
-    eps = _eps(coef, scale, x) if grad is None else _eps(coef, scale, x, grad)
+    eps = row_eps(scale, x) if grad is None else row_eps(scale, x, grad)
     return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
 
 
-def _bounded_pair(points, coef, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
+def _bounded_pair(points, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
     """Two nonsmooth summands under a gradient cap |g_i| <= b.
 
     x belongs to the set iff both base norm caps mu_i |d_i| <= b hold
     and at least one of three clauses does: an alignment inequality in
     either direction, or nonnegativity of the 3x3 determinant that
-    certifies a unit-vector completion of the constraint system (see
-    geometry.gram_matrix).  fired records every satisfied clause.
+    certifies a unit-vector completion of the constraint system.  Its
+    rows and columns are the unit directions of d1 and d2 and a slot for
+    a gradient of squared norm b^2:
+
+        [[1,          cos,         mu1 |d1|],
+         [cos,        1,          -mu2 |d2|],
+         [mu1 |d1|,  -mu2 |d2|,    b^2     ]]
+
+    with cos the cosine between d1 and d2, expanded by cofactor_det.
+    fired records every satisfied clause.
     """
     # the anchors' own tolerance, so the answer does not depend on the points
-    if sep <= coef * (1.0 + scale):
+    if sep <= TOL * (1.0 + scale):
         raise CoincidentPointsError("summand minimizers coincide")
     x = points.T
-    eps = _eps(coef, scale, x)
+    eps = row_eps(scale, x)
     d1 = x - a1
     d2 = x - a2
     r1 = _norm(d1)
     r2 = _norm(d2)
-    dot = _fold(d1 * d2)
+    dot = fold(d1 * d2)
     cap1 = mu1 * r1
     cap2 = mu2 * r2
     base = np.minimum(b - cap1, b - cap2)
@@ -362,7 +355,7 @@ def _bounded_pair(points, coef, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
 def _qp_eps(points, a1, a2, mu1: float, mu2: float):
     """eps_for(x, a1, a2, mu1, mu2) of each row x of points."""
     scale = max(float(np.abs(a1).max()), float(np.abs(a2).max()), mu1, mu2)
-    return _eps(tol_coefficient(), scale, points.T)
+    return row_eps(scale, points.T)
 
 
 def _min_norm_qp(points, a1, a2, mu1: float, mu2: float, eps):
@@ -379,8 +372,8 @@ def _min_norm_qp(points, a1, a2, mu1: float, mu2: float, eps):
     x = points.T
     u = a1[:, None] - x
     v = x - a2[:, None]
-    nu = _fold(u * u)
-    nv = _fold(v * v)
+    nu = fold(u * u)
+    nv = fold(v * v)
     if (np.minimum(nu, nv) <= eps * eps).any():
         raise CoincidentPointsError("x_star coincides with an anchor point")
     bu = -mu1 * nu
@@ -388,16 +381,16 @@ def _min_norm_qp(points, a1, a2, mu1: float, mu2: float, eps):
     ftol = eps * (1.0 + np.sqrt(np.maximum(nu, nv)))
     g1 = (bu / nu) * u
     g2 = (bv / nv) * v
-    g1v = _fold(g1 * v)
+    g1v = fold(g1 * v)
     # both constraints active: g1 plus the multiple of w, the part of v
     # orthogonal to u, that meets the v constraint too.  w comes from two
     # Gram-Schmidt passes, not from the Gram determinant nu nv - <u, v>^2
     # = nu |w|^2, which keeps nearly colinear rows within ftol of both
     # constraints.  The point exists iff |w| > 0; a colinear row divides
     # by 1 instead, and its candidate is not feasible
-    w = v - (_fold(u * v) / nu) * u
-    w = w - (_fold(u * w) / nu) * u
-    nw = _fold(w * w)
+    w = v - (fold(u * v) / nu) * u
+    w = w - (fold(u * w) / nu) * u
+    nw = fold(w * w)
     both = nw > 1e-14 * nv
     g3 = g1 + ((bv - g1v) / np.where(both, nw, 1.0)) * w
     # where the both-active point exists, a one-constraint candidate must
@@ -406,10 +399,10 @@ def _min_norm_qp(points, a1, a2, mu1: float, mu2: float, eps):
     feasible = np.stack((
         (bu >= -ftol) & (bv >= -ftol),
         g1v <= bv + slack,
-        _fold(g2 * u) <= bu + slack,
+        fold(g2 * u) <= bu + slack,
         both,
     ))
-    values = [np.zeros_like(nu), _fold(g1 * g1), _fold(g2 * g2), _fold(g3 * g3)]
+    values = [np.zeros_like(nu), fold(g1 * g1), fold(g2 * g2), fold(g3 * g3)]
     values = np.where(feasible, values, math.inf)
     opt = values.min(axis=0)
     g = np.choose(values.argmin(axis=0), (np.zeros_like(x), g1, g2, g3))
@@ -518,7 +511,7 @@ def _point(x_star, summands, known=()) -> np.ndarray:
 
 
 def _one_point(kernel, x: np.ndarray) -> Verdict:
-    states, margins, fired = kernel(x[None, :], tol_coefficient())
+    states, margins, fired = kernel(x[None, :])
     return Verdict(STATE_NAMES[states[0]], float(margins[0]), int(fired[0]))
 
 
@@ -698,13 +691,6 @@ def focal_point(summands) -> np.ndarray:
     return out
 
 
-def _gradient_ball(x, s: Summand):
-    """(c, r) of the gradient ball B(c, r) of s at x; s has L < inf."""
-    d = x - s.x_star
-    p = s.params
-    return 0.5 * (p.L + p.mu) * d, 0.5 * (p.L - p.mu) * float(np.linalg.norm(d))
-
-
 def witness_gradients(scenario: Scenario, x_star):
     """Subgradients g_i certifying membership of x_star, or None when
     x_star is outside the set.
@@ -749,9 +735,10 @@ def witness_gradients(scenario: Scenario, x_star):
         dm = x - unknown[-1].x_star
         norm = float(np.linalg.norm(dm))
         u = dm / norm if norm > 0.0 else np.zeros_like(x)
-        grads = [c - r * u for c, r in (_gradient_ball(x, s) for s in unknown[:-1])]
+        grads = [c - r * u for c, r in (_gradient_ball(x - s.x_star, s.params)
+                                         for s in unknown[:-1])]
     else:
-        balls = [_gradient_ball(x, s) for s in unknown]
+        balls = [_gradient_ball(x - s.x_star, s.params) for s in unknown]
         big_c = sum((c for c, _ in balls), offset)
         big_r = sum(r for _, r in balls)
         grads = [c - (r / big_r) * big_c if big_r > 0.0 else c for c, r in balls[:-1]]
@@ -793,5 +780,5 @@ def rasterize_region(
     if not np.all(np.isfinite(centers)):
         raise ValueError("cell centers must be finite")
     name, kernel = _kernel(scenario, predicate)
-    states, margins, fired = kernel(centers, tol_coefficient())
+    states, margins, fired = kernel(centers)
     return RegionRaster(bbox, resolution, name, states, margins, fired)

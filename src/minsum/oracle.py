@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _projection, membership
-from .geometry import DimensionMismatchError, OUTSIDE, tol_coefficient
+from .geometry import DimensionMismatchError, OUTSIDE
 from .interpolation import ClassParams
 from .membership import (
     STATE_NAMES,
@@ -337,7 +337,7 @@ def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
         verdicts = [predicate(scenario, x) for x in pts]
         states, margins = [v.state for v in verdicts], [v.margin for v in verdicts]
     else:
-        codes, margins, _ = membership._kernel(scenario, predicate)[1](pts, tol_coefficient())
+        codes, margins, _ = membership._kernel(scenario, predicate)[1](pts)
         states, margins = [STATE_NAMES[c] for c in codes.tolist()], margins.tolist()
     rows = np.flatnonzero(~(np.abs(margins) <= band * _margin_weight(scenario)))
     if membership.route(scenario) == membership.TWO_NONSMOOTH_BOUNDED:
@@ -375,7 +375,7 @@ def necessity_sweep(scenario: Scenario, seeds) -> dict:
     if not seeds:
         return {"instances": 0, "worst_margin": math.inf, "failures": []}
     _, x = _instances(scenario, seeds)
-    codes, margins, _ = membership._kernel(scenario, None)[1](x, tol_coefficient())
+    codes, margins, _ = membership._kernel(scenario, None)[1](x)
     band = PROJECTION_TOL * BOUNDARY_BAND_FACTOR
     # _scale of each minimizer alone: the larger of max(1, |x_i*|) and |x|
     scale = np.maximum(_scale(scenario, x[:0]), np.linalg.norm(x, axis=1))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from minsum import cli, membership
+from minsum import cli, evaluate, membership
 from minsum.geometry import INSIDE
 from minsum.serialize import save_scenario
 
@@ -58,14 +58,20 @@ def test_check_boundary_exit_code(capsys, tmp_path):
     assert json.loads(out)["state"] == "boundary"
 
 
-@pytest.mark.parametrize("raw", ["nan", "-1e-9", "abc"])
-def test_check_rejects_bad_tolerance(capsys, monkeypatch, smooth_path, raw):
-    # a nan coefficient used to turn this outside point into a boundary one
+@pytest.mark.parametrize("raw", ["1e-3", "nan"])
+def test_tolerance_ignores_environment(capsys, monkeypatch, smooth_pair, smooth_path, raw):
+    # the tolerance coefficient is a constant, so no value of MINSUM_TOL
+    # changes a verdict: not nan, nor 1e-3, which would make boundary
+    # points of the two near (0.45, 1.1426), whose margins are under 1e-3
+    points = [("0.45", "0.0"), ("9", "9"), ("0.45", "1.1425"), ("0.45", "1.1427")]
+    monkeypatch.delenv("MINSUM_TOL", raising=False)
+    unset = [run(capsys, "check", smooth_path, "--point", *p) for p in points]
+    margins = [evaluate(smooth_pair, np.array(p, dtype=float)).margin for p in points]
+    assert [code for code, _, _ in unset] == [0, 1, 0, 1]
     monkeypatch.setenv("MINSUM_TOL", raw)
-    code, out, err = run(capsys, "check", smooth_path, "--point", "9", "9")
-    assert code == 64
-    assert out == ""
-    assert "MINSUM_TOL" in err
+    for p, before, margin in zip(points, unset, margins):
+        assert run(capsys, "check", smooth_path, "--point", *p) == before
+        assert evaluate(smooth_pair, np.array(p, dtype=float)).margin == margin
 
 
 def test_check_forced_predicate(capsys, smooth_path):
@@ -308,7 +314,7 @@ def test_verify_requires_input(capsys):
 def test_verify_flags_corrupted_predicate(capsys, monkeypatch, bounded_path):
     # simulate a broken closed form: every point reported inside
     def always_inside(scenario, predicate=None):
-        def kernel(points, coef):
+        def kernel(points):
             n = len(points)
             inside = membership.STATE_NAMES.index(INSIDE)
             return np.full(n, inside), np.ones(n), np.zeros(n, np.int8)

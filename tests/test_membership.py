@@ -13,7 +13,6 @@ from minsum.geometry import (
     INSIDE,
     OUTSIDE,
     eps_for,
-    tol_coefficient,
 )
 from minsum.interpolation import (
     ClassParams,
@@ -612,10 +611,10 @@ def test_kernel_rows_do_not_depend_on_row_count(pattern):
     sc = _scenario_8d(pattern, rng)
     kernel = _kernel(sc, None)[1]
     pts = np.vstack([sc.summands[0].x_star, rng.uniform(-3, 3, (10_000 - 1, 8))])
-    states, margins, fired = kernel(pts, tol_coefficient())
+    states, margins, fired = kernel(pts)
     assert len(set(states.tolist())) >= 2
     for i in range(len(pts)):
-        s1, m1, f1 = kernel(pts[i : i + 1], tol_coefficient())
+        s1, m1, f1 = kernel(pts[i : i + 1])
         assert (s1[0], f1[0]) == (states[i], fired[i])
         assert m1.tobytes() == margins[i : i + 1].tobytes()
 
@@ -627,13 +626,13 @@ def test_kernel_tolerance_is_eps_for(pattern, monkeypatch):
     # gradient vector the kernel computed
     sc = RASTER_SCENARIOS[pattern]()
     seen = []
-    kernel_eps = membership._eps
+    kernel_eps = membership.row_eps
 
-    def spy(coef, scale, *columns):
-        seen.append((columns, kernel_eps(coef, scale, *columns)))
+    def spy(scale, *columns):
+        seen.append((columns, kernel_eps(scale, *columns)))
         return seen[-1][1]
 
-    monkeypatch.setattr(membership, "_eps", spy)
+    monkeypatch.setattr(membership, "row_eps", spy)
     unknown = sc.unknown_summands
     data = [s.x_star for s in unknown] + [(s.params.mu, s.params.L) for s in unknown]
     for x in np.random.default_rng(3).uniform(-2, 2, (20, 2)):
@@ -781,7 +780,7 @@ def test_witness_gradients_near_bounded_anchors():
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         steps = (ts[:, None, None] * dirs).reshape(-1, 2)
         pts = np.concatenate([s.x_star + steps for s in sc.summands])
-        states, margins, fired = _kernel(sc, None)[1](pts, tol_coefficient())
+        states, margins, fired = _kernel(sc, None)[1](pts)
         near = (states > 0) & (fired & ~COND_BASE > 0)
         for x, margin in zip(pts[near], margins[near]):
             if margin >= 0.0:

@@ -609,8 +609,8 @@ def test_sweep_failures_in_seed_order(monkeypatch):
     def right_half_outside(scenario, predicate):
         name, kernel = real(scenario, predicate)
 
-        def run(points, coef):
-            codes, margins, fired = kernel(points, coef)
+        def run(points):
+            codes, margins, fired = kernel(points)
             right = points[:, 0] > 0.0
             return np.where(right, 0, codes), np.where(right, -1.0 - abs(margins), margins), fired
 
