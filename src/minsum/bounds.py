@@ -128,16 +128,19 @@ def smallest_enclosing_ball(points, seed: int = 0) -> Ball:
         radius = max(float(np.linalg.norm(p - center)) for p in support)
         return center, radius
 
-    def welzl(rest, support):
-        if not rest or len(support) == n + 1:
+    def welzl(start, support):
+        """The ball of pts[start:] with support on its boundary, adding
+        points from last to first; recursion is on the support only, so
+        its depth is at most n + 1."""
+        if len(support) == n + 1:
             return ball_from_support(support)
-        p = rest[0]
-        center, radius = welzl(rest[1:], support)
-        if float(np.linalg.norm(p - center)) <= radius * (1 + 1e-12) + 1e-12:
-            return center, radius
-        return welzl(rest[1:], support + [p])
+        center, radius = ball_from_support(support)
+        for i in range(len(pts) - 1, start - 1, -1):
+            if float(np.linalg.norm(pts[i] - center)) > radius * (1 + 1e-12) + 1e-12:
+                center, radius = welzl(i + 1, support + [pts[i]])
+        return center, radius
 
-    center, radius = welzl(pts, [])
+    center, radius = welzl(0, [])
     radius = max(radius, max(float(np.linalg.norm(p - center)) for p in pts))
     return Ball(center, radius)
 

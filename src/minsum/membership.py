@@ -69,16 +69,6 @@ TWO_NONSMOOTH_BOUNDED = "two_nonsmooth_bounded"
 KNOWN_SMOOTH = "known_smooth"
 KNOWN_ONE_NONSMOOTH = "known_one_nonsmooth"
 
-PREDICATE_NAMES = (
-    TWO_SMOOTH,
-    M_SMOOTH,
-    ONE_NONSMOOTH,
-    TWO_NONSMOOTH_BOUNDED,
-    KNOWN_SMOOTH,
-    KNOWN_ONE_NONSMOOTH,
-)
-
-
 class UnsupportedPatternError(ValueError):
     """The scenario's smoothness pattern has no implemented predicate."""
 
@@ -264,7 +254,7 @@ def _known_gradient(x, known):
     return grad
 
 
-def _ball_chain(points, *, anchors, plus, minus, known, scale, total_in_eps):
+def _ball_chain(points, *, anchors, plus, minus, known, scale):
     """margin = sum_i (L_i-mu_i)|d_i| - |2 sum_k grad_k(x) + sum_i (L_i+mu_i) d_i|
     over the smooth unknowns i (d_i = x - x_i*) and known summands k."""
     x = points.T
@@ -276,7 +266,7 @@ def _ball_chain(points, *, anchors, plus, minus, known, scale, total_in_eps):
         total = total + weighted
         slack = slack + s
     margins = slack - _norm(total)
-    eps = row_eps(scale, x, total) if total_in_eps else row_eps(scale, x)
+    eps = row_eps(scale, x) if grad is None else row_eps(scale, x, total)
     return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
 
 
@@ -434,14 +424,32 @@ def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
 
 
 # ---------------------------------------------------------------------------
-# kernel construction: checks a pattern's preconditions once and binds
-# the summands' data as arrays.  Summands hash by identity, so a kernel
-# is built once per set of summands, whichever caller asks for it.
+# kernel construction: one table of predicate patterns, and one builder
+# that checks the summands fit a pattern and binds their data as arrays.
+# Summands hash by identity, so a kernel is built once per set of
+# summands, whichever caller asks for it.
+
+# name: (known summands present, nonsmooth unknowns, unknown count or
+# None).  route takes the first name that fits, so two_smooth comes
+# before m_smooth; the nonsmooth count picks the kernel family: 0 the
+# ball chain, 1 the half-space, 2 the bounded pair
+_PATTERNS = {
+    TWO_SMOOTH: (False, 0, 2),
+    M_SMOOTH: (False, 0, None),
+    ONE_NONSMOOTH: (False, 1, None),
+    TWO_NONSMOOTH_BOUNDED: (False, 2, 2),
+    KNOWN_SMOOTH: (True, 0, None),
+    KNOWN_ONE_NONSMOOTH: (True, 1, None),
+}
+PREDICATE_NAMES = tuple(_PATTERNS)
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise UnsupportedPatternError(msg)
+def _fits(name: str, known, unknown) -> bool:
+    """Whether the summands take the pattern of name, nonsmooth unknowns last."""
+    has_known, nonsmooth, count = _PATTERNS[name]
+    flags = [not s.params.is_smooth for s in unknown]
+    return (bool(known) == has_known and sum(flags) == nonsmooth
+            and count in (None, len(flags)) and flags == sorted(flags))
 
 
 def _static_scale(unknown, bound_b=None) -> float:
@@ -471,28 +479,27 @@ def _balls(known, smooth, dim: int, factor: float) -> dict:
 
 
 @lru_cache(maxsize=256)
-def _chain_kernel(known, smooth, dim, total_in_eps=False):
-    _require(all(s.params.is_smooth for s in smooth), "unknown summands need finite L")
-    return partial(_ball_chain, scale=_static_scale(smooth), total_in_eps=total_in_eps,
-                   **_balls(known, smooth, dim, 1.0))
-
-
-@lru_cache(maxsize=256)
-def _halfspace_kernel(known, unknown):
-    if not unknown:
-        raise ValueError("need at least one unknown summand")
-    *smooth, m = unknown
-    _require(not m.params.is_smooth, "last unknown summand must have L = inf")
-    _require(all(s.params.is_smooth for s in smooth),
-             "unknown summands before the last must have finite L")
-    return partial(_ball_halfspace, anchor_m=_column(m.x_star), mu_m=m.params.mu,
-                   scale=_static_scale(unknown), **_balls(known, smooth, m.dim, 0.5))
-
-
-@lru_cache(maxsize=256)
-def _bounded_kernel(s1: Summand, s2: Summand, bound_b: float):
-    _require(not s1.params.is_smooth and not s2.params.is_smooth,
-             "bounded test needs L = inf on both summands")
+def _build(name: str, known: tuple, unknown: tuple, dim: int, bound_b):
+    """The kernel of predicate name on the known quadratics and the
+    unknown summands, nonsmooth ones last, with the cap bound_b of the
+    bounded pair."""
+    if name not in _PATTERNS:
+        raise ValueError(f"unknown predicate {name!r}")
+    has_known, nonsmooth, count = _PATTERNS[name]
+    if not _fits(name, known, unknown):
+        raise UnsupportedPatternError(
+            f"{name} takes {'' if has_known else 'no '}known summands and "
+            f"{count or 'any number of'} unknown ones, of which {nonsmooth} "
+            "nonsmooth (L = inf), listed last"
+        )
+    scale = _static_scale(unknown, bound_b)
+    if nonsmooth == 0:
+        return partial(_ball_chain, scale=scale, **_balls(known, unknown, dim, 1.0))
+    if nonsmooth == 1:
+        *smooth, m = unknown
+        return partial(_ball_halfspace, anchor_m=_column(m.x_star), mu_m=m.params.mu,
+                       scale=scale, **_balls(known, smooth, dim, 0.5))
+    s1, s2 = unknown
     mu1, mu2 = s1.params.mu, s2.params.mu
     b = float(bound_b)
     if not math.isfinite(b) or b < 0.0:
@@ -500,8 +507,7 @@ def _bounded_kernel(s1: Summand, s2: Summand, bound_b: float):
     bmin = min_bound_B(mu1, mu2, s1.x_star, s2.x_star)
     sep = float(np.linalg.norm(s1.x_star - s2.x_star))
     return partial(_bounded_pair, a1=_column(s1.x_star), a2=_column(s2.x_star),
-                   mu1=mu1, mu2=mu2, b=b, bmin=bmin, sep=sep,
-                   scale=_static_scale((s1, s2), b))
+                   mu1=mu1, mu2=mu2, b=b, bmin=bmin, sep=sep, scale=scale)
 
 
 def _point(x_star, summands, known=()) -> np.ndarray:
@@ -515,9 +521,18 @@ def _one_point(kernel, x: np.ndarray) -> Verdict:
     return Verdict(STATE_NAMES[states[0]], float(margins[0]), int(fired[0]))
 
 
+def _member(name: str, x_star, known, unknown, bound_b=None) -> Verdict:
+    """Predicate name at the one point x_star, as a one-row kernel run."""
+    known, unknown = tuple(known), tuple(unknown)
+    if not known and not unknown:
+        raise ValueError("need at least one summand")
+    x = _point(x_star, unknown, known)
+    return _one_point(_build(name, known, unknown, len(x), bound_b), x)
+
+
 # ---------------------------------------------------------------------------
-# the closed-form predicates on one point, as one-row kernel runs;
-# d_i = x* - x_i*, and the nonsmooth summand comes last
+# the closed-form predicates on one point; d_i = x* - x_i*, and the
+# nonsmooth summand comes last
 
 
 def member_two_smooth(x_star, s1: Summand, s2: Summand) -> Verdict:
@@ -526,7 +541,7 @@ def member_two_smooth(x_star, s1: Summand, s2: Summand) -> Verdict:
 
     margin = (L1-mu1)|d1| + (L2-mu2)|d2| - |(L1+mu1) d1 + (L2+mu2) d2|.
     """
-    return member_m_smooth(x_star, (s1, s2))
+    return _member(TWO_SMOOTH, x_star, (), (s1, s2))
 
 
 def member_smooth_nonsmooth(x_star, smooth: Summand, nonsmooth: Summand) -> Verdict:
@@ -535,7 +550,7 @@ def member_smooth_nonsmooth(x_star, smooth: Summand, nonsmooth: Summand) -> Verd
 
     margin = (L1-mu1)/2 |d1||d2| - mu2 |d2|^2 - (L1+mu1)/2 <d1, d2>.
     """
-    return member_m_one_nonsmooth(x_star, (smooth, nonsmooth))
+    return _member(ONE_NONSMOOTH, x_star, (), (smooth, nonsmooth))
 
 
 def min_bound_B(mu1: float, mu2: float, x1, x2) -> float:
@@ -554,29 +569,22 @@ def member_two_nonsmooth_bounded(
     x_star, s1: Summand, s2: Summand, bound_b: float
 ) -> Verdict:
     """Two nonsmooth summands under a gradient cap |g_i| <= B (_bounded_pair)."""
-    x = _point(x_star, (s1, s2))
-    return _one_point(_bounded_kernel(s1, s2, float(bound_b)), x)
+    return _member(TWO_NONSMOOTH_BOUNDED, x_star, (), (s1, s2), float(bound_b))
 
 
 def member_m_smooth(x_star, summands) -> Verdict:
     """Any number of smooth summands (_ball_chain without known ones)."""
-    ss = tuple(summands)
-    if not ss:
-        raise ValueError("need at least one summand")
-    x = _point(x_star, ss)
-    return _one_point(_chain_kernel((), ss, len(x)), x)
+    return _member(M_SMOOTH, x_star, (), summands)
 
 
 def member_m_one_nonsmooth(x_star, summands) -> Verdict:
     """Smooth summands and one nonsmooth one (_ball_halfspace without known ones)."""
-    return member_with_known_one_nonsmooth(x_star, (), summands)
+    return _member(ONE_NONSMOOTH, x_star, (), summands)
 
 
 def member_with_known(x_star, known_functions, unknown_summands) -> Verdict:
     """Smooth unknown summands alongside exactly known ones (_ball_chain)."""
-    kfs, ss = tuple(known_functions), tuple(unknown_summands)
-    x = _point(x_star, ss, kfs)
-    return _one_point(_chain_kernel(kfs, ss, len(x), True), x)
+    return _member(KNOWN_SMOOTH, x_star, known_functions, unknown_summands)
 
 
 def member_with_known_one_nonsmooth(
@@ -584,44 +592,28 @@ def member_with_known_one_nonsmooth(
 ) -> Verdict:
     """Known summands, smooth unknowns and one nonsmooth unknown last
     (_ball_halfspace)."""
-    kfs, ss = tuple(known_functions), tuple(unknown_summands)
-    x = _point(x_star, ss, kfs)
-    return _one_point(_halfspace_kernel(kfs, ss), x)
+    return _member(KNOWN_ONE_NONSMOOTH, x_star, known_functions, unknown_summands)
 
 
 # ---------------------------------------------------------------------------
 # routing
 
 
+def _nonsmooth_last(summands) -> tuple:
+    return tuple(sorted(summands, key=lambda s: not s.params.is_smooth))
+
+
 def route(scenario: Scenario) -> str:
     """Pick the predicate matching the scenario's smoothness pattern."""
     known = scenario.known_summands
-    unknown = scenario.unknown_summands
-    nonsmooth = [s for s in unknown if not s.params.is_smooth]
-    if known:
-        if not nonsmooth:
-            return KNOWN_SMOOTH
-        if len(nonsmooth) == 1:
-            return KNOWN_ONE_NONSMOOTH
-        raise UnsupportedPatternError(
-            "known summands combine with at most one nonsmooth unknown"
-        )
-    if not nonsmooth:
-        return TWO_SMOOTH if len(unknown) == 2 else M_SMOOTH
-    if len(nonsmooth) == 1:
-        return ONE_NONSMOOTH
-    if len(nonsmooth) == 2 and len(unknown) == 2:
-        # Scenario requires bound_B with two nonsmooth summands
-        return TWO_NONSMOOTH_BOUNDED
+    unknown = _nonsmooth_last(scenario.unknown_summands)
+    for name in _PATTERNS:
+        if _fits(name, known, unknown):
+            return name
     raise UnsupportedPatternError(
-        "at most two nonsmooth summands are supported, and only on their own"
+        "no predicate fits: known summands combine with at most one nonsmooth "
+        "unknown, and two nonsmooth unknowns only come on their own"
     )
-
-
-def _nonsmooth_last(summands):
-    smooth = [s for s in summands if s.params.is_smooth]
-    rest = [s for s in summands if not s.params.is_smooth]
-    return smooth + rest
 
 
 @lru_cache(maxsize=256)
@@ -630,21 +622,8 @@ def _kernel(scenario: Scenario, predicate: str | None):
     cached so repeated calls on a scenario skip the routing."""
     name = predicate if predicate is not None else route(scenario)
     known = tuple(s.known for s in scenario.known_summands)
-    unknown = scenario.unknown_summands
-    if name in (TWO_SMOOTH, M_SMOOTH, ONE_NONSMOOTH, TWO_NONSMOOTH_BOUNDED):
-        _require(not known, f"{name} test takes no known summands")
-    if name in (TWO_SMOOTH, TWO_NONSMOOTH_BOUNDED):
-        _require(len(unknown) == 2, f"{name} test needs exactly two summands")
-    if name in (TWO_SMOOTH, M_SMOOTH, KNOWN_SMOOTH):
-        in_eps = name == KNOWN_SMOOTH
-        kernel = _chain_kernel(known, unknown, scenario.dim, in_eps)
-    elif name in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
-        kernel = _halfspace_kernel(known, tuple(_nonsmooth_last(unknown)))
-    elif name == TWO_NONSMOOTH_BOUNDED:
-        kernel = _bounded_kernel(*unknown, scenario.bound_B)
-    else:
-        raise ValueError(f"unknown predicate {name!r}")
-    return name, kernel
+    unknown = _nonsmooth_last(scenario.unknown_summands)
+    return name, _build(name, known, unknown, scenario.dim, scenario.bound_B)
 
 
 def evaluate(scenario: Scenario, x_star, predicate: str | None = None) -> Verdict:
@@ -716,7 +695,8 @@ def witness_gradients(scenario: Scenario, x_star):
     known = {id(s): s.known.gradient(x) for s in scenario.known_summands}
     offset = sum(known.values(), np.zeros_like(x))
     unknown = _nonsmooth_last(scenario.unknown_summands)
-    if name == TWO_NONSMOOTH_BOUNDED:
+    nonsmooth = _PATTERNS[name][1]
+    if nonsmooth == 2:
         s1, s2 = unknown
         g = None
         if verdict.fired_conditions & (COND_FIRST | COND_SECOND | COND_DET):
@@ -731,7 +711,7 @@ def witness_gradients(scenario: Scenario, x_star):
             grads = [s2.params.mu * (s2.x_star - x)]
         else:
             grads = [s1.params.mu * (x - s1.x_star)]
-    elif name in (ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH):
+    elif nonsmooth == 1:
         dm = x - unknown[-1].x_star
         norm = float(np.linalg.norm(dm))
         u = dm / norm if norm > 0.0 else np.zeros_like(x)

@@ -40,7 +40,10 @@ def _reject_constant(token: str):
 def _number(obj, where: str, *, minimum=None) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioFormatError(f"{where} must be a number, got {obj!r}")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ScenarioFormatError(f"{where} must be finite")
     if minimum is not None and v < minimum:
@@ -132,7 +135,7 @@ def scenario_from_json(text: str) -> Scenario:
         raise ScenarioFormatError(str(exc)) from exc
 
 
-def scenario_to_json(scenario: Scenario, indent: int | None = 2) -> str:
+def scenario_to_json(scenario: Scenario) -> str:
     out: dict = {"summands": []}
     for s in scenario.summands:
         entry: dict = {
@@ -148,7 +151,7 @@ def scenario_to_json(scenario: Scenario, indent: int | None = 2) -> str:
         out["summands"].append(entry)
     if scenario.bound_B is not None:
         out["bound_B"] = scenario.bound_B
-    return json.dumps(out, indent=indent)
+    return json.dumps(out, indent=2)
 
 
 def load_scenario(path) -> Scenario:

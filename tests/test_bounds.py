@@ -142,6 +142,21 @@ def test_enclosing_ball_deterministic_and_seed_stable():
     assert a.radius == pytest.approx(c.radius)
 
 
+def test_enclosing_ball_of_many_points():
+    # more points than Python's recursion limit; the unit circle through
+    # three of them encloses the rest
+    rng = np.random.default_rng(5)
+    inner = rng.uniform(-0.6, 0.6, (1997, 2))
+    angles = 2.0 * math.pi / 3.0 * np.arange(3)
+    rim = np.column_stack((np.cos(angles), np.sin(angles)))
+    pts = list(np.vstack((inner, rim)))
+    ball = smallest_enclosing_ball(pts)
+    assert np.allclose(ball.center, 0.0, atol=1e-9)
+    assert ball.radius == pytest.approx(1.0)
+    sc = Scenario(tuple(Summand(p, ClassParams(1.0, 2.0)) for p in pts))
+    assert scenario_bound_reports(sc)["enclosing"].radius == ball.radius
+
+
 # ----------------------------------------------------------- full reports
 
 

@@ -74,12 +74,17 @@ def test_tolerance_ignores_environment(capsys, monkeypatch, smooth_pair, smooth_
         assert evaluate(smooth_pair, np.array(p, dtype=float)).margin == margin
 
 
-def test_check_forced_predicate(capsys, smooth_path):
-    code, out, _ = run(
-        capsys, "check", smooth_path, "--point", "0.45", "0.0", "--predicate", "m_smooth"
+@pytest.mark.parametrize("predicate, exit_code", [("m_smooth", 0), ("known_smooth", 66)])
+def test_check_forced_predicate(capsys, smooth_path, predicate, exit_code):
+    # smooth_path holds two smooth summands and no known one
+    code, out, err = run(
+        capsys, "check", smooth_path, "--point", "0.45", "0.0", "--predicate", predicate
     )
-    assert code == 0
-    assert json.loads(out)["predicate_used"] == "m_smooth"
+    assert code == exit_code
+    if code == 0:
+        assert json.loads(out)["predicate_used"] == predicate
+    else:
+        assert "unsupported pattern" in err
 
 
 # -------------------------------------------------------------- exit codes

@@ -31,6 +31,7 @@ from minsum.membership import (
     KnownFunction,
     M_SMOOTH,
     ONE_NONSMOOTH,
+    PREDICATE_NAMES,
     Scenario,
     Summand,
     TWO_NONSMOOTH_BOUNDED,
@@ -583,6 +584,41 @@ def test_raster_matches_pointwise_eval():
         assert raster.state_names() == [v.state for v in direct]
         assert raster.fired.tolist() == [v.fired_conditions for v in direct]
         assert len(set(raster.state_names())) >= 2
+
+
+# the predicates each RASTER_SCENARIOS entry fits, besides its own
+OTHER_FITS = {TWO_SMOOTH: {M_SMOOTH}}
+
+
+@pytest.mark.parametrize("pattern", sorted(RASTER_SCENARIOS))
+def test_forced_predicates_fit_or_raise(pattern):
+    sc = RASTER_SCENARIOS[pattern]()
+    bbox, res = (-2.5, 2.5, -2, 2), (15, 13)
+    routed = rasterize_region(sc, bbox, res)
+    x = routed.centers()[100]
+    for name in PREDICATE_NAMES:
+        if name == pattern or name in OTHER_FITS.get(pattern, ()):
+            forced = rasterize_region(sc, bbox, res, predicate=name)
+            assert forced.predicate == name
+            assert forced.states.tobytes() == routed.states.tobytes()
+            assert forced.margins.tobytes() == routed.margins.tobytes()
+            assert forced.fired.tobytes() == routed.fired.tobytes()
+            one, routed_one = evaluate(sc, x, predicate=name), evaluate(sc, x)
+            assert one == routed_one
+            assert math.copysign(1.0, one.margin) == math.copysign(1.0, routed_one.margin)
+        else:
+            with pytest.raises(UnsupportedPatternError):
+                evaluate(sc, x, predicate=name)
+            with pytest.raises(UnsupportedPatternError):
+                rasterize_region(sc, bbox, res, predicate=name)
+
+
+def test_known_member_functions_need_known_summands(smooth_pair, mixed_pair):
+    x = vec(0.2, 0.1)
+    with pytest.raises(UnsupportedPatternError):
+        member_with_known(x, [], smooth_pair.summands)
+    with pytest.raises(UnsupportedPatternError):
+        member_with_known_one_nonsmooth(x, [], mixed_pair.summands)
 
 
 def _scenario_8d(pattern, rng):

@@ -99,6 +99,7 @@ def test_save_and_load(tmp_path, mixed_pair):
         ('{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0, "beta": 1}]}', "unknown keys"),
         ('{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0}], "cap": 3}', "unknown keys"),
         ("not json", "invalid JSON"),
+        ('{"summands": [{"x_star": [0, 1%s], "mu": 1.0, "L": 2.0}]}' % ("0" * 400), "finite"),
         (
             '{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0,'
             ' "known": {"matrix": [[1, 0]], "center": [0, 0]}}]}',

@@ -6,7 +6,7 @@ import json
 import sys
 from pathlib import Path
 
-from minsum import _projection, oracle
+from minsum import _projection, membership, oracle, serialize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +32,16 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"minsum.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_benchmark_presets_route_as_labelled():
+    # the raster workload checks each render's predicate_used against PATTERN_OF
+    inputs = load(ROOT / "perfbench" / "inputs.py", "perfbench_inputs")
+    for spec in inputs.PRESETS + inputs.VERIFY_PRESETS:
+        for seed, dim in ((0, 2), (3, 2), (7, 8)):
+            text = inputs.scenario_text(inputs.scenario_dict(seed, spec, dim))
+            scenario = serialize.scenario_from_json(text)
+            assert membership.route(scenario) == inputs.PATTERN_OF[spec[0]]
 
 
 def test_solver_statuses_have_oracle_verdicts():
