@@ -73,14 +73,14 @@ PRESETS = {
 }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="figures")
     ap.add_argument("--res", type=int, default=160, help="cells per axis")
     ap.add_argument(
         "--presets", nargs="*", choices=sorted(PRESETS), default=sorted(PRESETS)
     )
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     os.makedirs(args.outdir, exist_ok=True)
 
     for name in args.presets:

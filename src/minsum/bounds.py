@@ -103,16 +103,16 @@ def ball_bound_baseline(kappa: float) -> float:
     return 1.0 + math.sqrt(k)
 
 
-def smallest_enclosing_ball(points, seed: int = 0) -> Ball:
+def smallest_enclosing_ball(points) -> Ball:
     """Exact smallest enclosing ball of a finite point set (Welzl's
-    algorithm with a seeded shuffle, so output is deterministic)."""
+    algorithm with a shuffle of fixed seed, so output is deterministic)."""
     pts = [as_vec(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     check_same_dim(*pts)
     n = pts[0].shape[0]
     order = list(range(len(pts)))
-    random.Random(seed).shuffle(order)
+    random.Random(0).shuffle(order)
     pts = [pts[i] for i in order]
 
     def ball_from_support(support):
@@ -150,19 +150,21 @@ def scenario_bound_reports(scenario: Scenario):
     derived from.
 
     Returns a dict with keys: reports (list of BoundReport), enclosing
-    (Ball around the unknown minimizers), focal (focal point or None),
+    (Ball around the summands' minimizers), focal (focal point or None),
     notes (list of strings explaining omissions).
     """
     unknown = scenario.unknown_summands
     result = {"reports": [], "enclosing": None, "focal": None, "notes": []}
     reports, notes = result["reports"], result["notes"]
 
+    # the anchors in summand order, not the scenario's nonsmooth-last
+    # one: the ball's last bits depend on the order of its points
+    anchors = [s.x_star for s in scenario.summands]
+    result["enclosing"] = enclosing = smallest_enclosing_ball(anchors)
     if scenario.known_summands:
         notes.append("ball bounds assume no known summands; none emitted")
-        result["enclosing"] = smallest_enclosing_ball([s.x_star for s in scenario.summands])
         return result
 
-    result["enclosing"] = enclosing = smallest_enclosing_ball([s.x_star for s in unknown])
     pattern = route(scenario)
 
     if pattern == TWO_NONSMOOTH_BOUNDED:

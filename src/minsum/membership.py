@@ -32,7 +32,7 @@ equals its raster cell bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -149,10 +149,15 @@ class Summand:
 class Scenario:
     """A full problem instance: the summands plus, when two or more of
     them are nonsmooth, the gradient-norm cap bound_B that keeps the
-    potential set bounded."""
+    potential set bounded.  It stores its unknown summands nonsmooth
+    last, the order every kernel takes, and pattern: the routed
+    _PATTERNS name, or None when no pattern fits."""
 
     summands: tuple
     bound_B: float | None = None
+    known_summands: tuple = field(init=False, repr=False)
+    unknown_summands: tuple = field(init=False, repr=False)
+    pattern: str | None = field(init=False, repr=False)
 
     def __post_init__(self):
         ss = tuple(self.summands)
@@ -160,9 +165,11 @@ class Scenario:
             raise ValueError("scenario needs at least one summand")
         check_same_dim(*(s.x_star for s in ss))
         object.__setattr__(self, "summands", ss)
-        n_nonsmooth = sum(
-            1 for s in ss if s.known is None and not s.params.is_smooth
-        )
+        known = tuple(s for s in ss if s.known is not None)
+        # a stable sort: smooth unknowns keep their order
+        unknown = tuple(sorted((s for s in ss if s.known is None),
+                               key=lambda s: not s.params.is_smooth))
+        n_nonsmooth = sum(not s.params.is_smooth for s in unknown)
         if self.bound_B is not None:
             b = float(self.bound_B)
             if not math.isfinite(b) or b < 0.0:
@@ -177,18 +184,14 @@ class Scenario:
                 "with two nonsmooth summands every point far from the minimizers "
                 "stays attainable unless gradients are capped; supply bound_B"
             )
+        object.__setattr__(self, "known_summands", known)
+        object.__setattr__(self, "unknown_summands", unknown)
+        pattern = next((n for n in _PATTERNS if _fits(n, known, unknown)), None)
+        object.__setattr__(self, "pattern", pattern)
 
     @property
     def dim(self) -> int:
         return self.summands[0].dim
-
-    @property
-    def known_summands(self) -> tuple:
-        return tuple(s for s in self.summands if s.known is not None)
-
-    @property
-    def unknown_summands(self) -> tuple:
-        return tuple(s for s in self.summands if s.known is None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,8 +433,8 @@ def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
 # summands, whichever caller asks for it.
 
 # name: (known summands present, nonsmooth unknowns, unknown count or
-# None).  route takes the first name that fits, so two_smooth comes
-# before m_smooth; the nonsmooth count picks the kernel family: 0 the
+# None).  A Scenario routes to the first name that fits, so two_smooth
+# comes before m_smooth; the nonsmooth count picks the kernel family: 0 the
 # ball chain, 1 the half-space, 2 the bounded pair
 _PATTERNS = {
     TWO_SMOOTH: (False, 0, 2),
@@ -599,31 +602,23 @@ def member_with_known_one_nonsmooth(
 # routing
 
 
-def _nonsmooth_last(summands) -> tuple:
-    return tuple(sorted(summands, key=lambda s: not s.params.is_smooth))
-
-
 def route(scenario: Scenario) -> str:
-    """Pick the predicate matching the scenario's smoothness pattern."""
-    known = scenario.known_summands
-    unknown = _nonsmooth_last(scenario.unknown_summands)
-    for name in _PATTERNS:
-        if _fits(name, known, unknown):
-            return name
-    raise UnsupportedPatternError(
-        "no predicate fits: known summands combine with at most one nonsmooth "
-        "unknown, and two nonsmooth unknowns only come on their own"
-    )
+    """The predicate matching the scenario's smoothness pattern, picked
+    when the scenario was built."""
+    if scenario.pattern is None:
+        raise UnsupportedPatternError(
+            "no predicate fits: known summands combine with at most one nonsmooth "
+            "unknown, and two nonsmooth unknowns only come on their own"
+        )
+    return scenario.pattern
 
 
-@lru_cache(maxsize=256)
 def _kernel(scenario: Scenario, predicate: str | None):
-    """(name, kernel) of a forced predicate or, with None, the routed one;
-    cached so repeated calls on a scenario skip the routing."""
+    """(name, kernel) of a forced predicate or, with None, the routed one."""
     name = predicate if predicate is not None else route(scenario)
     known = tuple(s.known for s in scenario.known_summands)
-    unknown = _nonsmooth_last(scenario.unknown_summands)
-    return name, _build(name, known, unknown, scenario.dim, scenario.bound_B)
+    return name, _build(name, known, scenario.unknown_summands, scenario.dim,
+                        scenario.bound_B)
 
 
 def evaluate(scenario: Scenario, x_star, predicate: str | None = None) -> Verdict:
@@ -694,7 +689,7 @@ def witness_gradients(scenario: Scenario, x_star):
         return None
     known = {id(s): s.known.gradient(x) for s in scenario.known_summands}
     offset = sum(known.values(), np.zeros_like(x))
-    unknown = _nonsmooth_last(scenario.unknown_summands)
+    unknown = scenario.unknown_summands
     nonsmooth = _PATTERNS[name][1]
     if nonsmooth == 2:
         s1, s2 = unknown

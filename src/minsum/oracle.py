@@ -44,7 +44,6 @@ from .membership import (
     Scenario,
     Summand,
     UnsupportedPatternError,
-    _nonsmooth_last,
     min_bound_B,
     qp_min_norm_gradient_solution,
 )
@@ -241,7 +240,7 @@ def _gradient_sets(scenario: Scenario, pts: np.ndarray):
     the others' gradients must land in it.  k = 1 is the flat problem,
     k >= 2 the block one, and with k = 0 the coupled set must contain 0.
     """
-    *_, last = unknown = _nonsmooth_last(scenario.unknown_summands)
+    *_, last = unknown = scenario.unknown_summands
     smooth = [s for s in unknown if s.params.is_smooth]
     d = pts[:, None, :] - np.reshape([s.x_star for s in smooth], (-1, scenario.dim))
     plus = np.array([0.5 * (s.params.L + s.params.mu) for s in smooth])
@@ -309,16 +308,16 @@ def _qp_outcomes(scenario: Scenario, pts, rows, band: float) -> dict:
     }
 
 
-def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
+def cross_check(scenario: Scenario, points, predicate: str | None = None) -> CrossCheckReport:
     """Compare the closed-form verdict against the matching oracle at
     each point.
 
     Points whose closed-form margin or oracle quantity falls inside the
     boundary band (1e3 times the projection tolerance, scale-adjusted)
     are skipped: first-order sensitivity there makes both routes
-    legitimately disagree.  predicate may be a routing name or a
-    callable (scenario, x) -> Verdict, the latter mainly to let tests
-    inject a corrupted predicate.
+    legitimately disagree.  predicate is a routing name that forces the
+    closed form under test, as in evaluate; the oracle follows the
+    scenario's own pattern.
 
     The points enter as one (N, n) array.  Their verdicts come from one
     kernel run, the gradient sets of the projection routes are built as
@@ -333,30 +332,24 @@ def cross_check(scenario: Scenario, points, predicate=None) -> CrossCheckReport:
         raise UnsupportedPatternError("the oracles need at least one unknown summand")
     tol = PROJECTION_TOL * _scale(scenario, pts)
     band = BOUNDARY_BAND_FACTOR * tol
-    if callable(predicate):
-        verdicts = [predicate(scenario, x) for x in pts]
-        states, margins = [v.state for v in verdicts], [v.margin for v in verdicts]
-    else:
-        codes, margins, _ = membership._kernel(scenario, predicate)[1](pts)
-        states, margins = [STATE_NAMES[c] for c in codes.tolist()], margins.tolist()
+    codes, margins, _ = membership._kernel(scenario, predicate)[1](pts)
     rows = np.flatnonzero(~(np.abs(margins) <= band * _margin_weight(scenario)))
-    if membership.route(scenario) == membership.TWO_NONSMOOTH_BOUNDED:
+    if scenario.pattern == membership.TWO_NONSMOOTH_BOUNDED:
         outcomes = _qp_outcomes(scenario, pts, rows, band)
     else:
         outcomes = _projection_outcomes(scenario, pts, rows, tol, band)
 
-    for i, x in enumerate(pts):
-        if i not in outcomes:
-            report.boundary_skipped += 1
-            continue
-        member, desc = outcomes[i]
+    # outcomes are keyed in point order
+    report.boundary_skipped = report.total - len(outcomes)
+    for i, (member, desc) in outcomes.items():
         if member is None:
             report.indeterminate += 1
             continue
         report.checked += 1
-        if (states[i] != OUTSIDE) != member:
+        state = STATE_NAMES[codes[i]]
+        if (state != OUTSIDE) != member:
             report.mismatches.append(
-                {"point": x.tolist(), "state": states[i], "margin": margins[i], **desc}
+                {"point": pts[i].tolist(), "state": state, "margin": float(margins[i]), **desc}
             )
     return report
 

@@ -74,12 +74,12 @@ def _parse_known(obj, where: str) -> KnownFunction:
     rows = obj["matrix"]
     if not isinstance(rows, list) or not rows:
         raise ScenarioFormatError(f"{where}.matrix must be a nonempty array of rows")
-    mat = np.array(
-        [list(_vector(r, f"{where}.matrix[{i}]")) for i, r in enumerate(rows)]
-    )
+    mat = [_vector(r, f"{where}.matrix[{i}]") for i, r in enumerate(rows)]
+    if len({len(r) for r in mat}) > 1:
+        raise ScenarioFormatError(f"{where}.matrix rows must have equal length")
     center = _vector(obj["center"], f"{where}.center")
     try:
-        return KnownFunction(mat, center)
+        return KnownFunction(np.array(mat), center)
     except ValueError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
@@ -116,7 +116,10 @@ def _parse_summand(obj, where: str) -> Summand:
 def scenario_from_json(text: str) -> Scenario:
     try:
         obj = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ScenarioFormatError:
+        raise
+    # besides decode errors: integers of too many digits, too deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ScenarioFormatError("top level must be an object")
@@ -155,8 +158,12 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    return scenario_from_json(text)
 
 
 def save_scenario(scenario: Scenario, path):

@@ -98,6 +98,15 @@ def test_exit_code_bad_json(capsys, tmp_path):
     assert "minsum" in err
 
 
+def test_exit_code_deeply_nested_json(capsys, tmp_path):
+    # too deep for the JSON decoder: malformed input, not "ruled out"
+    p = tmp_path / "nested.json"
+    p.write_text("[" * 100_000)
+    code, _, err = run(capsys, "check", str(p), "--point", "0", "0")
+    assert code == 64
+    assert "Traceback" not in err and "invalid JSON" in err
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/sc.json", "--point", "0", "0")
     assert code == 64

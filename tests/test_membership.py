@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -53,7 +55,7 @@ from minsum.membership import (
 )
 from minsum import membership
 from minsum.membership import _kernel
-from minsum.oracle import random_smooth_scenario, random_two_nonsmooth_scenario
+from minsum.oracle import cross_check, random_smooth_scenario, random_two_nonsmooth_scenario
 
 coord = st.floats(-5, 5, allow_nan=False)
 point2 = st.tuples(coord, coord)
@@ -584,6 +586,56 @@ def test_raster_matches_pointwise_eval():
         assert raster.state_names() == [v.state for v in direct]
         assert raster.fired.tolist() == [v.fired_conditions for v in direct]
         assert len(set(raster.state_names())) >= 2
+
+
+@pytest.mark.parametrize("pattern", sorted(RASTER_SCENARIOS))
+def test_scenario_is_freed_after_use(pattern):
+    # kernels are cached by their summands, not by the scenario, so
+    # nothing keeps a scenario alive once its caller drops it
+    sc = RASTER_SCENARIOS[pattern]()
+    raster = rasterize_region(sc, (-2.5, 2.5, -2, 2), (15, 13))
+    x = raster.centers()[np.flatnonzero(raster.states)[0]]
+    assert evaluate(sc, x).admits
+    assert witness_gradients(sc, x) is not None
+    ref = weakref.ref(sc)
+    del sc
+    gc.collect()
+    assert ref() is None
+
+
+def _nonsmooth_first(pattern):
+    """(nonsmooth summand first, the same summands with it last)."""
+    ns = summand(0.5, -0.9, 2.0, math.inf)
+    others = (summand(-1.8, -1.9, 1.0, 6.0), summand(1.3, 1.7, 1.0, 9.0))
+    if pattern == KNOWN_ONE_NONSMOOTH:
+        others = (others[0], _known((0.0, 0.5), 0.3))
+    return Scenario((ns, *others)), Scenario((*others, ns))
+
+
+@pytest.mark.parametrize("pattern", [ONE_NONSMOOTH, KNOWN_ONE_NONSMOOTH])
+def test_nonsmooth_summand_listed_first(pattern):
+    # the scenario keeps its unknowns nonsmooth last, so where the
+    # nonsmooth summand is listed changes no verdict, witness or count
+    first, last = _nonsmooth_first(pattern)
+    assert route(first) == route(last) == pattern
+    assert first.unknown_summands[-1] is first.summands[0]
+    assert not first.summands[0].params.is_smooth
+    pts = np.random.default_rng(4).uniform(-2.5, 2.5, (60, 2))
+    admitted = 0
+    for x in pts:
+        a, b = evaluate(first, x), evaluate(last, x)
+        assert (a.state, a.fired_conditions) == (b.state, b.fired_conditions)
+        assert np.float64(a.margin).tobytes() == np.float64(b.margin).tobytes()
+        ga, gb = witness_gradients(first, x), witness_gradients(last, x)
+        assert (ga is None) == (gb is None) == (not a.admits)
+        if ga is not None:
+            admitted += 1
+            by_summand = dict(zip(map(id, last.summands), gb))
+            for s, g in zip(first.summands, ga):
+                assert g.tobytes() == by_summand[id(s)].tobytes()
+    assert 0 < admitted < len(pts)
+    report = cross_check(first, pts)
+    assert report == cross_check(last, pts) and report.checked > 0
 
 
 # the predicates each RASTER_SCENARIOS entry fits, besides its own

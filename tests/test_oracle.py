@@ -12,11 +12,11 @@ from minsum.geometry import (
     DimensionMismatchError,
     INSIDE,
     OUTSIDE,
-    Verdict,
     eps_for,
 )
 from minsum.interpolation import ClassParams
 from minsum.membership import (
+    STATE_NAMES,
     KnownFunction,
     Scenario,
     Summand,
@@ -369,20 +369,34 @@ CORRUPTIONS = [
 ]
 
 
+def corrupt_kernel(monkeypatch, state):
+    """Make every kernel of membership._kernel report state at every
+    point, with margin 1 inside and -1 outside."""
+    real = membership._kernel
+    code, margin = STATE_NAMES.index(state), 1.0 if state == INSIDE else -1.0
+
+    def corrupted(scenario, predicate):
+        def kernel(points):
+            n = len(points)
+            return np.full(n, code), np.full(n, margin), np.zeros(n, np.int8)
+
+        return real(scenario, predicate)[0], kernel
+
+    monkeypatch.setattr(membership, "_kernel", corrupted)
+
+
 @pytest.mark.parametrize("name, oracle, state", CORRUPTIONS)
-def test_cross_check_catches_corrupted_predicate(request, name, oracle, state):
+def test_cross_check_catches_corrupted_predicate(request, monkeypatch, name, oracle, state):
     scenarios = {"triple": smooth_triple, "known_single": known_single}
     sc = scenarios[name]() if name in scenarios else request.getfixturevalue(name)
-
-    def corrupted(scenario, x):
-        return Verdict(state, 1.0 if state == INSIDE else -1.0)
 
     # a box small enough for both states to be common on every route; the
     # containment scenario's admitted set is smaller, so its box is too
     half = 0.6 if name == "known_single" else 1.5
     pts = np.random.default_rng(2).uniform(-half, half, (40, 2))
-    report = cross_check(sc, pts, predicate=corrupted)
     wrong = sum(evaluate(sc, p).admits != (state == INSIDE) for p in pts)
+    corrupt_kernel(monkeypatch, state)
+    report = cross_check(sc, pts)
     assert not report.ok
     assert len(report.mismatches) == wrong > 5
     for rec in report.mismatches:
@@ -406,6 +420,13 @@ def test_cross_check_rejects_bad_points(smooth_pair):
         cross_check(smooth_pair, [[0.0, 0.0], [math.nan, 1.0]])
 
 
+def test_cross_check_takes_predicate_names_only(smooth_pair):
+    pts = np.random.default_rng(6).uniform(-1.5, 1.5, (20, 2))
+    assert cross_check(smooth_pair, pts, predicate="m_smooth") == cross_check(smooth_pair, pts)
+    with pytest.raises(ValueError, match="unknown predicate"):
+        cross_check(smooth_pair, pts, predicate=lambda scenario, x: None)
+
+
 def test_cross_check_rejects_all_known_scenario():
     known = [KnownFunction(np.eye(2), c) for c in (vec(0.0, 0.0), vec(1.0, 0.0))]
     sc = Scenario(tuple(Summand(k.center, ClassParams(0.5, 2.0), k) for k in known))
@@ -423,7 +444,9 @@ def oracle_counts(sc, pts):
     """cross_check's counts, and the points the oracle rules out: the
     mismatches of an always-inside predicate."""
     r = cross_check(sc, pts)
-    ruled_out = cross_check(sc, pts, predicate=lambda s, x: Verdict(INSIDE, 1.0)).mismatches
+    with pytest.MonkeyPatch.context() as mp:
+        corrupt_kernel(mp, INSIDE)
+        ruled_out = cross_check(sc, pts).mismatches
     counts = (r.checked, r.boundary_skipped, r.indeterminate, len(r.mismatches))
     return counts, [m["point"] for m in ruled_out]
 

@@ -99,11 +99,17 @@ def test_save_and_load(tmp_path, mixed_pair):
         ('{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0, "beta": 1}]}', "unknown keys"),
         ('{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0}], "cap": 3}', "unknown keys"),
         ("not json", "invalid JSON"),
+        ('{"summands": [{"x_star": [0, 1%s], "mu": 1.0, "L": 2.0}]}' % ("0" * 4999), "digits"),
         ('{"summands": [{"x_star": [0, 1%s], "mu": 1.0, "L": 2.0}]}' % ("0" * 400), "finite"),
         (
             '{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0,'
             ' "known": {"matrix": [[1, 0]], "center": [0, 0]}}]}',
             "square",
+        ),
+        (
+            '{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0,'
+            ' "known": {"matrix": [[1, 0], [0]], "center": [0, 0]}}]}',
+            r"summands\[0\]\.known\.matrix rows must have equal length",
         ),
         (
             '{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0,'
@@ -124,6 +130,13 @@ def test_save_and_load(tmp_path, mixed_pair):
 def test_strict_rejections(text, match):
     with pytest.raises(ScenarioFormatError, match=match):
         scenario_from_json(text)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"summands": "\xff"}')
+    with pytest.raises(ScenarioFormatError, match="UTF-8"):
+        load_scenario(path)
 
 
 def test_emitted_json_is_strict(bounded_pair):

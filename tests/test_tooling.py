@@ -95,3 +95,18 @@ def test_verify_corpus_projection_stats_go_to_stderr_only(capsys, monkeypatch):
     assert [sum(r[s] for s in statuses) for r in (first, second)] == [10, 20]
     for key in total:
         assert total[key] == first[key] + second[key]
+
+
+def test_render_figures_smoke(capsys, tmp_path):
+    figures = load(ROOT / "scripts" / "render_figures.py", "render_figures")
+    assert figures.main(["--outdir", str(tmp_path), "--res", "8"]) == 0
+    assert len(list(tmp_path.iterdir())) == 3 * len(figures.PRESETS) == 18
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(figures.PRESETS)
+    for line in lines:
+        name = line.split(":")[0]
+        scenario, bbox = figures.PRESETS[name]
+        assert line.split(": ")[1].split(",")[0] == membership.route(scenario)
+        raster = membership.rasterize_region(scenario, bbox, (8, 8))
+        csv = (tmp_path / f"{name}.csv").read_text(encoding="utf-8")
+        assert csv == serialize.raster_to_csv_text(raster)
