@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import membership, oracle
 from .geometry import BOUNDARY, DimensionMismatchError, INSIDE, OUTSIDE
-from .membership import PREDICATE_NAMES, STATE_NAMES, Scenario, UnsupportedPatternError
+from .membership import STATE_NAMES, Scenario, UnsupportedPatternError
 from .serialize import (
     ScenarioFormatError,
     _json_value,
@@ -60,6 +60,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _count(text: str) -> int:
+    """A count of seeds or points: an int of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _emit(obj):
     print(json.dumps(obj, indent=2))
 
@@ -67,17 +75,14 @@ def _emit(obj):
 def cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
     point = np.array(args.point, dtype=float)
-    name = args.predicate if args.predicate else membership.route(scenario)
-    verdict = membership.evaluate(scenario, point, predicate=name)
-    _emit(verdict_to_dict(verdict, predicate=name))
+    verdict = membership.evaluate(scenario, point)
+    _emit(verdict_to_dict(verdict, predicate=scenario.pattern))
     return _STATE_CODES[verdict.state]
 
 
 def cmd_region(args) -> int:
     scenario = load_scenario(args.scenario)
-    raster = membership.rasterize_region(
-        scenario, tuple(args.bbox), tuple(args.res), predicate=args.predicate
-    )
+    raster = membership.rasterize_region(scenario, tuple(args.bbox), tuple(args.res))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(raster_to_csv_text(raster))
@@ -147,9 +152,9 @@ def _sample_points(scenario: Scenario, count: int, seed: int) -> np.ndarray:
     return rng.uniform(lo - pad, hi + pad, (count, anchors.shape[1]))
 
 
-def _verify_one(scenario: Scenario, points: int, seed: int, predicate=None) -> dict:
+def _verify_one(scenario: Scenario, points: int, seed: int) -> dict:
     pts = _sample_points(scenario, points, seed)
-    report = oracle.cross_check(scenario, pts, predicate=predicate)
+    report = oracle.cross_check(scenario, pts)
     out = {
         "points": report.total,
         "checked": report.checked,
@@ -186,7 +191,7 @@ def cmd_verify(args) -> int:
     if not args.scenario:
         raise ScenarioFormatError("verify needs a scenario file or --random")
     scenario = load_scenario(args.scenario)
-    res = _verify_one(scenario, args.points, seed=args.seed, predicate=args.predicate)
+    res = _verify_one(scenario, args.points, seed=args.seed)
     ok = not res["mismatches"] and not res.get("necessity", {}).get("failures")
     res["ok"] = bool(ok)
     _emit(res)
@@ -221,7 +226,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="classify a single candidate point")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--point", nargs="+", type=float, required=True, metavar="COORD")
-    p.add_argument("--predicate", choices=PREDICATE_NAMES)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("region", help="rasterize the potential set over a 2-d box")
@@ -237,7 +241,6 @@ def build_parser() -> _Parser:
         "--workers", type=int, default=1,
         help="accepted for compatibility; the raster is one array computation",
     )
-    p.add_argument("--predicate", choices=PREDICATE_NAMES)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("bounds", help="distance and radius bounds for the set")
@@ -247,10 +250,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="cross-check closed forms against oracles")
     p.add_argument("scenario", nargs="?")
     p.add_argument("--random", action="store_true", help="use generated scenarios")
-    p.add_argument("--seeds", type=int, default=6, help="scenario count for --random")
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--seeds", type=_count, default=6, help="scenario count for --random")
+    p.add_argument("--points", type=_count, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--predicate", choices=PREDICATE_NAMES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("focal", help="distinguished interior point of the set")

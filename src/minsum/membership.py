@@ -486,8 +486,6 @@ def _build(name: str, known: tuple, unknown: tuple, dim: int, bound_b):
     """The kernel of predicate name on the known quadratics and the
     unknown summands, nonsmooth ones last, with the cap bound_b of the
     bounded pair."""
-    if name not in _PATTERNS:
-        raise ValueError(f"unknown predicate {name!r}")
     has_known, nonsmooth, count = _PATTERNS[name]
     if not _fits(name, known, unknown):
         raise UnsupportedPatternError(
@@ -613,22 +611,17 @@ def route(scenario: Scenario) -> str:
     return scenario.pattern
 
 
-def _kernel(scenario: Scenario, predicate: str | None):
-    """(name, kernel) of a forced predicate or, with None, the routed one."""
-    name = predicate if predicate is not None else route(scenario)
+def _kernel(scenario: Scenario):
+    """The kernel of the scenario's routed predicate."""
     known = tuple(s.known for s in scenario.known_summands)
-    return name, _build(name, known, scenario.unknown_summands, scenario.dim,
-                        scenario.bound_B)
+    return _build(route(scenario), known, scenario.unknown_summands, scenario.dim,
+                  scenario.bound_B)
 
 
-def evaluate(scenario: Scenario, x_star, predicate: str | None = None) -> Verdict:
-    """Membership verdict for x_star, routed by smoothness pattern.
-
-    predicate forces a specific test (used to exercise mis-routing); the
-    forced test still validates its own preconditions.
-    """
-    kernel = _kernel(scenario, predicate)[1]
-    return _one_point(kernel, _point(x_star, scenario.summands[:1]))
+def evaluate(scenario: Scenario, x_star) -> Verdict:
+    """Membership verdict for x_star under the predicate the scenario
+    routes to (route)."""
+    return _one_point(_kernel(scenario), _point(x_star, scenario.summands[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -683,14 +676,13 @@ def witness_gradients(scenario: Scenario, x_star):
       the argmin exceeds the cap.
     """
     x = _point(x_star, scenario.summands[:1])
-    name, kernel = _kernel(scenario, None)
-    verdict = _one_point(kernel, x)
+    verdict = _one_point(_kernel(scenario), x)
     if verdict.state == OUTSIDE:
         return None
     known = {id(s): s.known.gradient(x) for s in scenario.known_summands}
     offset = sum(known.values(), np.zeros_like(x))
     unknown = scenario.unknown_summands
-    nonsmooth = _PATTERNS[name][1]
+    nonsmooth = _PATTERNS[scenario.pattern][1]
     if nonsmooth == 2:
         s1, s2 = unknown
         g = None
@@ -727,18 +719,13 @@ def witness_gradients(scenario: Scenario, x_star):
 # rasters
 
 
-def rasterize_region(
-    scenario: Scenario,
-    bbox,
-    resolution,
-    predicate: str | None = None,
-) -> RegionRaster:
+def rasterize_region(scenario: Scenario, bbox, resolution) -> RegionRaster:
     """Evaluate the membership verdict on a grid of cell centers.
 
     bbox = (xmin, xmax, ymin, ymax), resolution = (nx, ny).  Cells are
     stored row-major from the (xmin, ymin) corner, x fastest.  All cells
-    go through the kernel as one batch, so each equals `evaluate` at its
-    center bit for bit.
+    go through the routed kernel as one batch, so each equals `evaluate`
+    at its center bit for bit; the raster's predicate is the routed name.
     """
     if scenario.dim != 2:
         raise DimensionMismatchError("rasters are 2-d only")
@@ -754,6 +741,5 @@ def rasterize_region(
     # a finite bbox can still be wider than the largest float
     if not np.all(np.isfinite(centers)):
         raise ValueError("cell centers must be finite")
-    name, kernel = _kernel(scenario, predicate)
-    states, margins, fired = kernel(centers)
-    return RegionRaster(bbox, resolution, name, states, margins, fired)
+    states, margins, fired = _kernel(scenario)(centers)
+    return RegionRaster(bbox, resolution, scenario.pattern, states, margins, fired)

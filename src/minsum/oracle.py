@@ -308,16 +308,16 @@ def _qp_outcomes(scenario: Scenario, pts, rows, band: float) -> dict:
     }
 
 
-def cross_check(scenario: Scenario, points, predicate: str | None = None) -> CrossCheckReport:
-    """Compare the closed-form verdict against the matching oracle at
-    each point.
+def cross_check(scenario: Scenario, points) -> CrossCheckReport:
+    """Compare the closed-form verdict of the scenario's routed predicate
+    against the oracle of its pattern at each point.
 
     Points whose closed-form margin or oracle quantity falls inside the
     boundary band (1e3 times the projection tolerance, scale-adjusted)
     are skipped: first-order sensitivity there makes both routes
-    legitimately disagree.  predicate is a routing name that forces the
-    closed form under test, as in evaluate; the oracle follows the
-    scenario's own pattern.
+    legitimately disagree.  A scenario that routes to no predicate, or
+    has no unknown summand, raises UnsupportedPatternError even with no
+    points.
 
     The points enter as one (N, n) array.  Their verdicts come from one
     kernel run, the gradient sets of the projection routes are built as
@@ -325,14 +325,15 @@ def cross_check(scenario: Scenario, points, predicate: str | None = None) -> Cro
     of its KKT kernel.  Mismatches are collected in point order.
     """
     pts = _points(points, scenario.dim)
+    kernel = membership._kernel(scenario)
+    if not scenario.unknown_summands:
+        raise UnsupportedPatternError("the oracles need at least one unknown summand")
     report = CrossCheckReport(total=len(pts))
     if not len(pts):
         return report
-    if not scenario.unknown_summands:
-        raise UnsupportedPatternError("the oracles need at least one unknown summand")
     tol = PROJECTION_TOL * _scale(scenario, pts)
     band = BOUNDARY_BAND_FACTOR * tol
-    codes, margins, _ = membership._kernel(scenario, predicate)[1](pts)
+    codes, margins, _ = kernel(pts)
     rows = np.flatnonzero(~(np.abs(margins) <= band * _margin_weight(scenario)))
     if scenario.pattern == membership.TWO_NONSMOOTH_BOUNDED:
         outcomes = _qp_outcomes(scenario, pts, rows, band)
@@ -368,7 +369,7 @@ def necessity_sweep(scenario: Scenario, seeds) -> dict:
     if not seeds:
         return {"instances": 0, "worst_margin": math.inf, "failures": []}
     _, x = _instances(scenario, seeds)
-    codes, margins, _ = membership._kernel(scenario, None)[1](x)
+    codes, margins, _ = membership._kernel(scenario)(x)
     band = PROJECTION_TOL * BOUNDARY_BAND_FACTOR
     # _scale of each minimizer alone: the larger of max(1, |x_i*|) and |x|
     scale = np.maximum(_scale(scenario, x[:0]), np.linalg.norm(x, axis=1))

@@ -74,19 +74,6 @@ def test_tolerance_ignores_environment(capsys, monkeypatch, smooth_pair, smooth_
         assert evaluate(smooth_pair, np.array(p, dtype=float)).margin == margin
 
 
-@pytest.mark.parametrize("predicate, exit_code", [("m_smooth", 0), ("known_smooth", 66)])
-def test_check_forced_predicate(capsys, smooth_path, predicate, exit_code):
-    # smooth_path holds two smooth summands and no known one
-    code, out, err = run(
-        capsys, "check", smooth_path, "--point", "0.45", "0.0", "--predicate", predicate
-    )
-    assert code == exit_code
-    if code == 0:
-        assert json.loads(out)["predicate_used"] == predicate
-    else:
-        assert "unsupported pattern" in err
-
-
 # -------------------------------------------------------------- exit codes
 
 
@@ -143,18 +130,19 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def test_parser_reused_across_calls(capsys, smooth_path):
-    # one parser per process; a usage error or a forced predicate must not
-    # carry over into the next call
+def test_parser_reused_across_calls(capsys, tmp_path, smooth_path):
+    # one parser per process; a usage error or an option given to one call
+    # must not carry over into the next call
     assert cli.build_parser() is cli.build_parser()
     code, _, err = run(capsys, "check", smooth_path)  # missing --point
     assert code == 64 and "error" in err
-    point = ("--point", "0.45", "0.0")
-    code, out, _ = run(capsys, "check", smooth_path, *point, "--predicate", "m_smooth")
-    assert code == 0 and json.loads(out)["predicate_used"] == "m_smooth"
-    code, out, err = run(capsys, "check", smooth_path, *point)
+    box = ("--bbox", "-1", "1", "-1", "1", "--res", "2", "2")
+    csv_path = str(tmp_path / "r.csv")
+    code, out, _ = run(capsys, "region", smooth_path, *box, "--out", csv_path)
+    assert code == 0 and json.loads(out)["out"] == csv_path
+    code, out, err = run(capsys, "region", smooth_path, *box)
     assert code == 0 and err == ""
-    assert json.loads(out)["predicate_used"] == "two_smooth"
+    assert json.loads(out)["out"] is None
 
 
 @pytest.mark.parametrize("exp, plain", [("-1e-3", "-0.001"), ("-1E+0", "-1"), ("-.5e1", "-5")])
@@ -167,9 +155,9 @@ def test_check_takes_negative_exponent_coordinates(capsys, smooth_path, exp, pla
 
 
 def test_flag_after_a_coordinate_list_still_parses(capsys, smooth_path):
-    for point in (("1", "0"), ("-1e-3", "0")):
-        code, out, _ = run(capsys, "check", smooth_path, "--point", *point, "--predicate", "two_smooth")
-        assert code in (0, 1) and json.loads(out)["predicate_used"] == "two_smooth"
+    for bbox in (("-1", "1", "-1", "1"), ("-1", "1", "-1", "-1e-3")):
+        code, out, _ = run(capsys, "region", smooth_path, "--bbox", *bbox, "--res", "3", "2")
+        assert code == 0 and json.loads(out)["cells"] == 6
     code, _, err = run(capsys, "check", smooth_path, "--point", "1", "-e3")
     assert code == 64 and "unrecognized arguments: -e3" in err
 
@@ -325,15 +313,52 @@ def test_verify_requires_input(capsys):
     assert code == 64
 
 
+# scenarios no oracle can check: three nonsmooth summands fit no
+# predicate, and known summands alone leave nothing to check
+UNCHECKABLE = {
+    "three_nonsmooth": (
+        '{"summands": [{"x_star": [-1.0, 0.0], "mu": 1.0, "L": "inf"},'
+        ' {"x_star": [1.0, 0.0], "mu": 1.0, "L": "inf"},'
+        ' {"x_star": [0.0, 1.0], "mu": 1.0, "L": "inf"}], "bound_B": 5.0}'
+    ),
+    "known_only": (
+        '{"summands": [{"x_star": [0.0, 0.0], "mu": 0.5, "L": 2.0,'
+        ' "known": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "center": [0.0, 0.0]}},'
+        ' {"x_star": [1.0, 0.0], "mu": 0.5, "L": 2.0,'
+        ' "known": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "center": [1.0, 0.0]}}]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("points", ["0", "5"])
+@pytest.mark.parametrize("name", sorted(UNCHECKABLE))
+def test_verify_uncheckable_scenario_exits_66(capsys, tmp_path, name, points):
+    # with no points too: an empty run must not report ok
+    p = tmp_path / f"{name}.json"
+    p.write_text(UNCHECKABLE[name])
+    code, out, err = run(capsys, "verify", str(p), "--points", points)
+    assert (code, out) == (66, "") and "unsupported pattern" in err
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--points"])
+def test_verify_rejects_negative_counts(capsys, bounded_path, flag):
+    for argv in (["--random", "--seeds", "1", "--points", "3"], [bounded_path]):
+        code, out, err = run(capsys, "verify", *argv, flag, "-1")
+        assert (code, out) == (64, "") and f"argument {flag}: must be at least 0" in err
+    # zero is a count: no scenarios, or no points
+    code, out, _ = run(capsys, "verify", "--random", flag, "0")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_verify_flags_corrupted_predicate(capsys, monkeypatch, bounded_path):
     # simulate a broken closed form: every point reported inside
-    def always_inside(scenario, predicate=None):
+    def always_inside(scenario):
         def kernel(points):
             n = len(points)
             inside = membership.STATE_NAMES.index(INSIDE)
             return np.full(n, inside), np.ones(n), np.zeros(n, np.int8)
 
-        return "two_nonsmooth_bounded", kernel
+        return kernel
 
     monkeypatch.setattr(membership, "_kernel", always_inside)
     code, out, _ = run(capsys, "verify", bounded_path, "--points", "80")

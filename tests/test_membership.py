@@ -33,7 +33,6 @@ from minsum.membership import (
     KnownFunction,
     M_SMOOTH,
     ONE_NONSMOOTH,
-    PREDICATE_NAMES,
     Scenario,
     Summand,
     TWO_NONSMOOTH_BOUNDED,
@@ -325,11 +324,18 @@ def test_bounded_margin_monotone_in_cap(x, mu1, mu2, b_over, b_extra):
 
 
 def test_m_smooth_matches_two_smooth(smooth_pair):
+    # both bind the one ball-chain kernel, so they give the same bits
     s1, s2 = smooth_pair.summands
-    for x in (vec(0.0, 0.0), vec(0.45, 0.0), vec(1.5, -2.0)):
-        assert member_m_smooth(x, [s1, s2]).margin == pytest.approx(
-            member_two_smooth(x, s1, s2).margin
-        )
+    rng = np.random.default_rng(27)
+    points = [vec(0.0, 0.0), vec(0.45, 0.0), vec(1.5, -2.0), s1.x_star, s2.x_star,
+              vec(0.45, 1.1425), vec(0.45, 1.1427), *rng.uniform(-3, 3, (40, 2))]
+    states = set()
+    for x in points:
+        a, b = member_m_smooth(x, [s1, s2]), member_two_smooth(x, s1, s2)
+        assert (a.state, a.fired_conditions) == (b.state, b.fired_conditions)
+        assert np.float64(a.margin).tobytes() == np.float64(b.margin).tobytes()
+        states.add(a.state)
+    assert states == {INSIDE, OUTSIDE}
 
 
 def test_m_smooth_triple_contains_centroid():
@@ -417,17 +423,6 @@ def test_route_rejects_unsupported():
     )
     with pytest.raises(UnsupportedPatternError):
         route(sck)
-
-
-def test_evaluate_forced_predicate_validates(smooth_pair):
-    with pytest.raises(UnsupportedPatternError):
-        evaluate(smooth_pair, vec(0, 0), predicate=ONE_NONSMOOTH)
-    with pytest.raises(ValueError, match="unknown predicate"):
-        evaluate(smooth_pair, vec(0, 0), predicate="nonsense")
-    # forcing the generic m-smooth form on a two-smooth scenario is fine
-    a = evaluate(smooth_pair, vec(0.2, 0.1), predicate=M_SMOOTH)
-    b = evaluate(smooth_pair, vec(0.2, 0.1))
-    assert a.margin == pytest.approx(b.margin)
 
 
 # -------------------------------------------------------------- focal point
@@ -638,33 +633,6 @@ def test_nonsmooth_summand_listed_first(pattern):
     assert report == cross_check(last, pts) and report.checked > 0
 
 
-# the predicates each RASTER_SCENARIOS entry fits, besides its own
-OTHER_FITS = {TWO_SMOOTH: {M_SMOOTH}}
-
-
-@pytest.mark.parametrize("pattern", sorted(RASTER_SCENARIOS))
-def test_forced_predicates_fit_or_raise(pattern):
-    sc = RASTER_SCENARIOS[pattern]()
-    bbox, res = (-2.5, 2.5, -2, 2), (15, 13)
-    routed = rasterize_region(sc, bbox, res)
-    x = routed.centers()[100]
-    for name in PREDICATE_NAMES:
-        if name == pattern or name in OTHER_FITS.get(pattern, ()):
-            forced = rasterize_region(sc, bbox, res, predicate=name)
-            assert forced.predicate == name
-            assert forced.states.tobytes() == routed.states.tobytes()
-            assert forced.margins.tobytes() == routed.margins.tobytes()
-            assert forced.fired.tobytes() == routed.fired.tobytes()
-            one, routed_one = evaluate(sc, x, predicate=name), evaluate(sc, x)
-            assert one == routed_one
-            assert math.copysign(1.0, one.margin) == math.copysign(1.0, routed_one.margin)
-        else:
-            with pytest.raises(UnsupportedPatternError):
-                evaluate(sc, x, predicate=name)
-            with pytest.raises(UnsupportedPatternError):
-                rasterize_region(sc, bbox, res, predicate=name)
-
-
 def test_known_member_functions_need_known_summands(smooth_pair, mixed_pair):
     x = vec(0.2, 0.1)
     with pytest.raises(UnsupportedPatternError):
@@ -697,7 +665,7 @@ def _scenario_8d(pattern, rng):
 def test_kernel_rows_do_not_depend_on_row_count(pattern):
     rng = np.random.default_rng(8)
     sc = _scenario_8d(pattern, rng)
-    kernel = _kernel(sc, None)[1]
+    kernel = _kernel(sc)
     pts = np.vstack([sc.summands[0].x_star, rng.uniform(-3, 3, (10_000 - 1, 8))])
     states, margins, fired = kernel(pts)
     assert len(set(states.tolist())) >= 2
@@ -868,7 +836,7 @@ def test_witness_gradients_near_bounded_anchors():
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         steps = (ts[:, None, None] * dirs).reshape(-1, 2)
         pts = np.concatenate([s.x_star + steps for s in sc.summands])
-        states, margins, fired = _kernel(sc, None)[1](pts)
+        states, margins, fired = _kernel(sc)(pts)
         near = (states > 0) & (fired & ~COND_BASE > 0)
         for x, margin in zip(pts[near], margins[near]):
             if margin >= 0.0:

@@ -375,12 +375,14 @@ def corrupt_kernel(monkeypatch, state):
     real = membership._kernel
     code, margin = STATE_NAMES.index(state), 1.0 if state == INSIDE else -1.0
 
-    def corrupted(scenario, predicate):
+    def corrupted(scenario):
+        real(scenario)  # an unsupported scenario still raises
+
         def kernel(points):
             n = len(points)
             return np.full(n, code), np.full(n, margin), np.zeros(n, np.int8)
 
-        return real(scenario, predicate)[0], kernel
+        return kernel
 
     monkeypatch.setattr(membership, "_kernel", corrupted)
 
@@ -420,18 +422,22 @@ def test_cross_check_rejects_bad_points(smooth_pair):
         cross_check(smooth_pair, [[0.0, 0.0], [math.nan, 1.0]])
 
 
-def test_cross_check_takes_predicate_names_only(smooth_pair):
-    pts = np.random.default_rng(6).uniform(-1.5, 1.5, (20, 2))
-    assert cross_check(smooth_pair, pts, predicate="m_smooth") == cross_check(smooth_pair, pts)
-    with pytest.raises(ValueError, match="unknown predicate"):
-        cross_check(smooth_pair, pts, predicate=lambda scenario, x: None)
-
-
 def test_cross_check_rejects_all_known_scenario():
     known = [KnownFunction(np.eye(2), c) for c in (vec(0.0, 0.0), vec(1.0, 0.0))]
     sc = Scenario(tuple(Summand(k.center, ClassParams(0.5, 2.0), k) for k in known))
-    with pytest.raises(UnsupportedPatternError, match="unknown summand"):
-        cross_check(sc, [[0.5, 0.0]])
+    # also with no points: the report is only built for a checkable scenario
+    for pts in ([[0.5, 0.0]], []):
+        with pytest.raises(UnsupportedPatternError, match="unknown summand"):
+            cross_check(sc, pts)
+
+
+def test_cross_check_rejects_unrouted_scenario():
+    # three nonsmooth summands fit no predicate, with or without points
+    ns = [Summand(vec(x, y), ClassParams(1.0, math.inf)) for x, y in ((-1, 0), (1, 0), (0, 1))]
+    sc = Scenario(tuple(ns), bound_B=5.0)
+    for pts in ([[0.0, 0.0]], []):
+        with pytest.raises(UnsupportedPatternError, match="no predicate fits"):
+            cross_check(sc, pts)
 
 
 def first_nonsmooth(sc):
@@ -629,15 +635,15 @@ def test_sweep_failures_in_seed_order(monkeypatch):
     # a kernel that calls every minimizer right of x = 0 outside
     real = membership._kernel
 
-    def right_half_outside(scenario, predicate):
-        name, kernel = real(scenario, predicate)
+    def right_half_outside(scenario):
+        kernel = real(scenario)
 
         def run(points):
             codes, margins, fired = kernel(points)
             right = points[:, 0] > 0.0
             return np.where(right, 0, codes), np.where(right, -1.0 - abs(margins), margins), fired
 
-        return name, run
+        return run
 
     monkeypatch.setattr(membership, "_kernel", right_half_outside)
     sc = random_smooth_scenario(5)

@@ -1,12 +1,13 @@
 """Names that one part of the project looks up in another by string or
 by key: a renamed or missing one would only surface when a run stops."""
+import ast
 import importlib
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
-from minsum import _projection, membership, oracle, serialize
+from minsum import _projection, cli, membership, oracle, serialize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +33,26 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"minsum.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_benchmark_flags_are_options():
+    # every --flag in a list that names a subcommand, as the benchmark and
+    # the verify corpus build their argv, must be an option of it
+    actions = cli.build_parser()._subparsers._group_actions[0]
+    options = {name: set(p._option_string_actions) for name, p in actions.choices.items()}
+    used = set()
+    for path in ("perfbench/workloads.py", "scripts/verify_corpus.py"):
+        for node in ast.walk(ast.parse((ROOT / path).read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.List):
+                continue
+            words = [e.value for e in node.elts
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+            command = next((w for w in words if w in options), None)
+            if command is not None:
+                used |= {(command, w) for w in words if w.startswith("--")}
+    assert {command for command, _ in used} == {"check", "region", "verify"}
+    assert ("region", "--workers") in used
+    assert sorted(f for f in used if f[1] not in options[f[0]]) == []
 
 
 def test_benchmark_presets_route_as_labelled():
