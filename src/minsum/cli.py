@@ -7,6 +7,7 @@ Exit codes:
     64  unreadable or malformed input (files, JSON, numbers, usage)
     65  dimension mismatch between points and scenario
     66  scenario pattern not covered by any implemented test
+    141 standard output closed early (128 + SIGPIPE: `minsum ... | head`)
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -38,6 +40,7 @@ EXIT_BOUNDARY = 2
 EXIT_USAGE = 64
 EXIT_DIMENSION = 65
 EXIT_UNSUPPORTED = 66
+EXIT_BROKEN_PIPE = 141
 
 _STATE_CODES = {INSIDE: EXIT_INSIDE, OUTSIDE: EXIT_OUTSIDE, BOUNDARY: EXIT_BOUNDARY}
 
@@ -61,15 +64,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A count of seeds or points: an int of at least 0."""
+    """A count of seeds or points, or a seed: an int of at least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
+class _StdoutClosed(Exception):
+    """Standard output's reader went away (`minsum ... | head`)."""
+
+
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    # flushed here, so a closed pipe shows here, not in the
+    # interpreter's flush at exit
+    try:
+        print(json.dumps(obj, indent=2), flush=True)
+    except BrokenPipeError:
+        raise _StdoutClosed from None
 
 
 def cmd_check(args) -> int:
@@ -82,13 +94,18 @@ def cmd_check(args) -> int:
 
 def cmd_region(args) -> int:
     scenario = load_scenario(args.scenario)
-    raster = membership.rasterize_region(scenario, tuple(args.bbox), tuple(args.res))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(raster_to_csv_text(raster))
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(raster_to_svg_text(raster))
+    nx, ny = args.res
+    try:
+        raster = membership.rasterize_region(scenario, tuple(args.bbox), (nx, ny))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(raster_to_csv_text(raster))
+        if args.svg:
+            with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(raster_to_svg_text(raster))
+    except MemoryError:
+        raise ValueError(
+            f"--res {nx} {ny}: {nx * ny} cells do not fit in memory") from None
     counts = np.bincount(raster.states, minlength=len(STATE_NAMES)).tolist()
     counts = dict(zip(STATE_NAMES, counts))
     _emit(
@@ -174,6 +191,8 @@ def _verify_one(scenario: Scenario, points: int, seed: int) -> dict:
 
 def cmd_verify(args) -> int:
     if args.random:
+        if args.seed is not None:
+            raise ValueError("--seed applies to a scenario file; --random run k uses seed 1000 + k")
         results = []
         failed = False
         for k in range(args.seeds):
@@ -191,7 +210,7 @@ def cmd_verify(args) -> int:
     if not args.scenario:
         raise ScenarioFormatError("verify needs a scenario file or --random")
     scenario = load_scenario(args.scenario)
-    res = _verify_one(scenario, args.points, seed=args.seed)
+    res = _verify_one(scenario, args.points, seed=args.seed or 0)
     ok = not res["mismatches"] and not res.get("necessity", {}).get("failures")
     res["ok"] = bool(ok)
     _emit(res)
@@ -252,7 +271,8 @@ def build_parser() -> _Parser:
     p.add_argument("--random", action="store_true", help="use generated scenarios")
     p.add_argument("--seeds", type=_count, default=6, help="scenario count for --random")
     p.add_argument("--points", type=_count, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=None,
+                   help="point sampling seed for a scenario file (default 0)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("focal", help="distinguished interior point of the set")
@@ -260,6 +280,19 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_focal)
 
     return parser
+
+
+def _drop_stdout():
+    """Point standard output at os.devnull, so what is left in its buffer
+    goes nowhere at exit (the recipe in the docs of Python's signal
+    module); a stream with no file descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -271,6 +304,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
+    except _StdoutClosed:
+        _drop_stdout()
+        return EXIT_BROKEN_PIPE
     except DimensionMismatchError as exc:
         print(f"minsum: dimension error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

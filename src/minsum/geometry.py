@@ -33,12 +33,28 @@ class CoincidentPointsError(ValueError):
     """A construction that needs distinct points received equal ones."""
 
 
+# np.add.accumulate runs one inner loop per sum it makes, so on wide
+# arrays one array add per term is faster.  Measured on 2 to 11 terms
+# (timeit, 2-core x86): the loop overtakes at 32 to 48 sums for 2 terms
+# and at 64 to 128 for 3 to 11; a 40x40 raster (1,600 sums per call)
+# ran its kernels 1.5-3.4x slower on accumulate alone.
+_ACCUMULATE_SUMS = 32
+
+
 def fold(a, axis: int = 0):
     """a summed along axis left to right, a[0] + a[1] + ..., never by
     np.sum or a BLAS product, so a row's result does not depend on how
-    many rows share the call."""
+    many rows share the call.  Up to _ACCUMULATE_SUMS sums at a time (a
+    one-row kernel call) it is a running sum in one call: the last
+    partial sum of np.add.accumulate, whose every step adds one more
+    term to the previous sum.  Wider arrays add term by term, the same
+    additions in the same order.  The empty sum is 0."""
     if axis:
         a = a.swapaxes(0, axis)
+    if not len(a):
+        return np.zeros(a.shape[1:])
+    if a.size <= _ACCUMULATE_SUMS * len(a):
+        return np.add.accumulate(a)[-1]
     out = a[0]
     for part in a[1:]:
         out = out + part
@@ -48,11 +64,11 @@ def fold(a, axis: int = 0):
 def row_eps(scale, *columns):
     """The tolerance of each row: TOL * (1 + the largest magnitude among
     the static scale and the row's finite entries of each column array,
-    shaped (n, N) with the N rows on the last axis)."""
-    for c in columns:
-        finite = np.isfinite(c)
-        scale = np.maximum(scale, np.abs(c).max(axis=0, initial=0.0, where=finite))
-    return TOL * (1.0 + scale)
+    shaped (n, N) with the N rows on the last axis).  The scale is
+    nonnegative, so it is the initial value of one max over the stacked
+    columns."""
+    c = columns[0] if len(columns) == 1 else np.concatenate(columns)
+    return TOL * (1.0 + np.abs(c).max(axis=0, initial=scale, where=np.isfinite(c)))
 
 
 def eps_for(*values) -> float:
@@ -190,4 +206,4 @@ class HalfSpace:
 def cofactor_det(c, a, b, alpha):
     """Determinant of [[1, c, a], [c, 1, b], [a, b, alpha]], expanded along
     the first row.  Branch-free and elementwise on arrays."""
-    return 1.0 * (1.0 * alpha - b * b) - c * (c * alpha - b * a) + a * (c * b - 1.0 * a)
+    return (alpha - b * b) - c * (c * alpha - b * a) + a * (c * b - a)

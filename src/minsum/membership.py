@@ -57,6 +57,8 @@ COND_BASE = 1
 COND_FIRST = 2
 COND_SECOND = 4
 COND_DET = 8
+# the condition bit of each row of _bounded_pair's value table
+_CONDITIONS = np.array([COND_BASE, COND_FIRST, COND_SECOND, COND_DET])
 
 # the kernels' state codes index this tuple: 0 outside, 1 boundary,
 # 2 inside, so a cell is admitted iff its code is nonzero
@@ -223,20 +225,35 @@ class RegionRaster:
         """Cell-center coordinates in storage order, shape (nx*ny, 2)."""
         return _cell_centers(self.bbox, self.resolution)
 
+    def axes(self):
+        """The nx cell-center x values and the ny y values."""
+        return _cell_axes(self.bbox, self.resolution)
 
-def _cell_centers(bbox, resolution) -> np.ndarray:
+
+def _cell_axes(bbox, resolution):
     xmin, xmax, ymin, ymax = bbox
     nx, ny = resolution
     xs = xmin + (xmax - xmin) / nx * (np.arange(nx) + 0.5)
     ys = ymin + (ymax - ymin) / ny * (np.arange(ny) + 0.5)
-    return np.column_stack((np.tile(xs, ny), np.repeat(ys, nx)))
+    return xs, ys
+
+
+def _cell_centers(bbox, resolution) -> np.ndarray:
+    xs, ys = _cell_axes(bbox, resolution)
+    return np.column_stack((np.tile(xs, len(ys)), np.repeat(ys, len(xs))))
 
 
 # ---------------------------------------------------------------------------
 # array kernels: an (N, n) array of points in; state codes, margins and
 # fired bits out, one entry per point.  Inside, arrays hold coordinates
-# on their first axis and points on their last, so fold and the summand
-# loops index the first axis.
+# on their first axis and points on their last.  Every sum over
+# coordinates or summands is one fold, a running sum in one call for a
+# few rows, so a one-row kernel call makes the same number of numpy
+# calls whatever the dimension n and the number of unknown summands (a
+# known quadratic adds one pass each): it costs no more in 8-D, or with
+# five summands, than in 2-D with two.  The kernels copy the points'
+# transpose to C order first: on a wide batch, numpy runs a strided
+# transpose's reductions one row at a time.
 
 
 def _norm(d):
@@ -244,8 +261,10 @@ def _norm(d):
 
 
 def _classify(margins, eps):
-    """geometry.classify on arrays, as codes into STATE_NAMES."""
-    return 1 + (margins > eps).view(np.int8) - (margins < -eps).view(np.int8)
+    """geometry.classify on arrays, as codes into STATE_NAMES: the count
+    of the two bounds the margin clears, not below -eps and above eps
+    (a NaN margin clears the first only, and is boundary)."""
+    return (margins > eps).view(np.int8) + (~(margins < -eps)).view(np.int8)
 
 
 def _known_gradient(x, known):
@@ -260,40 +279,48 @@ def _known_gradient(x, known):
 def _ball_chain(points, *, anchors, plus, minus, known, scale):
     """margin = sum_i (L_i-mu_i)|d_i| - |2 sum_k grad_k(x) + sum_i (L_i+mu_i) d_i|
     over the smooth unknowns i (d_i = x - x_i*) and known summands k."""
-    x = points.T
-    grad = _known_gradient(x, known)
-    total = np.zeros_like(x) if grad is None else 2.0 * grad
-    slack = 0.0
+    x = np.ascontiguousarray(points.T)
     d = x[:, None, :] - anchors
-    for weighted, s in zip((plus * d).swapaxes(0, 1), minus * _norm(d)):
-        total = total + weighted
-        slack = slack + s
-    margins = slack - _norm(total)
+    terms = plus * d
+    grad = _known_gradient(x, known)
+    if grad is not None:
+        terms = np.concatenate(((2.0 * grad)[:, None, :], terms), axis=1)
+    total = fold(terms, 1)
+    margins = fold(minus * _norm(d)) - _norm(total)
     eps = row_eps(scale, x) if grad is None else row_eps(scale, x, total)
     return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
 
 
-def _ball_halfspace(points, *, anchors, plus, minus, known, scale,
-                    anchor_m, mu_m):
-    """margin = sum_i (L_i-mu_i)/2 |d_i||d_m| - mu_m |d_m|^2
-                - <sum_k grad_k(x), d_m> - sum_i (L_i+mu_i)/2 <d_i, d_m>
-    for the smooth unknowns i against the nonsmooth unknown m."""
-    x = points.T
-    dm = x - anchor_m
-    rm = _norm(dm)
-    margins = -mu_m * rm * rm
+def _ball_halfspace(points, *, anchors, pairs, coef, order, known, scale):
+    """margin = - mu_m |d_m|^2 - <sum_k grad_k(x), d_m>
+                + sum_i ((L_i-mu_i)/2 |d_i||d_m| - (L_i+mu_i)/2 <d_i, d_m>)
+    for the smooth unknowns i against the nonsmooth unknown m, summed
+    left to right in that order.
+
+    d holds d_m first, then the d_i and, with known summands, the
+    gradient.  One product and one fold give a (2, k+1) table per point:
+    the squared norms |d_m|^2, |d_i|^2 on its first row, and on its
+    second <d_m, grad> (with no known summand |d_m|^2 again, a
+    placeholder no term reads), then the <d_i, d_m>.  The norms, scaled
+    by coef and |d_m|, are -mu_m |d_m|^2 and the gains; coef scales the
+    inner products into the negated gradient term and the losses.
+    order lists the terms in the margin's order: -mu_m |d_m|^2, the
+    gradient term, then gain and loss of each d_i."""
+    x = np.ascontiguousarray(points.T)
+    d = x[:, None, :] - anchors
     grad = _known_gradient(x, known)
     if grad is not None:
-        margins = margins - fold(grad * dm)
-    d = x[:, None, :] - anchors
-    for gain, loss in zip(minus * _norm(d) * rm, plus * fold(d * dm[:, None, :])):
-        margins = margins + gain
-        margins = margins - loss
+        d = np.concatenate((d, grad[:, None, :]), axis=1)
+    table = fold(d[:, None, :pairs.shape[1], :] * d[:, pairs])
+    norms = np.sqrt(table[0], out=table[0])
+    terms = table * coef
+    terms[0] *= norms[0]
+    margins = fold(terms.reshape(-1, len(points))[order])
     eps = row_eps(scale, x) if grad is None else row_eps(scale, x, grad)
     return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
 
 
-def _bounded_pair(points, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
+def _bounded_pair(points, *, anchors, mu, b, bmin, sep, scale):
     """Two nonsmooth summands under a gradient cap |g_i| <= b.
 
     x belongs to the set iff both base norm caps mu_i |d_i| <= b hold
@@ -313,32 +340,32 @@ def _bounded_pair(points, *, a1, a2, mu1, mu2, b, bmin, sep, scale):
     # the anchors' own tolerance, so the answer does not depend on the points
     if sep <= TOL * (1.0 + scale):
         raise CoincidentPointsError("summand minimizers coincide")
-    x = points.T
+    x = np.ascontiguousarray(points.T)
     eps = row_eps(scale, x)
-    d1 = x - a1
-    d2 = x - a2
-    r1 = _norm(d1)
-    r2 = _norm(d2)
-    dot = fold(d1 * d2)
-    cap1 = mu1 * r1
-    cap2 = mu2 * r2
-    base = np.minimum(b - cap1, b - cap2)
-    c1 = -mu1 * dot - cap2 * r2
-    c2 = -mu2 * dot - cap1 * r1
+    d = x[:, None, :] - anchors
+    # one fold gives |d1|^2, <d1, d2> and |d2|^2 on the diagonal and off it
+    gram = fold(d[:, :, None, :] * d[:, None, :, :])
+    dot = gram[0, 1]
+    r = np.sqrt(gram[(0, 1), (0, 1)])
+    cap = mu * r
+    head = b - cap
+    # rows: base, the two alignment clauses, the determinant clause
+    value = np.empty((4, len(points)))
+    base = np.minimum(head[0], head[1], out=value[0])
+    c12 = np.subtract(-mu * dot, cap[::-1] * r[::-1], out=value[1:3])
     # coincidence with an anchor collapses the test to the other norm cap
-    at_anchor = (r1 <= eps) | (r2 <= eps)
-    cos = dot / np.where(at_anchor, 1.0, r1 * r2)
-    c3 = cofactor_det(cos, cap1, -cap2, b * b)
-    best = np.maximum(np.maximum(c1, c2), c3)
+    at_anchor = (r <= eps).any(axis=0)
+    cos = dot / np.where(at_anchor, 1.0, r[0] * r[1])
+    value[3] = cofactor_det(cos, cap[0], -cap[1], b * b)
+    best = np.maximum(np.maximum(c12[0], c12[1]), value[3])
     margins = np.where(at_anchor, base, np.minimum(base, best))
-    low = -eps
-    clauses = (c1 >= low) * COND_FIRST | (c2 >= low) * COND_SECOND
-    clauses |= (c3 >= low) * COND_DET
-    fired = (base >= low) * COND_BASE | np.where(at_anchor, 0, clauses)
+    holds = value >= -eps
+    fired = np.where(at_anchor, holds[0], _CONDITIONS @ holds)
     states = _classify(margins, eps)
-    # below the smallest viable cap the whole set is empty
-    empty = b < bmin - eps
-    if empty.any():
+    # below the smallest viable cap the whole set is empty; eps >= 0, so
+    # no point can be there while b >= bmin
+    if b < bmin:
+        empty = b < bmin - eps
         margins = np.where(empty, b - bmin, margins)
         states[empty] = 0
         fired[empty] = 0
@@ -470,15 +497,14 @@ def _column(v):
     return np.array(v, dtype=float)[:, None]
 
 
-def _balls(known, smooth, dim: int, factor: float) -> dict:
-    """The known quadratics as (A^T, center) columns, and the smooth
-    summands' anchors (n, k, 1) with their factor * (L +- mu)."""
-    return {
-        "known": tuple((kf.matrix.T[:, :, None], _column(kf.center)) for kf in known),
-        "anchors": np.reshape([s.x_star for s in smooth], (-1, dim)).T[:, :, None],
-        "plus": _column([factor * (s.params.L + s.params.mu) for s in smooth]),
-        "minus": _column([factor * (s.params.L - s.params.mu) for s in smooth]),
-    }
+def _anchors(summands, dim: int) -> np.ndarray:
+    """The summands' minimizers as an (n, k, 1) array."""
+    return np.reshape([s.x_star for s in summands], (-1, dim)).T[:, :, None]
+
+
+def _known_columns(known) -> tuple:
+    """The known quadratics as (A^T, center) columns."""
+    return tuple((kf.matrix.T[:, :, None], _column(kf.center)) for kf in known)
 
 
 @lru_cache(maxsize=256)
@@ -495,11 +521,27 @@ def _build(name: str, known: tuple, unknown: tuple, dim: int, bound_b):
         )
     scale = _static_scale(unknown, bound_b)
     if nonsmooth == 0:
-        return partial(_ball_chain, scale=scale, **_balls(known, unknown, dim, 1.0))
+        return partial(_ball_chain, anchors=_anchors(unknown, dim),
+                       plus=_column([s.params.L + s.params.mu for s in unknown]),
+                       minus=_column([s.params.L - s.params.mu for s in unknown]),
+                       known=_known_columns(known), scale=scale)
     if nonsmooth == 1:
         *smooth, m = unknown
-        return partial(_ball_halfspace, anchor_m=_column(m.x_star), mu_m=m.params.mu,
-                       scale=scale, **_balls(known, smooth, dim, 0.5))
+        k = len(smooth)
+        # _ball_halfspace's table: d_m and each d_i against itself, then
+        # d_m against the gradient (appended after the anchors; with no
+        # known summand d_m against itself, a placeholder no term reads)
+        # and each d_i against d_m
+        pairs = [list(range(k + 1)), [k + 1 if known else 0] + [0] * k]
+        coef = [[-m.params.mu] + [0.5 * (s.params.L - s.params.mu) for s in smooth],
+                [-1.0] + [-(0.5 * (s.params.L + s.params.mu)) for s in smooth]]
+        # -mu_m |d_m|^2, the gradient term if any, then gain and loss of
+        # each d_i, as indices into the flattened table
+        order = [0] + [k + 1] * bool(known) + [j for i in range(1, k + 1)
+                                               for j in (i, k + 1 + i)]
+        return partial(_ball_halfspace, anchors=_anchors((m, *smooth), dim),
+                       pairs=np.array(pairs), coef=np.array(coef)[:, :, None],
+                       order=np.array(order), known=_known_columns(known), scale=scale)
     s1, s2 = unknown
     mu1, mu2 = s1.params.mu, s2.params.mu
     b = float(bound_b)
@@ -507,19 +549,22 @@ def _build(name: str, known: tuple, unknown: tuple, dim: int, bound_b):
         raise ValueError(f"bound must be finite and nonnegative, got {b}")
     bmin = min_bound_B(mu1, mu2, s1.x_star, s2.x_star)
     sep = float(np.linalg.norm(s1.x_star - s2.x_star))
-    return partial(_bounded_pair, a1=_column(s1.x_star), a2=_column(s2.x_star),
-                   mu1=mu1, mu2=mu2, b=b, bmin=bmin, sep=sep, scale=scale)
+    return partial(_bounded_pair, anchors=_anchors(unknown, dim), mu=_column([mu1, mu2]),
+                   b=b, bmin=bmin, sep=sep, scale=scale)
 
 
-def _point(x_star, summands, known=()) -> np.ndarray:
-    x = as_vec(x_star)
-    check_same_dim(x, *(s.x_star for s in summands), *(kf.center for kf in known))
+def _point(x_star, dim: int) -> np.ndarray:
+    """x_star as a finite vector of dim coordinates, checked in one pass;
+    anything else raises as_vec's or check_same_dim's error."""
+    x = np.asarray(x_star, dtype=float)
+    if x.shape != (dim,) or not all(map(math.isfinite, x.tolist())):
+        check_same_dim(as_vec(x), np.empty(dim))
     return x
 
 
 def _one_point(kernel, x: np.ndarray) -> Verdict:
     states, margins, fired = kernel(x[None, :])
-    return Verdict(STATE_NAMES[states[0]], float(margins[0]), int(fired[0]))
+    return Verdict(STATE_NAMES[states.item()], margins.item(), fired.item())
 
 
 def _member(name: str, x_star, known, unknown, bound_b=None) -> Verdict:
@@ -527,7 +572,8 @@ def _member(name: str, x_star, known, unknown, bound_b=None) -> Verdict:
     known, unknown = tuple(known), tuple(unknown)
     if not known and not unknown:
         raise ValueError("need at least one summand")
-    x = _point(x_star, unknown, known)
+    x = as_vec(x_star)
+    check_same_dim(x, *(s.x_star for s in unknown), *(kf.center for kf in known))
     return _one_point(_build(name, known, unknown, len(x), bound_b), x)
 
 
@@ -621,7 +667,7 @@ def _kernel(scenario: Scenario):
 def evaluate(scenario: Scenario, x_star) -> Verdict:
     """Membership verdict for x_star under the predicate the scenario
     routes to (route)."""
-    return _one_point(_kernel(scenario), _point(x_star, scenario.summands[:1]))
+    return _one_point(_kernel(scenario), _point(x_star, scenario.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +721,7 @@ def witness_gradients(scenario: Scenario, x_star):
       which a point admitted only by the tolerance band also takes when
       the argmin exceeds the cap.
     """
-    x = _point(x_star, scenario.summands[:1])
+    x = _point(x_star, scenario.dim)
     verdict = _one_point(_kernel(scenario), x)
     if verdict.state == OUTSIDE:
         return None

@@ -198,18 +198,20 @@ def verdict_to_dict(verdict: Verdict, predicate: str | None = None) -> dict:
 def raster_to_csv_text(raster: RegionRaster) -> str:
     """One row per cell, storage order (row-major from the (xmin, ymin)
     corner, x fastest); floats carry full precision."""
-    nx = raster.resolution[0]
-    centers = raster.centers()
+    xs, ys = raster.axes()
     # every row repeats the same x values and every cell of a row its y:
-    # format each coordinate once
-    xs = [f"{v:.17g}" for v in centers[:nx, 0].tolist()]
-    ys = [f"{v:.17g}" for v in centers[::nx, 1].tolist()]
-    rows = map(
-        "{},{},{},{:.17g},{}".format,
-        xs * len(ys), [y for y in ys for _ in xs],
-        raster.state_names(), raster.margins.tolist(), raster.fired.tolist(),
-    )
-    return "\n".join(["x,y,state,margin,conditions", *rows]) + "\n"
+    # format each coordinate once, then every cell in one % format over
+    # the fields laid out cell by cell
+    xs = ["%.17g," % v for v in xs.tolist()]
+    ys = ["%.17g," % v for v in ys.tolist()]
+    cells = raster.states.size
+    fields = [None] * (5 * cells)
+    fields[0::5] = xs * len(ys)
+    fields[1::5] = [y for y in ys for _ in xs]
+    fields[2::5] = raster.state_names()
+    fields[3::5] = raster.margins.tolist()
+    fields[4::5] = raster.fired.tolist()
+    return "x,y,state,margin,conditions\n" + ("%s%s%s,%.17g,%d\n" * cells) % tuple(fields)
 
 
 _CONDITION_COLORS = (

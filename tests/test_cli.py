@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,19 @@ def test_region_writes_outputs(capsys, tmp_path, bounded_path):
     assert svg_path.read_text().startswith("<?xml")
 
 
+def test_region_too_large_for_memory_is_a_usage_error(capsys, monkeypatch, smooth_path):
+    # a raised MemoryError stands in for a real failed allocation, whose
+    # outcome would depend on the host's memory overcommit setting
+    def no_memory(bbox, resolution):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(membership, "_cell_centers", no_memory)
+    code, out, err = run(capsys, "region", smooth_path, "--bbox", "-1", "1", "-1", "1",
+                         "--res", "100000", "100000")
+    assert (code, out) == (64, "")
+    assert "10000000000 cells" in err and "Traceback" not in err
+
+
 def test_region_rejects_non_finite_bbox(capsys, tmp_path, smooth_path):
     # used to exit 0 and write inf,0.25,boundary,nan,0 rows
     csv_path = tmp_path / "o.csv"
@@ -348,6 +365,75 @@ def test_verify_rejects_negative_counts(capsys, bounded_path, flag):
     # zero is a count: no scenarios, or no points
     code, out, _ = run(capsys, "verify", "--random", flag, "0")
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_verify_rejects_negative_seed(capsys, bounded_path):
+    code, out, err = run(capsys, "verify", bounded_path, "--points", "3", "--seed", "-1")
+    assert (code, out) == (64, "") and "argument --seed: must be at least 0" in err
+
+
+def test_verify_random_rejects_seed(capsys, bounded_path):
+    # each --random run k samples with seed 1000 + k, so a --seed there
+    # would be ignored
+    code, out, err = run(capsys, "verify", "--random", "--seeds", "1", "--points", "3",
+                         "--seed", "2")
+    assert (code, out) == (64, "") and "--seed" in err
+    # a scenario file without --seed samples with seed 0
+    _, default, _ = run(capsys, "verify", bounded_path, "--points", "5")
+    _, zero, _ = run(capsys, "verify", bounded_path, "--points", "5", "--seed", "0")
+    assert default == zero
+
+
+class _ClosedPipe:
+    """A pipe whose reader has gone, with no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+
+def test_broken_pipe_exits_141_silently(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(["verify", "--random", "--seeds", "1", "--points", "3"])
+    monkeypatch.undo()
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_broken_pipe_of_an_output_file_is_an_input_error(capsys, monkeypatch, smooth_path):
+    # a --out FIFO whose reader went away: stdout is still open, so the
+    # error is reported like any other unwritable output path
+    def closed_fifo(path, *args, **kwargs):
+        return _ClosedPipe()
+
+    monkeypatch.setattr(cli, "open", closed_fifo, raising=False)
+    code, out, err = run(capsys, "region", smooth_path, "--bbox", "-1", "1", "-1", "1",
+                         "--res", "4", "4", "--out", "fifo.csv")
+    assert (code, out) == (64, "") and "Broken pipe" in err
+
+
+def test_broken_pipe_of_a_process_exits_141_silently():
+    # the reader closes its end before minsum writes: stdout goes to
+    # os.devnull, so the flush at interpreter exit raises nothing either
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minsum", "verify", "--random", "--seeds", "1", "--points", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    with proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
 
 
 def test_verify_flags_corrupted_predicate(capsys, monkeypatch, bounded_path):

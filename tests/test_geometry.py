@@ -19,6 +19,7 @@ from minsum.geometry import (
     classify,
     cofactor_det,
     eps_for,
+    fold,
 )
 
 coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -77,6 +78,34 @@ def test_eps_for_matches_loop_bitwise():
         cases.append(tuple(values))
     for values in cases:
         assert eps_for(*values) == eps_for_loop(*values), values
+
+
+def fold_loop(a, axis=0):
+    """fold as the Python loop it stands for: a[0] + a[1] + ... along axis."""
+    a = a.swapaxes(0, axis)
+    out = a[0]
+    for part in a[1:]:
+        out = out + part
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 1000])
+def test_fold_matches_left_to_right_loop_bitwise(rows):
+    rng = np.random.default_rng(rows)
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e308])
+    for length in range(1, 10):
+        for shape, axis in (((length, rows), 0), ((length, 3, rows), 0), ((3, length, rows), -2)):
+            a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            mask = rng.random(shape) < 0.2
+            a[mask] = rng.choice(specials, size=int(mask.sum()))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = fold(a, axis), fold_loop(a, axis)
+            assert got.shape == want.shape
+            nan = np.isnan(want)
+            assert (np.isnan(got) == nan).all()
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+    # the empty sum
+    assert fold(np.zeros((0, 3))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_verdict_admits():

@@ -654,6 +654,25 @@ def _scenario_8d(pattern, rng):
     if pattern == M_SMOOTH:
         params = [ClassParams(1.0, 6.0 + i) for i in range(3)]
         return Scenario(tuple(Summand(a, p) for a, p in zip(anchors, params)))
+    if pattern == "m_smooth5":
+        anchors = rng.uniform(-2, 2, (5, 8))
+        return Scenario(tuple(Summand(a, ClassParams(0.1 * (i + 1), 6.0 + i))
+                              for i, a in enumerate(anchors)))
+    if pattern == TWO_SMOOTH:
+        return Scenario((Summand(anchors[0], ClassParams(1.0, 5.0)),
+                         Summand(anchors[1], ClassParams(0.5, 8.0))))
+    if pattern == ONE_NONSMOOTH:
+        return Scenario((Summand(anchors[0], ClassParams(1.0, 4.0)),
+                         Summand(anchors[1], ClassParams(0.5, 7.0)),
+                         Summand(anchors[2], ClassParams(2.0, math.inf))))
+    if pattern == KNOWN_SMOOTH:
+        q = rng.normal(size=(8, 8))
+        k = KnownFunction(0.1 * (q @ q.T), anchors[2])
+        return Scenario((
+            Summand(anchors[0], ClassParams(0.2, 12.0)),
+            Summand(anchors[1], ClassParams(0.3, 15.0)),
+            Summand(anchors[2], ClassParams(0.5, 3.0), k),
+        ))
     return Scenario(
         (Summand(anchors[0], ClassParams(1.0, math.inf)),
          Summand(anchors[1], ClassParams(1.5, math.inf))),
@@ -661,12 +680,18 @@ def _scenario_8d(pattern, rng):
     )
 
 
-@pytest.mark.parametrize("pattern", [M_SMOOTH, KNOWN_ONE_NONSMOOTH, TWO_NONSMOOTH_BOUNDED])
+# rows per batch; the other patterns take 2,000, which keeps the suite quick
+_ROWS_8D = {M_SMOOTH: 10_000, KNOWN_ONE_NONSMOOTH: 10_000, TWO_NONSMOOTH_BOUNDED: 10_000}
+
+
+@pytest.mark.parametrize("pattern", [M_SMOOTH, KNOWN_ONE_NONSMOOTH, TWO_NONSMOOTH_BOUNDED,
+                                     TWO_SMOOTH, "m_smooth5", ONE_NONSMOOTH, KNOWN_SMOOTH])
 def test_kernel_rows_do_not_depend_on_row_count(pattern):
     rng = np.random.default_rng(8)
     sc = _scenario_8d(pattern, rng)
     kernel = _kernel(sc)
-    pts = np.vstack([sc.summands[0].x_star, rng.uniform(-3, 3, (10_000 - 1, 8))])
+    rows = _ROWS_8D.get(pattern, 2_000)
+    pts = np.vstack([sc.summands[0].x_star, rng.uniform(-3, 3, (rows - 1, 8))])
     states, margins, fired = kernel(pts)
     assert len(set(states.tolist())) >= 2
     for i in range(len(pts)):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -178,6 +179,21 @@ def test_csv_layout(bounded_pair):
         parts = line.split(",")
         assert float(parts[3]) == cell.margin
         assert int(parts[4]) == cell.fired_conditions
+
+
+def test_csv_bytes_match_a_per_row_format(bounded_pair):
+    raster = rasterize_region(bounded_pair, (-2.5, 1.5, -1.75, 2.25), (37, 41))
+    margins = raster.margins.copy()
+    margins[[3, 500, 1516]] = -0.0, 5e-324, -1e300
+    raster = dataclasses.replace(raster, margins=margins)
+    rows = ["x,y,state,margin,conditions"]
+    for (x, y), state, margin, fired in zip(raster.centers().tolist(), raster.state_names(),
+                                           margins.tolist(), raster.fired.tolist()):
+        rows.append("{},{},{},{:.17g},{}".format(
+            format(x, ".17g"), format(y, ".17g"), state, margin, fired))
+    text = raster_to_csv_text(raster)
+    assert ",-0," in text and len(set(raster.state_names())) >= 2
+    assert text.encode() == ("\n".join(rows) + "\n").encode()
 
 
 def test_csv_conditions_zero_for_plain_patterns(smooth_pair):
