@@ -113,19 +113,12 @@ def block_cyclic_projection(block_sets, coupled, dim: int, tol: float, max_iter:
 
 
 # ---------------------------------------------------------------------------
-# batched solver
+# batched solver.  Its sets keep their data with the coordinate axis
+# first and the row axis last: arrays are given row first, (N, n) or
+# (N, k, n) with one set per row (and block), and stored transposed.
 
 
-class _RowSets:
-    """Set data with the coordinate axis first and the row axis last.
-    Arrays are given row first, (N, n) or (N, k, n) with one set per row
-    (and block), and stored transposed."""
-
-    def distance(self, g):
-        return np.maximum(0.0, self.signed_distance(g))
-
-
-class Balls(_RowSets):
+class Balls:
     """Closed balls |g - centre| <= radius."""
 
     def __init__(self, centres, radii):
@@ -144,7 +137,7 @@ class Balls(_RowSets):
         return d / np.where(n > 0.0, n, 1.0)
 
 
-class HalfSpaces(_RowSets):
+class HalfSpaces:
     """Closed half-spaces <normal, g> <= offset.  A zero normal is vacuous
     when its offset is nonnegative and empty otherwise, as in
     geometry.HalfSpace."""
@@ -176,8 +169,9 @@ _STATUS = np.array(["feasible", "separated", "undecided"])
 
 def _row_violation(balls, coupled, z):
     """Each row's largest distance: of the block sum from the coupled
-    set, and of each block from its ball."""
-    return np.maximum(coupled.distance(fold(z, -2)), balls.distance(z).max(axis=0))
+    set, and of each block from its ball, each 0 inside its set."""
+    outside = np.maximum(0.0, coupled.signed_distance(fold(z, -2)))
+    return np.maximum(outside, np.maximum(0.0, balls.signed_distance(z)).max(axis=0))
 
 
 def batch_block_projection(balls, coupled, tol: float):

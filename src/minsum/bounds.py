@@ -194,11 +194,12 @@ def scenario_bound_reports(scenario: Scenario):
         notes.append("a summand has mu = 0: no finite distance bound applies")
         return result
     # every smooth summand's class embeds in the (mu_min, l_max) class,
-    # so bounds for that class remain valid
+    # so bounds for that class remain valid.  mu < L keeps kappa above
+    # 1, but the quotient can overflow
     kappa = l_max / mu_min
     r = enclosing.radius
-    if kappa <= 1.0:
-        notes.append("condition number at most 1; ball bounds need kappa > 1")
+    if not math.isfinite(kappa):
+        notes.append("the condition number overflows: no finite distance bound applies")
         return result
     if pattern in (TWO_SMOOTH, M_SMOOTH):
         reports.append(BoundReport(r * ball_bound_smooth(kappa), BALL_SMOOTH, kappa))

@@ -23,9 +23,10 @@ Three routes that do not share algebra with the predicates:
   shares no algebra with the three-clause test it checks.
 
 cross_check and necessity_sweep each read every verdict from one run of
-the routed kernel.  Every oracle verdict cross_check counts is
-certified: a projection row whose closed-form point misses the tolerance
-by rounding is undecided, and counts as indeterminate.
+the routed kernel.  cross_check decides and counts its rows as masks,
+and writes a record for a mismatched row alone.  A projection row whose
+closed-form point misses the tolerance by rounding is undecided, and
+counts as indeterminate.
 """
 from __future__ import annotations
 
@@ -180,17 +181,16 @@ def qp_min_norm_gradient(x_star, x1, x2, mu1: float, mu2: float) -> float:
 
 @dataclass
 class CrossCheckReport:
-    """Counts over the points of one cross_check.
+    """Counts over the points of one cross_check, read from its masks.
 
     Every point is checked, boundary_skipped or indeterminate, and each
     checked verdict is certified: a feasible projection by an explicit
     point within tolerance of every set, an infeasible one by the
-    closed-form gap between the sum of the gradient balls and the
-    coupled set, a containment by its signed distance, and a bounded
-    pair by the exact KKT QP.  The feasible point is written in closed
-    form from the same ball sum as the gap; only the check of its
-    distances reads the gradient sets alone.  A projection row whose
-    point misses the tolerance by rounding is indeterminate.
+    closed-form gap of the ball sum to the coupled set, a containment by
+    its signed distance, and a bounded pair by the exact KKT QP.  A
+    projection row whose point misses the tolerance by rounding is
+    indeterminate.  mismatches holds one record per checked point whose
+    two verdicts differ, in point order.
     """
 
     total: int = 0
@@ -257,44 +257,35 @@ def _gradient_sets(scenario: Scenario, pts: np.ndarray):
     return _projection.Balls(centres, radii), _projection.HalfSpaces(d, offsets)
 
 
-# status of the batched projection solver -> (member, reported status);
-# an undecided row's member is None: cross_check counts it indeterminate
-_SOLVER_STATUS = {
-    "feasible": (True, "feasible"),
-    "separated": (False, "infeasible"),
-    "undecided": (None, "indeterminate"),
-}
-
-
-def _projection_outcomes(scenario: Scenario, pts, rows, tol: float, band: float) -> dict:
-    """{row: (member or None when undecided, descriptor)} of the
-    projection routes, all solved in one batch.  The containment route
-    (no block) reads the signed distance from 0 to the coupled set
-    instead: positive outside, negative inside."""
+def _projection_outcomes(scenario: Scenario, pts, rows, tol: float, band: float):
+    """(rows, member, decided, describe) of the projection routes, solved
+    in one batch: the compared rows, masks of the oracle's verdict and of
+    its certificate, and the descriptor of compared row j.  Containment
+    (no block) reads the signed distance from 0 to the coupled set."""
     balls, coupled = _gradient_sets(scenario, pts[rows])
     k = len(scenario.unknown_summands) - 1
     if k == 0:
         depth = coupled.signed_distance(np.zeros((scenario.dim, 1)))
         # a forced gradient essentially on the set border is skipped
-        return {
-            i: (t < 0.0, {"oracle": "containment", "signed_distance": t})
-            for i, t in zip(rows.tolist(), depth.tolist())
-            if abs(t) > band
-        }
+        far = np.abs(depth) > band
+        rows, depth = rows[far], depth[far]
+        describe = lambda j: {"oracle": "containment", "signed_distance": float(depth[j])}
+        return rows, depth < 0.0, np.ones(len(rows), bool), describe
     name = "projection" if k == 1 else "block_projection"
     status, residual = _projection.batch_block_projection(balls, coupled, tol)
-    out = {}
-    for i, st, r in zip(rows.tolist(), status.tolist(), residual.tolist()):
-        member, reported = _SOLVER_STATUS[st]
-        out[i] = (member, {"oracle": name, "status": reported, "residual": r})
-    return out
+    member = status == "feasible"
+    describe = lambda j: {
+        "oracle": name,
+        "status": "feasible" if member[j] else "infeasible",
+        "residual": float(residual[j]),
+    }
+    return rows, member, member | (status == "separated"), describe
 
 
-def _qp_outcomes(scenario: Scenario, pts, rows, band: float) -> dict:
-    """{row: (member, descriptor)} of the min-norm QP: the point is a
-    member iff the optimum is at most B^2.  Points near an anchor are
-    skipped, the rest solved as one batch, and then those with the
-    optimum's root within band of B are skipped too."""
+def _qp_outcomes(scenario: Scenario, pts, rows, band: float):
+    """The _projection_outcomes arrays of the min-norm QP: a member has
+    optimum at most B^2.  Points near an anchor, and then those whose
+    optimum's root is within band of B, are skipped."""
     s1, s2 = scenario.unknown_summands
     b = scenario.bound_B
     x = pts[rows]
@@ -302,10 +293,9 @@ def _qp_outcomes(scenario: Scenario, pts, rows, band: float) -> dict:
     rows, x = rows[far], x[far]
     opt, _ = membership._pair_qp(x, s1, s2)
     keep = ~(np.abs(np.sqrt(opt) - b) <= band)
-    return {
-        i: (o <= b * b, {"oracle": "qp", "optimum": o, "threshold": b * b})
-        for i, o in zip(rows[keep].tolist(), opt[keep].tolist())
-    }
+    rows, opt = rows[keep], opt[keep]
+    describe = lambda j: {"oracle": "qp", "optimum": float(opt[j]), "threshold": b * b}
+    return rows, opt <= b * b, np.ones(len(rows), bool), describe
 
 
 def cross_check(scenario: Scenario, points) -> CrossCheckReport:
@@ -322,7 +312,8 @@ def cross_check(scenario: Scenario, points) -> CrossCheckReport:
     The points enter as one (N, n) array.  Their verdicts come from one
     kernel run, the gradient sets of the projection routes are built as
     arrays and solved in one batch, and the bounded pair's QP is one run
-    of its KKT kernel.  Mismatches are collected in point order.
+    of its KKT kernel.  The counts are sums of the oracle's masks, and a
+    record is written for the mismatched rows alone, in point order.
     """
     pts = _points(points, scenario.dim)
     kernel = membership._kernel(scenario)
@@ -336,22 +327,19 @@ def cross_check(scenario: Scenario, points) -> CrossCheckReport:
     codes, margins, _ = kernel(pts)
     rows = np.flatnonzero(~(np.abs(margins) <= band * _margin_weight(scenario)))
     if scenario.pattern == membership.TWO_NONSMOOTH_BOUNDED:
-        outcomes = _qp_outcomes(scenario, pts, rows, band)
+        rows, member, decided, describe = _qp_outcomes(scenario, pts, rows, band)
     else:
-        outcomes = _projection_outcomes(scenario, pts, rows, tol, band)
-
-    # outcomes are keyed in point order
-    report.boundary_skipped = report.total - len(outcomes)
-    for i, (member, desc) in outcomes.items():
-        if member is None:
-            report.indeterminate += 1
-            continue
-        report.checked += 1
-        state = STATE_NAMES[codes[i]]
-        if (state != OUTSIDE) != member:
-            report.mismatches.append(
-                {"point": pts[i].tolist(), "state": state, "margin": float(margins[i]), **desc}
-            )
+        rows, member, decided, describe = _projection_outcomes(scenario, pts, rows, tol, band)
+    report.boundary_skipped = report.total - len(rows)
+    report.checked = int(decided.sum())
+    report.indeterminate = len(rows) - report.checked
+    admitted = codes[rows] != STATE_NAMES.index(OUTSIDE)
+    for j in np.flatnonzero(decided & (admitted != member)).tolist():
+        i = rows[j]
+        state, margin = STATE_NAMES[codes[i]], float(margins[i])
+        report.mismatches.append(
+            {"point": pts[i].tolist(), "state": state, "margin": margin, **describe(j)}
+        )
     return report
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minsum import cli, evaluate, membership
+from minsum import _projection, cli, evaluate, membership
 from minsum.geometry import INSIDE
 from minsum.serialize import save_scenario
 
@@ -267,6 +267,31 @@ def test_bounds_smooth(capsys, smooth_path):
     assert payload["reports"][0]["kappa"] == pytest.approx(15.0)
 
 
+@pytest.mark.parametrize(
+    "summands, note",
+    [
+        # l_max / mu_min = 1e10 / 1e-300 overflows: a valid scenario, no finite bound
+        pytest.param(
+            [{"x_star": [0, 0], "mu": 1e-300, "L": 1e10}, {"x_star": [1, 0], "mu": 1.0, "L": 2.0}],
+            "the condition number overflows: no finite distance bound applies",
+            id="kappa_overflow",
+        ),
+        pytest.param(
+            [{"x_star": [0.5, -1], "mu": 2, "L": "inf"}],
+            "ball bounds need at least one smooth summand",
+            id="lone_nonsmooth",
+        ),
+    ],
+)
+def test_bounds_without_a_bound_give_a_note(capsys, tmp_path, summands, note):
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps({"summands": summands}), encoding="utf-8")
+    code, out, _ = run(capsys, "bounds", str(p))
+    payload = json.loads(out)
+    assert code == 0 and payload["reports"] == []
+    assert note in payload["notes"]
+
+
 # -------------------------------------------------------------------- focal
 
 
@@ -323,6 +348,24 @@ def test_verify_random_ok(capsys):
         assert r["checked"] + r["boundary_skipped"] + r["indeterminate"] == 40
         # every checked verdict is certified, so there is no uncertified count
         assert set(r) - {"necessity"} == keys
+
+
+def test_verify_counts_an_undecided_row_as_indeterminate(capsys, monkeypatch, smooth_path):
+    # the batched solver leaves its first row undecided: it is counted,
+    # and it is not a mismatch
+    solve = _projection.batch_block_projection
+
+    def first_undecided(balls, coupled, tol):
+        status, residual = solve(balls, coupled, tol)
+        status[0] = "undecided"
+        return status, residual
+
+    monkeypatch.setattr(_projection, "batch_block_projection", first_undecided)
+    code, out, _ = run(capsys, "verify", smooth_path, "--points", "60", "--seed", "2")
+    assert code == 0
+    assert '"indeterminate": 1' in out and '"ok": true' in out
+    payload = json.loads(out)
+    assert payload["checked"] + payload["boundary_skipped"] + 1 == payload["points"] == 60
 
 
 def test_verify_requires_input(capsys):

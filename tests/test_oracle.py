@@ -406,6 +406,112 @@ def test_cross_check_catches_corrupted_predicate(request, monkeypatch, name, ora
         assert rec["oracle"] == oracle and rec["state"] == state
 
 
+# one mismatch per route: its point, the corrupted state and margin, and
+# the route's descriptor.  The smooth pair's gap at (3, 2) is
+# |c1 + c2| - r1 - r2 with c_i = (L+mu)/2 d_i and r_i = (L-mu)/2 |d_i|;
+# the containment distance at (2, 1) is (mu |d|^2 + <d, A (x - c)>) / |d|
+# with d = (2.5, 0.8) and A (x - c) = (3, 1)
+RECORD_CASES = [
+    pytest.param(
+        "smooth_pair", [3.0, 2.0], INSIDE,
+        [("oracle", "projection"), ("status", "infeasible"),
+         ("residual", pytest.approx(math.hypot(28, 22) - 2 * math.sqrt(20) - 7 * math.sqrt(8)))],
+        id="projection",
+    ),
+    pytest.param(
+        "triple", [0.0, 0.25], OUTSIDE,
+        [("oracle", "block_projection"), ("status", "feasible"),
+         ("residual", pytest.approx(0.0, abs=PROJECTION_TOL))],
+        id="block_projection",
+    ),
+    pytest.param(
+        "known_single", [2.0, 1.0], INSIDE,
+        [("oracle", "containment"),
+         ("signed_distance", pytest.approx(15.19 / math.hypot(2.5, 0.8)))],
+        id="containment",
+    ),
+    pytest.param(
+        "bounded_pair", [0.0, 0.5], OUTSIDE,
+        [("oracle", "qp"),
+         ("optimum", pytest.approx(qp_min_norm_gradient([0, 0.5], [-1, 0], [1, 0], 1.75, 2.0))),
+         ("threshold", 9.0)],
+        id="qp",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, point, state, descriptor", RECORD_CASES)
+def test_mismatch_record_items(request, monkeypatch, name, point, state, descriptor):
+    scenarios = {"triple": smooth_triple, "known_single": known_single}
+    sc = scenarios[name]() if name in scenarios else request.getfixturevalue(name)
+    assert evaluate(sc, np.array(point)).admits != (state == INSIDE)
+    corrupt_kernel(monkeypatch, state)
+    (rec,) = cross_check(sc, [point]).mismatches
+    margin = 1.0 if state == INSIDE else -1.0
+    head = [("point", point), ("state", state), ("margin", margin)]
+    assert list(rec.items()) == head + descriptor
+    # plain JSON values, no numpy scalars
+    values = [*rec.pop("point"), *rec.values()]
+    assert {type(v) for v in values} <= {float, str}
+
+
+def patch_solver(monkeypatch, relabel=None):
+    """Replace _projection.batch_block_projection through the module
+    attribute, as scripts/verify_corpus.py does: row j of each batch
+    gets the status relabel[j], and every batch's statuses are recorded."""
+    solve, seen = _projection.batch_block_projection, []
+
+    def patched(balls, coupled, tol):
+        status, residual = solve(balls, coupled, tol)
+        for j, label in (relabel or {}).items():
+            status[j] = label
+        seen.append(status.tolist())
+        return status, residual
+
+    monkeypatch.setattr(_projection, "batch_block_projection", patched)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "label, real",
+    [("undecided", "feasible"), ("undecided", "separated"),
+     ("feasible", "separated"), ("separated", "feasible")],
+)
+def test_relabelled_solver_row_counts_by_its_status(monkeypatch, smooth_pair, label, real):
+    pts = np.random.default_rng(2).uniform(-1.5, 1.5, (40, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = patch_solver(mp)
+        base = cross_check(smooth_pair, pts)
+    assert base.ok and base.indeterminate == 0
+    patch_solver(monkeypatch, {seen[0].index(real): label})
+    report = cross_check(smooth_pair, pts)
+    assert report.checked + report.boundary_skipped + report.indeterminate == report.total
+    assert report.boundary_skipped == base.boundary_skipped
+    if label == "undecided":
+        assert (report.checked, report.indeterminate) == (base.checked - 1, 1)
+        assert report.mismatches == []
+        return
+    assert (report.checked, report.indeterminate) == (base.checked, 0)
+    (rec,) = report.mismatches
+    assert rec["status"] == ("feasible" if label == "feasible" else "infeasible")
+    # the relabelled verdict contradicts the closed form at that point
+    assert evaluate(smooth_pair, np.array(rec["point"])).admits == (label == "separated")
+
+
+def test_undecided_rows_are_never_mismatches(monkeypatch, smooth_pair):
+    # a predicate that admits everything mismatches every separated row,
+    # and no row once the solver leaves them all undecided
+    pts = np.random.default_rng(2).uniform(-1.5, 1.5, (40, 2))
+    corrupt_kernel(monkeypatch, INSIDE)
+    seen = patch_solver(monkeypatch)
+    wrong = cross_check(smooth_pair, pts)
+    assert len(wrong.mismatches) == seen[0].count("separated") > 5
+    patch_solver(monkeypatch, dict.fromkeys(range(len(seen[0])), "undecided"))
+    report = cross_check(smooth_pair, pts)
+    assert (report.checked, report.mismatches) == (0, [])
+    assert report.indeterminate == len(seen[0]) == report.total - report.boundary_skipped
+
+
 def test_cross_check_empty_points(smooth_pair):
     report = cross_check(smooth_pair, [])
     assert report.ok and report.total == 0
