@@ -52,7 +52,8 @@ def _focal_terms(mu1: float, mu2: float, a1, a2, b: float):
     D = |x1 - x2|, and B^2 / (mu1+mu2)^2."""
     d = float(np.linalg.norm(a1 - a2))
     total = mu1 + mu2
-    return b * d / total - mu1 * mu2 * d * d / (total * total), (b / total) ** 2
+    # a product, not **, so an overflow gives inf instead of raising
+    return b * d / total - mu1 * mu2 * d * d / (total * total), (b / total) * (b / total)
 
 
 def focal_distance_bound(mu1: float, mu2: float, x1, x2, bound_b: float) -> float:
@@ -123,6 +124,12 @@ def smallest_enclosing_ball(points) -> Ball:
             return np.array(base), 0.0
         rows = np.array([2.0 * (p - base) for p in support[1:]])
         rhs = np.array([float((p - base) @ (p - base)) for p in support[1:]])
+        # LAPACK would print its complaint about a non-finite system to stdout
+        if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
+            raise ValueError(
+                "the anchors are too far apart for the enclosing ball: "
+                "its support equations overflow the float range"
+            )
         sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
         center = base + sol
         radius = max(float(np.linalg.norm(p - center)) for p in support)
@@ -176,9 +183,12 @@ def scenario_bound_reports(scenario: Scenario):
         if b < bmin:
             notes.append("bound_B is below the feasibility minimum; the set is empty")
             return result
+        value = focal_distance_bound(mu1, mu2, s1.x_star, s2.x_star, b)
+        if not math.isfinite(value):
+            notes.append("the focal distance bound overflows: no finite distance bound applies")
+            return result
         linear, quadratic = _focal_terms(mu1, mu2, s1.x_star, s2.x_star, b)
         binding = FOCAL_LINEAR if max(linear, 0.0) <= quadratic else FOCAL_QUADRATIC
-        value = focal_distance_bound(mu1, mu2, s1.x_star, s2.x_star, b)
         reports.append(BoundReport(value, binding, None))
         return result
 

@@ -4,7 +4,8 @@ Exit codes:
     0   success (for `check`: the point is a potential minimizer)
     1   for `check`: the point is ruled out; for `verify`: mismatches found
     2   for `check`: on the boundary at working tolerance
-    64  unreadable or malformed input (files, JSON, numbers, usage)
+    64  unreadable or malformed input (files, JSON, numbers, usage), or
+        arithmetic beyond the float range
     65  dimension mismatch between points and scenario
     66  scenario pattern not covered by any implemented test
     141 standard output closed early (128 + SIGPIPE: `minsum ... | head`)
@@ -79,7 +80,7 @@ def _emit(obj):
     # flushed here, so a closed pipe shows here, not in the
     # interpreter's flush at exit
     try:
-        print(json.dumps(obj, indent=2), flush=True)
+        print(json.dumps(_json_value(obj), indent=2, allow_nan=False), flush=True)
     except BrokenPipeError:
         raise _StdoutClosed from None
 
@@ -126,27 +127,15 @@ def cmd_bounds(args) -> int:
     scenario = load_scenario(args.scenario)
     info = bounds_mod.scenario_bound_reports(scenario)
     reports = [
-        {
-            "bound_value": _json_value(r.bound_value),
-            "binding_term": r.binding_term,
-            "kappa": r.kappa,
-        }
+        {"bound_value": r.bound_value, "binding_term": r.binding_term, "kappa": r.kappa}
         for r in info["reports"]
     ]
-    enclosing = None
-    if info["enclosing"] is not None:
-        enclosing = {
-            "center": [float(v) for v in info["enclosing"].center],
-            "radius": info["enclosing"].radius,
-        }
-    focal = None
-    if info["focal"] is not None:
-        focal = [float(v) for v in info["focal"]]
+    enclosing = info["enclosing"]
     _emit(
         {
             "reports": reports,
-            "enclosing": enclosing,
-            "focal": focal,
+            "enclosing": {"center": enclosing.center, "radius": enclosing.radius},
+            "focal": info["focal"],
             "notes": info["notes"],
         }
     )
@@ -165,8 +154,14 @@ def _sample_points(scenario: Scenario, count: int, seed: int) -> np.ndarray:
         mu_sum = sum(s.params.mu for s in scenario.summands)
         if mu_sum > 0:
             pad = max(pad, scenario.bound_B / mu_sum + spread)
+    lo, hi = lo - pad, hi + pad
+    if not np.all(np.isfinite(hi - lo)):
+        raise ValueError(
+            f"the anchor box padded by {pad:.6g} on each side, where verify "
+            "samples its points, is wider than the float range"
+        )
     rng = np.random.default_rng(seed)
-    return rng.uniform(lo - pad, hi + pad, (count, anchors.shape[1]))
+    return rng.uniform(lo, hi, (count, anchors.shape[1]))
 
 
 def _verify_one(scenario: Scenario, points: int, seed: int) -> dict:
@@ -183,7 +178,7 @@ def _verify_one(scenario: Scenario, points: int, seed: int) -> dict:
         sweep = oracle.necessity_sweep(scenario, range(seed, seed + 25))
         out["necessity"] = {
             "instances": sweep["instances"],
-            "worst_margin": _json_value(sweep["worst_margin"]),
+            "worst_margin": sweep["worst_margin"],
             "failures": sweep["failures"],
         }
     return out
@@ -223,7 +218,7 @@ def cmd_focal(args) -> int:
     smooth = all(s.params.is_smooth for s in scenario.summands)
     _emit(
         {
-            "focal": [float(v) for v in point],
+            "focal": point,
             "weighting": "smoothness" if smooth else "moduli",
         }
     )
@@ -313,7 +308,7 @@ def main(argv=None) -> int:
     except UnsupportedPatternError as exc:
         print(f"minsum: unsupported pattern: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ScenarioFormatError, OSError, ValueError) as exc:
+    except (ScenarioFormatError, OSError, ValueError, ArithmeticError) as exc:
         print(f"minsum: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -176,12 +176,19 @@ def save_scenario(scenario: Scenario, path):
 # verdicts and rasters
 
 
-def _json_value(v: float):
-    """JSON has no Infinity literal in strict mode; mirror the scenario
-    spelling instead."""
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
+def _json_value(obj):
+    """The payload with every non-finite float spelled "inf", "-inf" or
+    "nan", as the scenario spells L: strict JSON has no Infinity or NaN
+    literal.  Dicts, lists, tuples and numpy arrays are walked."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _json_value(obj.tolist())
+    return obj
 
 
 def verdict_to_dict(verdict: Verdict, predicate: str | None = None) -> dict:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from minsum import _projection, cli, evaluate, membership
-from minsum.geometry import INSIDE
+from minsum.geometry import BOUNDARY, INSIDE, OUTSIDE
 from minsum.serialize import save_scenario
 
 
@@ -292,6 +293,46 @@ def test_bounds_without_a_bound_give_a_note(capsys, tmp_path, summands, note):
     assert note in payload["notes"]
 
 
+@pytest.mark.parametrize(
+    "mu, bound_b, reports, notes",
+    [
+        # (B / (mu1 + mu2))^2 overflows, so the linear term binds
+        pytest.param(
+            1.0, 1.08e308,
+            [{"bound_value": 7.348469228349535e+153, "binding_term": "focal_linear",
+              "kappa": None}],
+            [],
+            id="cap_near_float_max",
+        ),
+        # B / (mu1 + mu2) overflows in both terms
+        pytest.param(
+            1e-160, 1e200,
+            [],
+            ["the focal distance bound overflows: no finite distance bound applies"],
+            id="bound_overflows",
+        ),
+    ],
+)
+def test_bounds_focal_near_the_float_range(capsys, tmp_path, mu, bound_b, reports, notes):
+    summands = [{"x_star": [x, 0], "mu": mu, "L": "inf"} for x in (0, 1)]
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps({"summands": summands, "bound_B": bound_b}), encoding="utf-8")
+    code, out, _ = run(capsys, "bounds", str(p))
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["reports"], payload["notes"]) == (reports, notes)
+
+
+def test_arithmetic_error_exits_64(capsys, monkeypatch, smooth_path):
+    def overflow(scenario):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli.bounds_mod, "scenario_bound_reports", overflow)
+    code, out, err = run(capsys, "bounds", smooth_path)
+    assert (code, out) == (64, "")
+    assert err == "minsum: (34, 'Numerical result out of range')\n"
+
+
 # -------------------------------------------------------------------- focal
 
 
@@ -497,3 +538,33 @@ def test_verify_flags_corrupted_predicate(capsys, monkeypatch, bounded_path):
     assert payload["mismatches"]
     # reproduction data comes along
     assert "point" in payload["mismatches"][0]
+
+
+def overflowed_kernel(state, margin):
+    """A kernel whose margins overflowed, as the ball chain's do with
+    anchors near 1e155: every point gets this state and margin."""
+    def build(scenario):
+        def kernel(points):
+            n = len(points)
+            code = membership.STATE_NAMES.index(state)
+            return np.full(n, code), np.full(n, margin), np.zeros(n, np.int8)
+
+        return kernel
+
+    return build
+
+
+def test_non_finite_margins_are_spelled_as_strings(capsys, monkeypatch, smooth_path):
+    def strict(token):
+        raise ValueError(token)
+
+    monkeypatch.setattr(membership, "_kernel", overflowed_kernel(BOUNDARY, math.nan))
+    code, out, _ = run(capsys, "check", smooth_path, "--point", "0", "0")
+    assert (code, json.loads(out, parse_constant=strict)["margin"]) == (2, "nan")
+    # mismatch records and necessity failures carry the margin too
+    monkeypatch.setattr(membership, "_kernel", overflowed_kernel(OUTSIDE, -math.inf))
+    code, out, _ = run(capsys, "verify", smooth_path, "--points", "20")
+    payload = json.loads(out, parse_constant=strict)
+    records = payload["mismatches"] + payload["necessity"]["failures"]
+    assert code == 1 and payload["mismatches"] and payload["necessity"]["failures"]
+    assert {r["margin"] for r in records} == {payload["necessity"]["worst_margin"]} == {"-inf"}

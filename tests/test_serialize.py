@@ -159,6 +159,7 @@ def test_verdict_to_dict_spelling():
         "predicate_used": "two_smooth",
     }
     assert verdict_to_dict(Verdict("outside", -2.5))["margin"] == -2.5
+    assert verdict_to_dict(Verdict("boundary", math.nan))["margin"] == "nan"
 
 
 # -------------------------------------------------------------- CSV raster

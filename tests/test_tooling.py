@@ -129,3 +129,23 @@ def test_render_figures_smoke(capsys, tmp_path):
         raster = membership.rasterize_region(scenario, bbox, (8, 8))
         csv = (tmp_path / f"{name}.csv").read_text(encoding="utf-8")
         assert csv == serialize.raster_to_csv_text(raster)
+
+
+def test_only_emit_writes_to_stdout():
+    # stdout carries one strict JSON document, spelled and written by
+    # cli._emit; every other message goes to stderr
+    def to_stdout(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "write" and ast.unparse(node.value).startswith("sys.stdout")
+        return (isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+                and "file=sys.stderr" not in map(ast.unparse, node.keywords))
+
+    writers = []
+    for path in sorted((ROOT / "src" / "minsum").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in filter(to_stdout, ast.walk(tree)):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            owner = min(around, key=lambda f: f.end_lineno - f.lineno, default=None)
+            writers.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    assert writers == ["cli._emit"]
