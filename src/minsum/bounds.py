@@ -60,8 +60,8 @@ def focal_distance_bound(mu1: float, mu2: float, x1, x2, bound_b: float) -> floa
     """Largest possible distance from a member to the mu-weighted focal
     point, for two nonsmooth summands under gradient cap B: the root of
     the smaller _focal_terms term."""
-    a1, a2 = as_vec(x1), as_vec(x2)
-    check_same_dim(a1, a2)
+    a1 = as_vec(x1)
+    a2 = as_vec(x2, len(a1))
     if mu1 < 0.0 or mu2 < 0.0 or mu1 + mu2 <= 0.0:
         raise ValueError("moduli must be nonnegative with positive sum")
     b = float(bound_b)

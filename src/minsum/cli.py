@@ -175,13 +175,13 @@ def _verify_one(scenario: Scenario, points: int, seed: int) -> dict:
         "mismatches": report.mismatches,
     }
     if all(s.params.is_smooth for s in scenario.unknown_summands):
-        sweep = oracle.necessity_sweep(scenario, range(seed, seed + 25))
-        out["necessity"] = {
-            "instances": sweep["instances"],
-            "worst_margin": sweep["worst_margin"],
-            "failures": sweep["failures"],
-        }
+        out["necessity"] = oracle.necessity_sweep(scenario, range(seed, seed + 25))
     return out
+
+
+def _passed(res: dict) -> bool:
+    """A verify run passes with no mismatch and no necessity failure."""
+    return not (res["mismatches"] or res.get("necessity", {}).get("failures"))
 
 
 def cmd_verify(args) -> int:
@@ -189,7 +189,6 @@ def cmd_verify(args) -> int:
         if args.seed is not None:
             raise ValueError("--seed applies to a scenario file; --random run k uses seed 1000 + k")
         results = []
-        failed = False
         for k in range(args.seeds):
             scenario = (
                 oracle.random_smooth_scenario(k)
@@ -198,18 +197,16 @@ def cmd_verify(args) -> int:
             )
             res = _verify_one(scenario, args.points, seed=1000 + k)
             res["seed"] = k
-            failed = failed or res["mismatches"] or res.get("necessity", {}).get("failures")
             results.append(res)
-        _emit({"runs": results, "ok": not failed})
-        return 0 if not failed else 1
-    if not args.scenario:
+        out = {"runs": results, "ok": all(map(_passed, results))}
+    elif not args.scenario:
         raise ScenarioFormatError("verify needs a scenario file or --random")
-    scenario = load_scenario(args.scenario)
-    res = _verify_one(scenario, args.points, seed=args.seed or 0)
-    ok = not res["mismatches"] and not res.get("necessity", {}).get("failures")
-    res["ok"] = bool(ok)
-    _emit(res)
-    return 0 if ok else 1
+    else:
+        scenario = load_scenario(args.scenario)
+        out = _verify_one(scenario, args.points, seed=args.seed or 0)
+        out["ok"] = _passed(out)
+    _emit(out)
+    return 0 if out["ok"] else 1
 
 
 def cmd_focal(args) -> int:

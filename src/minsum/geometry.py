@@ -10,6 +10,9 @@ Every verdict is decided within one relative band, TOL * (1 + the
 largest finite input magnitude): row_eps gives it for each row of an
 array, eps_for for one set of values.  TOL is fixed; no setting changes
 it.
+
+Inputs are checked once, where they enter: as_vec checks each vector
+argument, given the dimension where one is known.
 """
 from __future__ import annotations
 
@@ -72,13 +75,16 @@ def row_eps(scale, *columns):
 
 
 def eps_for(*values) -> float:
-    """row_eps of one row holding every entry of values.
+    """row_eps of one row holding every entry of values, as one max over
+    them as Python floats: the same max, so the same bits.
 
     Non-finite entries (an infinite smoothness constant, say) are ignored;
     they never enter a margin formula directly.
     """
-    a = np.concatenate([np.asarray(v, dtype=float).ravel() for v in values] or [[]])
-    return float(row_eps(0.0, a[:, None])[0])
+    flat = []
+    for v in values:
+        flat += [v] if isinstance(v, float) else np.asarray(v, dtype=float).ravel().tolist()
+    return float(TOL * (1.0 + max(map(abs, filter(math.isfinite, flat)), default=0.0)))
 
 
 def classify(margin: float, eps: float) -> str:
@@ -109,16 +115,25 @@ class Verdict:
         return self.state != OUTSIDE
 
 
-def as_vec(x) -> np.ndarray:
+def as_vec(x, dim: int | None = None) -> np.ndarray:
+    """x as a float vector, checked in one pass, in this order: 1-d and
+    nonempty, else ValueError; every coordinate finite, else ValueError;
+    and, when dim is given, of length dim, else DimensionMismatchError
+    ("mixed dimensions [a, b]").  So a non-finite vector of the wrong
+    length raises the plain ValueError."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-d coordinate vector")
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError("coordinates must be finite")
+    if dim is not None and len(v) != dim:
+        raise DimensionMismatchError(f"mixed dimensions {sorted({len(v), dim})}")
     return v
 
 
 def check_same_dim(*vecs: np.ndarray) -> int:
+    """The common length of checked vectors, none of which fixes it, or
+    DimensionMismatchError ("mixed dimensions [a, b, ...]")."""
     dims = {v.shape[0] for v in vecs}
     if len(dims) != 1:
         raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")

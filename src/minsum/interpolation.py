@@ -8,7 +8,7 @@ the nonsmooth case without branching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -31,6 +31,9 @@ class ClassParams:
 
     mu: float
     L: float
+    is_smooth: bool = field(init=False, repr=False, compare=False)
+    mu_over_L: float = field(init=False, repr=False, compare=False)
+    inv_L: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = float(self.mu)
@@ -43,20 +46,12 @@ class ClassParams:
             # mu = L would make the class a single quadratic up to affine
             # terms; every formula below assumes the strict inequality.
             raise ValueError(f"require mu < L, got mu={mu}, L={L}")
+        smooth = math.isfinite(L)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "L", L)
-
-    @property
-    def is_smooth(self) -> bool:
-        return math.isfinite(self.L)
-
-    @property
-    def mu_over_L(self) -> float:
-        return self.mu / self.L if self.is_smooth else 0.0
-
-    @property
-    def inv_L(self) -> float:
-        return 1.0 / self.L if self.is_smooth else 0.0
+        object.__setattr__(self, "is_smooth", smooth)
+        object.__setattr__(self, "mu_over_L", mu / L if smooth else 0.0)
+        object.__setattr__(self, "inv_L", 1.0 / L if smooth else 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +64,7 @@ class Triplet:
 
     def __post_init__(self):
         x = as_vec(self.x)
-        g = as_vec(self.g)
-        check_same_dim(x, g)
+        g = as_vec(self.g, len(x))
         f = float(self.f)
         if not math.isfinite(f):
             raise ValueError("function value must be finite")
@@ -140,9 +134,8 @@ def minimizer_condition_margin(x, g, x_star, params: ClassParams) -> float:
 
     Nonnegative iff <g, x - x*> >= (1 + mu/L)^-1 (|g|^2/L + mu |x - x*|^2).
     """
-    xv, gv, sv = as_vec(x), as_vec(g), as_vec(x_star)
-    check_same_dim(xv, gv, sv)
-    return _condition_margin(gv, xv - sv, params)
+    xv = as_vec(x)
+    return _condition_margin(as_vec(g, len(xv)), xv - as_vec(x_star, len(xv)), params)
 
 
 def _condition_margin(g: np.ndarray, dx: np.ndarray, params: ClassParams) -> float:
@@ -162,9 +155,8 @@ def geometric_ball(x, x_star, params: ClassParams) -> Ball:
     """
     if not params.is_smooth:
         raise ValueError("geometric ball needs a finite L")
-    xv, sv = as_vec(x), as_vec(x_star)
-    check_same_dim(xv, sv)
-    return Ball(*_gradient_ball(xv - sv, params))
+    xv = as_vec(x)
+    return Ball(*_gradient_ball(xv - as_vec(x_star, len(xv)), params))
 
 
 def _gradient_ball(d: np.ndarray, params: ClassParams):
@@ -180,8 +172,8 @@ def witness_values(x, g, x_star, params: ClassParams) -> WitnessValues:
     (x, g, f_x) and (x*, 0, 0) satisfy the pairwise class inequality,
     the first one with equality.  Raises if the one-point test fails.
     """
-    xv, gv, sv = as_vec(x), as_vec(g), as_vec(x_star)
-    check_same_dim(xv, gv, sv)
+    xv = as_vec(x)
+    gv, sv = as_vec(g, len(xv)), as_vec(x_star, len(xv))
     dx = xv - sv
     margin = _condition_margin(gv, dx, params)
     eps = eps_for(xv, gv, sv, params.mu, params.L)

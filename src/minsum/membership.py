@@ -105,9 +105,7 @@ class KnownFunction:
         return out
 
     def gradient(self, x) -> np.ndarray:
-        xv = as_vec(x)
-        check_same_dim(xv, self.center)
-        return self.matrix @ (xv - self.center)
+        return self.matrix @ (as_vec(x, len(self.center)) - self.center)
 
 
 def _checked_matrices(a: np.ndarray) -> np.ndarray:
@@ -137,10 +135,8 @@ class Summand:
     known: KnownFunction | None = None
 
     def __post_init__(self):
-        x = as_vec(self.x_star)
-        if self.known is not None:
-            check_same_dim(x, self.known.center)
-        object.__setattr__(self, "x_star", x)
+        dim = None if self.known is None else len(self.known.center)
+        object.__setattr__(self, "x_star", as_vec(self.x_star, dim))
 
     @property
     def dim(self) -> int:
@@ -443,8 +439,8 @@ def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
     The argmin is the bounded pair's witness; the oracle compares the
     optimum with B^2, with no algebra shared with _bounded_pair.
     """
-    xs, a1, a2 = as_vec(x_star), as_vec(x1), as_vec(x2)
-    check_same_dim(xs, a1, a2)
+    xs = as_vec(x_star)
+    a1, a2 = as_vec(x1, len(xs)), as_vec(x2, len(xs))
     if mu1 < 0.0 or mu2 < 0.0:
         raise ValueError("moduli must be nonnegative")
     row = xs[None, :]
@@ -553,15 +549,6 @@ def _build(name: str, known: tuple, unknown: tuple, dim: int, bound_b):
                    b=b, bmin=bmin, sep=sep, scale=scale)
 
 
-def _point(x_star, dim: int) -> np.ndarray:
-    """x_star as a finite vector of dim coordinates, checked in one pass;
-    anything else raises as_vec's or check_same_dim's error."""
-    x = np.asarray(x_star, dtype=float)
-    if x.shape != (dim,) or not all(map(math.isfinite, x.tolist())):
-        check_same_dim(as_vec(x), np.empty(dim))
-    return x
-
-
 def _one_point(kernel, x: np.ndarray) -> Verdict:
     states, margins, fired = kernel(x[None, :])
     return Verdict(STATE_NAMES[states.item()], margins.item(), fired.item())
@@ -607,8 +594,8 @@ def min_bound_B(mu1: float, mu2: float, x1, x2) -> float:
         raise ValueError("moduli must be nonnegative")
     if mu1 + mu2 <= 0.0:
         raise ValueError("at least one modulus must be positive")
-    a1, a2 = as_vec(x1), as_vec(x2)
-    check_same_dim(a1, a2)
+    a1 = as_vec(x1)
+    a2 = as_vec(x2, len(a1))
     return mu1 * mu2 / (mu1 + mu2) * float(np.linalg.norm(a1 - a2))
 
 
@@ -667,7 +654,7 @@ def _kernel(scenario: Scenario):
 def evaluate(scenario: Scenario, x_star) -> Verdict:
     """Membership verdict for x_star under the predicate the scenario
     routes to (route)."""
-    return _one_point(_kernel(scenario), _point(x_star, scenario.dim))
+    return _one_point(_kernel(scenario), as_vec(x_star, scenario.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +708,12 @@ def witness_gradients(scenario: Scenario, x_star):
       which a point admitted only by the tolerance band also takes when
       the argmin exceeds the cap.
     """
-    x = _point(x_star, scenario.dim)
+    x = as_vec(x_star, scenario.dim)
     verdict = _one_point(_kernel(scenario), x)
     if verdict.state == OUTSIDE:
         return None
-    known = {id(s): s.known.gradient(x) for s in scenario.known_summands}
+    # the known quadratics' exact gradients at the x checked above
+    known = {id(s): s.known.matrix @ (x - s.known.center) for s in scenario.known_summands}
     offset = sum(known.values(), np.zeros_like(x))
     unknown = scenario.unknown_summands
     nonsmooth = _PATTERNS[scenario.pattern][1]

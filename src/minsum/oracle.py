@@ -112,7 +112,8 @@ def _instances(scenario: Scenario, seeds: list):
     (sum A_i) x = sum A_i c_i over every summand, known ones included.
     When every modulus is zero the sum can be singular; such a seed
     redraws from its stream, up to 64 times, so each instance is a
-    deterministic function of its seed alone.
+    deterministic function of its seed alone.  A seed failing still
+    raises, naming the overflow when its sums are not finite.
     """
     unknown = scenario.unknown_summands
     if not all(s.params.is_smooth for s in unknown):
@@ -149,6 +150,8 @@ def _instances(scenario: Scenario, seeds: list):
         todo = todo[~ok]
         if not len(todo):
             return matrices, minimizers
+    if not (np.isfinite(total[~ok]).all() and np.isfinite(rhs[~ok]).all()):
+        raise ValueError("the sums of the quadratic instances overflow the float range")
     raise ValueError("could not draw a nonsingular instance; are all moduli zero?")
 
 

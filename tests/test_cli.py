@@ -110,6 +110,13 @@ def test_exit_code_dimension(capsys, smooth_path):
     assert "dimension" in err
 
 
+def test_non_finite_point_of_the_wrong_length_exits_64(capsys, smooth_path):
+    # finiteness is checked before the length, so this is an input error
+    code, out, err = run(capsys, "check", smooth_path, "--point", "inf")
+    assert (code, out) == (64, "")
+    assert "finite" in err
+
+
 def test_exit_code_unsupported(capsys, tmp_path):
     p = tmp_path / "three.json"
     p.write_text(

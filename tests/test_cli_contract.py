@@ -119,3 +119,14 @@ def test_anchors_too_far_apart_exit_64_with_a_message(capfd, tmp_path, command, 
     assert (code, out) == (64, "")
     assert message in err
 
+
+
+def test_overflowing_quadratic_instances_exit_64_naming_the_overflow(capfd, tmp_path):
+    # both anchors near the top of the float range: every instance's
+    # A_i c_i overflows, while the moduli are not zero
+    path = tmp_path / "scenario.json"
+    summand = {"x_star": [0.0, 3.543, -1.7e308], "mu": 0.6253, "L": 5.181}
+    path.write_text(json.dumps({"summands": [summand, summand]}), encoding="utf-8")
+    code, out, err = run(capfd, ["verify", path, "--points", 20])
+    assert (code, out) == (64, "")
+    assert "overflow the float range" in err and "moduli" not in err

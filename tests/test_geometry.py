@@ -121,6 +121,17 @@ def test_as_vec_rejects_bad_input():
         as_vec([])
     with pytest.raises(ValueError):
         as_vec([1.0, math.nan])
+    with pytest.raises(DimensionMismatchError, match=r"mixed dimensions \[2, 3\]"):
+        as_vec([1.0, 2.0], 3)
+    # finiteness comes before the length: a plain ValueError
+    for bad in ([1.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="finite") as info:
+            as_vec(bad, 3)
+        assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match="1-d") as info:
+        as_vec([[1.0, 2.0, 3.0]], 3)
+    assert type(info.value) is ValueError
+    assert as_vec([1, 2], 2).tolist() == [1.0, 2.0]
     with pytest.raises(DimensionMismatchError):
         check_same_dim(vec(1, 2), vec(1, 2, 3))
 

@@ -1,11 +1,15 @@
 """Names that one part of the project looks up in another by string or
-by key: a renamed or missing one would only surface when a run stops."""
+by key: a renamed or missing one would only surface when a run stops.
+And rules that hold across modules: where stdout is written, and where
+inputs are checked."""
 import ast
 import importlib
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from minsum import _projection, cli, membership, serialize
 
@@ -149,3 +153,65 @@ def test_only_emit_writes_to_stdout():
             owner = min(around, key=lambda f: f.end_lineno - f.lineno, default=None)
             writers.append(f"{path.stem}.{owner.name if owner else '<module>'}")
     assert writers == ["cli._emit"]
+
+
+def test_each_vector_argument_is_checked_once(monkeypatch):
+    # inputs are checked where they enter: one as_vec per vector argument,
+    # with the dimension given, and no check_same_dim after it.  The spies
+    # replace the names in every module that imports them; Ball's check of
+    # the centre it is built from is geometry's own and is not counted
+    from minsum import geometry, interpolation
+    from minsum.interpolation import ClassParams, Triplet
+    from minsum.membership import KnownFunction, Scenario, Summand
+
+    smooth, nonsmooth = ClassParams(0.5, 4.0), ClassParams(1.0, float("inf"))
+    known = KnownFunction(np.diag([1.0, 2.0]), np.array([0.5, -1.0]))
+    scenarios = {
+        "two_smooth": Scenario((Summand([-1.0, 0.0], smooth), Summand([1.0, 0.5], smooth))),
+        "known_one_nonsmooth": Scenario((
+            Summand([0.5, -1.0], smooth, known), Summand([-1.0, 0.0], smooth),
+            Summand([1.0, 0.5], nonsmooth))),
+        "two_nonsmooth_bounded": Scenario(
+            (Summand([-1.0, 0.0], nonsmooth), Summand([1.0, 0.5], nonsmooth)), bound_B=3.0),
+    }
+    points = {"two_smooth": [0.0, 0.25], "known_one_nonsmooth": [1.0, 0.5],
+              "two_nonsmooth_bounded": [0.0, 0.25]}
+    for name, sc in scenarios.items():
+        assert sc.pattern == name
+        # the kernel is built once per scenario, outside the calls counted
+        assert membership.evaluate(sc, points[name]).admits
+
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    importers = [m for key, m in sorted(sys.modules.items())
+                 if key.startswith("minsum.") and m is not geometry]
+    for module in importers:
+        for name in ("as_vec", "check_same_dim"):
+            if getattr(module, name, None) is getattr(geometry, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(geometry, name)))
+
+    def no_gradient(self, x):
+        raise AssertionError("witness_gradients checked x again")
+
+    monkeypatch.setattr(KnownFunction, "gradient", no_gradient)
+
+    def counted(call):
+        calls.clear()
+        call()
+        return calls.count("as_vec"), calls.count("check_same_dim")
+
+    x, g, xs = np.array([0.3, -0.2]), np.array([1.0, 2.0]), np.array([-1.0, 0.0])
+    for name, sc in scenarios.items():
+        p = points[name]
+        assert counted(lambda: membership.evaluate(sc, p)) == (1, 0), name
+        assert counted(lambda: membership.witness_gradients(sc, p)) == (1, 0), name
+    assert counted(lambda: interpolation.minimizer_condition_margin(x, g, xs, smooth)) == (3, 0)
+    assert counted(lambda: interpolation.witness_values(x, 0.5 * g, xs, ClassParams(0.0, 4.0))) == (3, 0)
+    assert counted(lambda: interpolation.geometric_ball(x, xs, smooth)) == (2, 0)
+    assert counted(lambda: Triplet(x, g, 1.0)) == (2, 0)
