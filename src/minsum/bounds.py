@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, as_vec, check_same_dim, eps_for
+from .geometry import Ball, as_vec, check_same_dim
 from .membership import (
     Scenario,
     UnsupportedPatternError,
@@ -47,13 +47,20 @@ class BoundReport:
 
 
 def _focal_terms(mu1: float, mu2: float, a1, a2, b: float):
-    """(linear, quadratic): the two terms whose minimum bounds the squared
-    focal distance, B D / (mu1+mu2) - mu1 mu2 D^2 / (mu1+mu2)^2 with
-    D = |x1 - x2|, and B^2 / (mu1+mu2)^2."""
+    """(bound, binding) of checked inputs with b >= min_bound_B: the root
+    of the smaller of linear = B D / (mu1+mu2) - mu1 mu2 D^2 / (mu1+mu2)^2,
+    D = |x1 - x2|, and B^2 / (mu1+mu2)^2, and which one binds.  Such a b
+    makes linear >= 0: below 0 it is rounding, and -inf an overflow (nan)."""
     d = float(np.linalg.norm(a1 - a2))
     total = mu1 + mu2
+    linear = b * d / total - mu1 * mu2 * d * d / (total * total)
+    if linear == -math.inf:
+        return math.nan, FOCAL_LINEAR
     # a product, not **, so an overflow gives inf instead of raising
-    return b * d / total - mu1 * mu2 * d * d / (total * total), (b / total) * (b / total)
+    quadratic = (b / total) * (b / total)
+    linear = max(linear, 0.0)
+    binding = FOCAL_LINEAR if linear <= quadratic else FOCAL_QUADRATIC
+    return math.sqrt(min(linear, quadratic)), binding
 
 
 def focal_distance_bound(mu1: float, mu2: float, x1, x2, bound_b: float) -> float:
@@ -67,11 +74,9 @@ def focal_distance_bound(mu1: float, mu2: float, x1, x2, bound_b: float) -> floa
     b = float(bound_b)
     if not math.isfinite(b) or b < 0.0:
         raise ValueError("bound must be finite and nonnegative")
-    linear, quadratic = _focal_terms(mu1, mu2, a1, a2, b)
-    eps = eps_for(a1, a2, mu1, mu2, b)
-    if linear < -eps:
+    if b < min_bound_B(mu1, mu2, a1, a2):
         raise ValueError("bound below the feasibility minimum; the set is empty")
-    return math.sqrt(min(max(linear, 0.0), quadratic))
+    return _focal_terms(mu1, mu2, a1, a2, b)[0]
 
 
 def _check_kappa(kappa: float) -> float:
@@ -179,16 +184,13 @@ def scenario_bound_reports(scenario: Scenario):
         mu1, mu2 = s1.params.mu, s2.params.mu
         b = scenario.bound_B
         result["focal"] = focal_point(unknown)
-        bmin = min_bound_B(mu1, mu2, s1.x_star, s2.x_star)
-        if b < bmin:
+        if b < min_bound_B(mu1, mu2, s1.x_star, s2.x_star):
             notes.append("bound_B is below the feasibility minimum; the set is empty")
             return result
-        value = focal_distance_bound(mu1, mu2, s1.x_star, s2.x_star, b)
+        value, binding = _focal_terms(mu1, mu2, s1.x_star, s2.x_star, b)
         if not math.isfinite(value):
             notes.append("the focal distance bound overflows: no finite distance bound applies")
             return result
-        linear, quadratic = _focal_terms(mu1, mu2, s1.x_star, s2.x_star, b)
-        binding = FOCAL_LINEAR if max(linear, 0.0) <= quadratic else FOCAL_QUADRATIC
         reports.append(BoundReport(value, binding, None))
         return result
 

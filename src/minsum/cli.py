@@ -4,8 +4,8 @@ Exit codes:
     0   success (for `check`: the point is a potential minimizer)
     1   for `check`: the point is ruled out; for `verify`: mismatches found
     2   for `check`: on the boundary at working tolerance
-    64  unreadable or malformed input (files, JSON, numbers, usage), or
-        arithmetic beyond the float range
+    64  unreadable or malformed input (files, JSON, numbers, usage),
+        arithmetic beyond the float range, or memory exhaustion
     65  dimension mismatch between points and scenario
     66  scenario pattern not covered by any implemented test
     141 standard output closed early (128 + SIGPIPE: `minsum ... | head`)
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -150,7 +149,7 @@ def _sample_points(scenario: Scenario, count: int, seed: int) -> np.ndarray:
     hi = anchors.max(axis=0)
     spread = float(np.max(hi - lo))
     pad = 1.0 + spread
-    if scenario.bound_B is not None and math.isfinite(scenario.bound_B):
+    if scenario.bound_B is not None:
         mu_sum = sum(s.params.mu for s in scenario.summands)
         if mu_sum > 0:
             pad = max(pad, scenario.bound_B / mu_sum + spread)
@@ -186,10 +185,12 @@ def _passed(res: dict) -> bool:
 
 def cmd_verify(args) -> int:
     if args.random:
+        if args.scenario:
+            raise ValueError("--random generates its scenarios; it takes no scenario file")
         if args.seed is not None:
             raise ValueError("--seed applies to a scenario file; --random run k uses seed 1000 + k")
         results = []
-        for k in range(args.seeds):
+        for k in range(6 if args.seeds is None else args.seeds):
             scenario = (
                 oracle.random_smooth_scenario(k)
                 if k % 2 == 0
@@ -201,6 +202,8 @@ def cmd_verify(args) -> int:
         out = {"runs": results, "ok": all(map(_passed, results))}
     elif not args.scenario:
         raise ScenarioFormatError("verify needs a scenario file or --random")
+    elif args.seeds is not None:
+        raise ValueError("--seeds applies to --random; a scenario file is one run")
     else:
         scenario = load_scenario(args.scenario)
         out = _verify_one(scenario, args.points, seed=args.seed or 0)
@@ -261,7 +264,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="cross-check closed forms against oracles")
     p.add_argument("scenario", nargs="?")
     p.add_argument("--random", action="store_true", help="use generated scenarios")
-    p.add_argument("--seeds", type=_count, default=6, help="scenario count for --random")
+    p.add_argument("--seeds", type=_count, help="scenario count for --random (default 6)")
     p.add_argument("--points", type=_count, default=200)
     p.add_argument("--seed", type=_count, default=None,
                    help="point sampling seed for a scenario file (default 0)")
@@ -305,7 +308,7 @@ def main(argv=None) -> int:
     except UnsupportedPatternError as exc:
         print(f"minsum: unsupported pattern: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ScenarioFormatError, OSError, ValueError, ArithmeticError) as exc:
+    except (ScenarioFormatError, OSError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"minsum: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -316,7 +316,7 @@ def _ball_halfspace(points, *, anchors, pairs, coef, order, known, scale):
     return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
 
 
-def _bounded_pair(points, *, anchors, mu, b, bmin, sep, scale):
+def _bounded_pair(points, *, anchors, mu, b, bmin, scale):
     """Two nonsmooth summands under a gradient cap |g_i| <= b.
 
     x belongs to the set iff both base norm caps mu_i |d_i| <= b hold
@@ -331,11 +331,8 @@ def _bounded_pair(points, *, anchors, mu, b, bmin, sep, scale):
          [mu1 |d1|,  -mu2 |d2|,    b^2     ]]
 
     with cos the cosine between d1 and d2, expanded by cofactor_det.
-    fired records every satisfied clause.
+    fired records every satisfied clause; _build has checked the anchors.
     """
-    # the anchors' own tolerance, so the answer does not depend on the points
-    if sep <= TOL * (1.0 + scale):
-        raise CoincidentPointsError("summand minimizers coincide")
     x = np.ascontiguousarray(points.T)
     eps = row_eps(scale, x)
     d = x[:, None, :] - anchors
@@ -368,24 +365,20 @@ def _bounded_pair(points, *, anchors, mu, b, bmin, sep, scale):
     return states, margins, fired
 
 
-def _qp_eps(points, a1, a2, mu1: float, mu2: float):
-    """eps_for(x, a1, a2, mu1, mu2) of each row x of points."""
-    scale = max(float(np.abs(a1).max()), float(np.abs(a2).max()), mu1, mu2)
-    return row_eps(scale, points.T)
-
-
-def _min_norm_qp(points, a1, a2, mu1: float, mu2: float, eps):
+def _min_norm_qp(points, a1, a2, mu1: float, mu2: float):
     """Minimize |g|^2 subject to
         <g, u> <= -mu1 |u|^2,  u = a1 - x
         <g, v> <= -mu2 |v|^2,  v = x - a2
     at each row x of points, by enumerating the KKT active sets: none,
-    u, v and both.  eps holds each row's tolerance (_qp_eps).  Returns
-    each row's optimal value, inf where the half-spaces are disjoint
-    (x on the colinear ray outside the segment [a1, a2]), and its argmin
-    (N, n), NaN where the value is inf.  Ties go to the first active set
-    in that order.
+    u, v and both, within each row's eps_for(x, a1, a2, mu1, mu2).
+    Returns each row's optimal value, inf where the half-spaces are
+    disjoint (x on the colinear ray outside the segment [a1, a2]), and
+    its argmin (N, n), NaN where the value is inf.  Ties go to the first
+    active set in that order.
     """
     x = points.T
+    scale = max(float(np.abs(a1).max()), float(np.abs(a2).max()), mu1, mu2)
+    eps = row_eps(scale, x)
     u = a1[:, None] - x
     v = x - a2[:, None]
     nu = fold(u * u)
@@ -428,8 +421,7 @@ def _min_norm_qp(points, a1, a2, mu1: float, mu2: float, eps):
 def _pair_qp(points, s1: Summand, s2: Summand):
     """_min_norm_qp of validated points against the anchors and moduli of
     the bounded pair s1, s2."""
-    pair = s1.x_star, s2.x_star, s1.params.mu, s2.params.mu
-    return _min_norm_qp(points, *pair, _qp_eps(points, *pair))
+    return _min_norm_qp(points, s1.x_star, s2.x_star, s1.params.mu, s2.params.mu)
 
 
 def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
@@ -443,8 +435,7 @@ def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
     a1, a2 = as_vec(x1, len(xs)), as_vec(x2, len(xs))
     if mu1 < 0.0 or mu2 < 0.0:
         raise ValueError("moduli must be nonnegative")
-    row = xs[None, :]
-    opt, g = _min_norm_qp(row, a1, a2, mu1, mu2, _qp_eps(row, a1, a2, mu1, mu2))
+    opt, g = _min_norm_qp(xs[None, :], a1, a2, mu1, mu2)
     value = float(opt[0])
     return (value, g[0]) if math.isfinite(value) else (math.inf, None)
 
@@ -478,11 +469,11 @@ def _fits(name: str, known, unknown) -> bool:
             and count in (None, len(flags)) and flags == sorted(flags))
 
 
-def _static_scale(unknown, bound_b=None) -> float:
+def _static_scale(unknown, bound_b) -> float:
     """Largest finite magnitude among the unknown summands' minimizers,
     moduli and smoothness constants and the cap: eps_for's scale for
     everything but the point and the gradients taken there."""
-    values = [0.0 if bound_b is None else float(bound_b)]
+    values = [0.0 if bound_b is None else bound_b]
     for s in unknown:
         values += map(abs, s.x_star.tolist())
         values += [s.params.mu, s.params.L] if s.params.is_smooth else [s.params.mu]
@@ -506,8 +497,8 @@ def _known_columns(known) -> tuple:
 @lru_cache(maxsize=256)
 def _build(name: str, known: tuple, unknown: tuple, dim: int, bound_b):
     """The kernel of predicate name on the known quadratics and the
-    unknown summands, nonsmooth ones last, with the cap bound_b of the
-    bounded pair."""
+    unknown summands, nonsmooth ones last, with the bounded pair's cap
+    bound_b, checked at its entry, and its anchors, checked apart here."""
     has_known, nonsmooth, count = _PATTERNS[name]
     if not _fits(name, known, unknown):
         raise UnsupportedPatternError(
@@ -539,14 +530,12 @@ def _build(name: str, known: tuple, unknown: tuple, dim: int, bound_b):
                        pairs=np.array(pairs), coef=np.array(coef)[:, :, None],
                        order=np.array(order), known=_known_columns(known), scale=scale)
     s1, s2 = unknown
+    if float(np.linalg.norm(s1.x_star - s2.x_star)) <= TOL * (1.0 + scale):
+        raise CoincidentPointsError("summand minimizers coincide")
     mu1, mu2 = s1.params.mu, s2.params.mu
-    b = float(bound_b)
-    if not math.isfinite(b) or b < 0.0:
-        raise ValueError(f"bound must be finite and nonnegative, got {b}")
     bmin = min_bound_B(mu1, mu2, s1.x_star, s2.x_star)
-    sep = float(np.linalg.norm(s1.x_star - s2.x_star))
     return partial(_bounded_pair, anchors=_anchors(unknown, dim), mu=_column([mu1, mu2]),
-                   b=b, bmin=bmin, sep=sep, scale=scale)
+                   b=bound_b, bmin=bmin, scale=scale)
 
 
 def _one_point(kernel, x: np.ndarray) -> Verdict:
@@ -603,7 +592,10 @@ def member_two_nonsmooth_bounded(
     x_star, s1: Summand, s2: Summand, bound_b: float
 ) -> Verdict:
     """Two nonsmooth summands under a gradient cap |g_i| <= B (_bounded_pair)."""
-    return _member(TWO_NONSMOOTH_BOUNDED, x_star, (), (s1, s2), float(bound_b))
+    b = float(bound_b)
+    if not math.isfinite(b) or b < 0.0:
+        raise ValueError(f"bound must be finite and nonnegative, got {b}")
+    return _member(TWO_NONSMOOTH_BOUNDED, x_star, (), (s1, s2), b)
 
 
 def member_m_smooth(x_star, summands) -> Verdict:
@@ -652,9 +644,10 @@ def _kernel(scenario: Scenario):
 
 
 def evaluate(scenario: Scenario, x_star) -> Verdict:
-    """Membership verdict for x_star under the predicate the scenario
-    routes to (route)."""
-    return _one_point(_kernel(scenario), as_vec(x_star, scenario.dim))
+    """Membership verdict for x_star under the scenario's routed predicate
+    (route).  x_star is checked first: its faults come before the kernel's."""
+    x = as_vec(x_star, scenario.dim)
+    return _one_point(_kernel(scenario), x)
 
 
 # ---------------------------------------------------------------------------

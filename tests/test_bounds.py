@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from minsum import bounds
 from minsum.bounds import (
     BALL_NONSMOOTH,
     BALL_SMOOTH,
@@ -39,6 +40,28 @@ def test_focal_distance_bound_values():
     assert focal_distance_bound(1.75, 2.0, x1, x2, bmin) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_bound_reports_take_the_focal_terms_once(bounded_pair, monkeypatch):
+    # the scenario holds checked inputs and b >= min_bound_B is the one
+    # emptiness rule, so the report path neither re-checks them through
+    # focal_distance_bound nor works the terms out twice
+    calls = []
+    terms = bounds._focal_terms
+
+    def counted(*args):
+        calls.append(args)
+        return terms(*args)
+
+    def public(*args):
+        raise AssertionError("the report path called focal_distance_bound")
+
+    monkeypatch.setattr(bounds, "_focal_terms", counted)
+    monkeypatch.setattr(bounds, "focal_distance_bound", public)
+    (report,) = scenario_bound_reports(bounded_pair)["reports"]
+    assert len(calls) == 1
+    expected = focal_distance_bound(1.75, 2.0, vec(-1.0, 0.0), vec(1.0, 0.0), 3.0)
+    assert (report.bound_value, report.binding_term) == (expected, FOCAL_LINEAR)
+
+
 def test_focal_distance_bound_quadratic_term():
     # for caps between D*min(mu) and D*max(mu) the quadratic term binds
     x1, x2 = vec(-1.0, 0.0), vec(1.0, 0.0)
@@ -57,6 +80,17 @@ def test_focal_distance_bound_validation():
         focal_distance_bound(0.0, 0.0, x1, x2, 3.0)
     with pytest.raises(ValueError):
         focal_distance_bound(1.0, 1.0, x1, x2, math.inf)
+
+
+def test_focal_distance_bound_at_the_minimum_cap_at_large_scale():
+    # b >= min_bound_B is the one emptiness rule: at anchors near 1e13 the
+    # linear term rounds far below 0, yet the set is the focal point
+    x1 = vec(11141888189895.0, -3087229363449.0)
+    x2 = vec(1686185380884.0, -16062990149736.0)
+    assert focal_distance_bound(7.6, 5.4, x1, x2, min_bound_B(7.6, 5.4, x1, x2)) == 0.0
+    # mu1 mu2 D^2 overflows, so the bound is unknown, not 0
+    assert math.isnan(focal_distance_bound(10.0, 10.0, vec(0.0, 0.0), vec(1.5e153, 0.0),
+                                           1.5e154))
 
 
 @given(

@@ -10,6 +10,7 @@ import pytest
 
 from minsum import _projection, cli, evaluate, membership
 from minsum.geometry import BOUNDARY, INSIDE, OUTSIDE
+from minsum.interpolation import ClassParams
 from minsum.serialize import save_scenario
 
 
@@ -473,6 +474,101 @@ def test_verify_random_rejects_seed(capsys, bounded_path):
     _, default, _ = run(capsys, "verify", bounded_path, "--points", "5")
     _, zero, _ = run(capsys, "verify", bounded_path, "--points", "5", "--seed", "0")
     assert default == zero
+
+
+@pytest.mark.parametrize("count", ["9", "6"])
+def test_verify_scenario_file_rejects_seeds(capsys, bounded_path, count):
+    # a scenario file is one run, so --seeds would be ignored; an explicit
+    # value equal to --random's default is rejected too
+    code, out, err = run(capsys, "verify", bounded_path, "--seeds", count, "--points", "3")
+    assert (code, out) == (64, "") and "--seeds" in err
+    # --random without --seeds still runs six scenarios
+    code, out, _ = run(capsys, "verify", "--random", "--points", "0")
+    assert code == 0 and len(json.loads(out)["runs"]) == 6
+
+
+def test_verify_random_rejects_scenario_file(capsys, bounded_path):
+    # --random generates its scenarios, so the file would be ignored
+    code, out, err = run(capsys, "verify", bounded_path, "--random", "--seeds", "1",
+                         "--points", "3")
+    assert (code, out) == (64, "") and "--random" in err
+
+
+def test_memory_exhaustion_is_a_usage_error(capsys, monkeypatch, bounded_path):
+    # a raised MemoryError stands in for numpy refusing the point sample
+    # of --points 10000000000000; no real allocation is attempted
+    def no_memory(scenario, count, seed):
+        raise MemoryError("Unable to allocate 146. TiB for an array with shape "
+                          "(10000000000000, 2) and data type float64")
+
+    monkeypatch.setattr(cli, "_sample_points", no_memory)
+    code, out, err = run(capsys, "verify", bounded_path, "--points", "10000000000000")
+    assert (code, out) == (64, "")
+    assert "Unable to allocate 146. TiB" in err and "Traceback" not in err
+
+
+@pytest.fixture
+def coincident_bounded_path(tmp_path):
+    p = tmp_path / "coincident.json"
+    p.write_text('{"summands": [{"x_star": [1.0, 0.0], "mu": 1.0, "L": "inf"},'
+                 ' {"x_star": [1.0, 0.0], "mu": 2.0, "L": "inf"}], "bound_B": 3.0}')
+    return str(p)
+
+
+def test_verify_coincident_bounded_anchors_exit_64_with_no_points(
+        capsys, coincident_bounded_path):
+    # the anchors are checked when the pair is bound, not per point, so
+    # an empty sample does not hide them
+    for points in ("0", "5"):
+        code, out, err = run(capsys, "verify", coincident_bounded_path, "--points", points)
+        assert (code, out) == (64, "") and "summand minimizers coincide" in err
+
+
+def test_check_coincident_bounded_anchors_reports_the_point_first(
+        capsys, coincident_bounded_path):
+    code, out, err = run(capsys, "check", coincident_bounded_path, "--point", "0", "0", "0")
+    assert (code, out) == (65, "") and "mixed dimensions" in err
+    code, out, err = run(capsys, "check", coincident_bounded_path, "--point", "nan", "0")
+    assert (code, out) == (64, "") and "coordinates must be finite" in err
+    code, out, err = run(capsys, "check", coincident_bounded_path, "--point", "0", "0")
+    assert (code, out) == (64, "") and "summand minimizers coincide" in err
+
+
+def test_bounds_at_the_minimum_cap_at_large_scale_reports(capsys, tmp_path):
+    # at anchors near 1e13 the linear focal term, quadratic in their
+    # distance, rounds below minus a tolerance that grows only linearly;
+    # bound_B = min_bound_B is still a nonempty set, whose member is the
+    # focal point
+    x1 = np.array([11141888189895.0, -3087229363449.0])
+    x2 = np.array([1686185380884.0, -16062990149736.0])
+    sc = membership.Scenario(
+        (membership.Summand(x1, ClassParams(7.6, math.inf)),
+         membership.Summand(x2, ClassParams(5.4, math.inf))),
+        bound_B=membership.min_bound_B(7.6, 5.4, x1, x2),
+    )
+    path = tmp_path / "far.json"
+    save_scenario(sc, path)
+    code, out, err = run(capsys, "bounds", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reports"] == [
+        {"bound_value": 0.0, "binding_term": "focal_linear", "kappa": None}]
+    focal = json.loads(run(capsys, "focal", str(path))[1])["focal"]
+    code, out, _ = run(capsys, "check", str(path), "--point", *map(repr, focal))
+    assert json.loads(out)["state"] != OUTSIDE
+
+
+def test_bounds_focal_linear_overflow_is_noted(capsys, tmp_path):
+    # mu1 mu2 D^2 overflows before B D does, so the linear term reads -inf
+    # although bound_B = 2 min_bound_B makes it positive (about 7.5e152):
+    # a note, not a bound of 0 and not an empty set
+    summands = [{"x_star": [x, 0], "mu": 10, "L": "inf"} for x in (0, 1.5e153)]
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps({"summands": summands, "bound_B": 1.5e154}), encoding="utf-8")
+    code, out, _ = run(capsys, "bounds", str(p))
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["reports"], payload["notes"]) == (
+        [], ["the focal distance bound overflows: no finite distance bound applies"])
 
 
 class _ClosedPipe:

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -281,6 +282,16 @@ def test_bounded_coincident_anchors():
     s2 = summand(0, 0, 2.0, math.inf)
     with pytest.raises(CoincidentPointsError):
         member_two_nonsmooth_bounded(vec(1, 1), s1, s2, 3.0)
+
+
+@pytest.mark.parametrize("cap", [-1.0, math.inf, math.nan])
+def test_bounded_cap_is_checked_where_it_enters(bounded_pair, cap):
+    # member_two_nonsmooth_bounded is the one entry that hands the kernel
+    # builder a raw cap; a Scenario checks its own bound_B
+    s1, s2 = bounded_pair.summands
+    message = f"bound must be finite and nonnegative, got {cap}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        member_two_nonsmooth_bounded(vec(0, 0), s1, s2, cap)
 
 
 def test_bounded_close_anchors_do_not_depend_on_the_points():

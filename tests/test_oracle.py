@@ -196,9 +196,20 @@ def test_qp_agrees_with_predicate(bounded_pair):
 
 
 def _qp_rows(x, a1, a2, mu1, mu2):
-    """The KKT kernel's (optimum, argmin, eps) of the rows of x."""
-    eps = membership._qp_eps(x, a1, a2, mu1, mu2)
-    return (*membership._min_norm_qp(x, a1, a2, mu1, mu2, eps), eps)
+    """The KKT kernel's (optimum, argmin, eps) of the rows of x, with eps
+    the tolerance the kernel itself works out (a spy on its row_eps)."""
+    seen = []
+    kernel_eps = membership.row_eps
+
+    def spy(scale, *columns):
+        seen.append(kernel_eps(scale, *columns))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(membership, "row_eps", spy)
+        opt, g = membership._min_norm_qp(x, a1, a2, mu1, mu2)
+    (eps,) = seen
+    return opt, g, eps
 
 
 @pytest.mark.parametrize("n", [2, 8])

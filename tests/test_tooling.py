@@ -59,6 +59,31 @@ def test_benchmark_flags_are_options():
     assert sorted(f for f in used if f[1] not in options[f[0]]) == []
 
 
+def test_benchmark_verify_argv_keep_to_one_form():
+    # verify takes a scenario file (with --seed) or --random (with
+    # --seeds), and rejects a mix of the two; no argv the benchmark or the
+    # verify corpus builds may mix them.  The path is the element right
+    # after "verify" when that is not a --flag
+    forms = set()
+    for path in ("perfbench/workloads.py", "scripts/verify_corpus.py"):
+        for node in ast.walk(ast.parse((ROOT / path).read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.List):
+                continue
+            words = [e.value if isinstance(e, ast.Constant) else None for e in node.elts]
+            if "verify" not in words:
+                continue
+            after = words[words.index("verify") + 1:][:1]
+            has_path = bool(after) and not (isinstance(after[0], str)
+                                            and after[0].startswith("--"))
+            random = "--random" in words
+            argv = f"{path}:{node.lineno}"
+            assert not (has_path and random), argv
+            assert "--seeds" not in words or random, argv
+            assert "--seed" not in words or not random, argv
+            forms.add("file" if has_path else "random")
+    assert forms == {"file", "random"}
+
+
 def test_benchmark_presets_route_as_labelled():
     # the raster workload checks each render's predicate_used against PATTERN_OF
     inputs = load(ROOT / "perfbench" / "inputs.py", "perfbench_inputs")
