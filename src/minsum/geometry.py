@@ -64,14 +64,22 @@ def fold(a, axis: int = 0):
     return out
 
 
-def row_eps(scale, *columns):
+def row_eps(scale, points, *computed):
     """The tolerance of each row: TOL * (1 + the largest magnitude among
-    the static scale and the row's finite entries of each column array,
-    shaped (n, N) with the N rows on the last axis).  The scale is
-    nonnegative, so it is the initial value of one max over the stacked
-    columns."""
-    c = columns[0] if len(columns) == 1 else np.concatenate(columns)
-    return TOL * (1.0 + np.abs(c).max(axis=0, initial=scale, where=np.isfinite(c)))
+    the static scale, the row's point and the row's finite entries of
+    each computed column array, all shaped (n, N) with the N rows on the
+    last axis).  The scale is nonnegative, so it is the initial value of
+    the max.  Only the computed columns (a gradient taken at the point)
+    can overflow and need the finiteness mask: every caller has checked
+    its points finite, so with no computed column there is no mask, and
+    with one the mask is taken over the stack in one call, where it is
+    true on the point's rows.  A max is exact, so either way the bits
+    are those of one masked max over everything.  np.maximum.reduce is
+    the max that ndarray.max calls, without its Python wrapper."""
+    if not computed:
+        return TOL * (1.0 + np.maximum.reduce(np.abs(points), axis=0, initial=scale))
+    c = np.abs(np.concatenate((points, *computed)))
+    return TOL * (1.0 + np.maximum.reduce(c, axis=0, initial=scale, where=np.isfinite(c)))
 
 
 def eps_for(*values) -> float:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .geometry import (
     Verdict,
     as_vec,
     check_same_dim,
+    classify,
     cofactor_det,
     fold,
     row_eps,
@@ -149,7 +150,8 @@ class Scenario:
     them are nonsmooth, the gradient-norm cap bound_B that keeps the
     potential set bounded.  It stores its unknown summands nonsmooth
     last, the order every kernel takes, and pattern: the routed
-    _PATTERNS name, or None when no pattern fits."""
+    _PATTERNS name, or None when no pattern fits.  It keeps its kernel
+    once one is asked for (_kernel)."""
 
     summands: tuple
     bound_B: float | None = None
@@ -187,9 +189,17 @@ class Scenario:
         pattern = next((n for n in _PATTERNS if _fits(n, known, unknown)), None)
         object.__setattr__(self, "pattern", pattern)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.summands[0].dim
+
+    @cached_property
+    def _bound_kernel(self):
+        """The routed predicate's kernel, bound on first use rather than
+        in __post_init__, so that evaluate checks its point before _build
+        checks the anchors."""
+        known = tuple(s.known for s in self.known_summands)
+        return _build(route(self), known, self.unknown_summands, self.dim, self.bound_B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +250,11 @@ def _cell_centers(bbox, resolution) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# array kernels: an (N, n) array of points in; state codes, margins and
-# fired bits out, one entry per point.  Inside, arrays hold coordinates
+# array kernels: an (N, n) array of points in, last after the data _build
+# binds; (margins, eps, fired) out, one entry per point, with fired None
+# from every kernel but the bounded pair's.  The caller decides the
+# states: _batch by _classify on arrays, _one_point by
+# geometry.classify on Python floats.  Inside, arrays hold coordinates
 # on their first axis and points on their last.  Every sum over
 # coordinates or summands is one fold, a running sum in one call for a
 # few rows, so a one-row kernel call makes the same number of numpy
@@ -263,6 +276,23 @@ def _classify(margins, eps):
     return (margins > eps).view(np.int8) + (~(margins < -eps)).view(np.int8)
 
 
+def _one_point(kernel, x: np.ndarray) -> Verdict:
+    """The kernel's verdict at the one point x, classified on Python
+    floats by geometry.classify, the rule _classify applies to arrays."""
+    margins, eps, fired = kernel(x[None, :])
+    margin = margins.item()
+    return Verdict(classify(margin, eps.item()), margin, 0 if fired is None else fired.item())
+
+
+def _batch(kernel, points: np.ndarray):
+    """The kernel's rows as (state codes, margins, fired bits), the
+    states by _classify; a kernel with no clause bits fires none."""
+    margins, eps, fired = kernel(points)
+    if fired is None:
+        fired = np.zeros(len(points), np.int8)
+    return _classify(margins, eps), margins, fired
+
+
 def _known_gradient(x, known):
     """sum_k A_k (x - c_k) over the known quadratics, or None."""
     grad = None
@@ -272,9 +302,11 @@ def _known_gradient(x, known):
     return grad
 
 
-def _ball_chain(points, *, anchors, plus, minus, known, scale):
+def _ball_chain(anchors, plus, minus, known, scale, points):
     """margin = sum_i (L_i-mu_i)|d_i| - |2 sum_k grad_k(x) + sum_i (L_i+mu_i) d_i|
-    over the smooth unknowns i (d_i = x - x_i*) and known summands k."""
+    over the smooth unknowns i (d_i = x - x_i*) and known summands k.
+    The |d_i| and |total| come from one square, fold and sqrt over d
+    with the total appended."""
     x = np.ascontiguousarray(points.T)
     d = x[:, None, :] - anchors
     terms = plus * d
@@ -282,41 +314,44 @@ def _ball_chain(points, *, anchors, plus, minus, known, scale):
     if grad is not None:
         terms = np.concatenate(((2.0 * grad)[:, None, :], terms), axis=1)
     total = fold(terms, 1)
-    margins = fold(minus * _norm(d)) - _norm(total)
+    norms = _norm(np.concatenate((d, total[:, None, :]), axis=1))
+    margins = fold(minus * norms[:-1]) - norms[-1]
     eps = row_eps(scale, x) if grad is None else row_eps(scale, x, total)
-    return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
+    return margins, eps, None
 
 
-def _ball_halfspace(points, *, anchors, pairs, coef, order, known, scale):
+def _ball_halfspace(anchors, coef, known, scale, points):
     """margin = - mu_m |d_m|^2 - <sum_k grad_k(x), d_m>
                 + sum_i ((L_i-mu_i)/2 |d_i||d_m| - (L_i+mu_i)/2 <d_i, d_m>)
     for the smooth unknowns i against the nonsmooth unknown m, summed
     left to right in that order.
 
-    d holds d_m first, then the d_i and, with known summands, the
-    gradient.  One product and one fold give a (2, k+1) table per point:
-    the squared norms |d_m|^2, |d_i|^2 on its first row, and on its
-    second <d_m, grad> (with no known summand |d_m|^2 again, a
-    placeholder no term reads), then the <d_i, d_m>.  The norms, scaled
-    by coef and |d_m|, are -mu_m |d_m|^2 and the gains; coef scales the
-    inner products into the negated gradient term and the losses.
-    order lists the terms in the margin's order: -mu_m |d_m|^2, the
-    gradient term, then gain and loss of each d_i."""
+    d holds d_m first, then the d_i.  Two products (three with known
+    summands) and one fold give a (k+1, 2) table per point: each row j holds |d_j|^2, then <d_m, grad>
+    on row 0 (0.0 with no known summand) and <d_j, d_m> on the others.
+    The norms, scaled by coef and |d_m|, are -mu_m |d_m|^2 and the
+    gains; coef scales the inner products into the negated gradient term
+    and the losses.  Flattened, the table lists the terms in the
+    margin's order; with no known summand the gradient term is -0.0,
+    which leaves every sum it enters as it was."""
     x = np.ascontiguousarray(points.T)
     d = x[:, None, :] - anchors
+    table = np.zeros((len(x), len(coef), 2, len(points)))
+    np.multiply(d, d, out=table[:, :, 0])
+    np.multiply(d[:, 1:], d[:, :1], out=table[:, 1:, 1])
     grad = _known_gradient(x, known)
     if grad is not None:
-        d = np.concatenate((d, grad[:, None, :]), axis=1)
-    table = fold(d[:, None, :pairs.shape[1], :] * d[:, pairs])
-    norms = np.sqrt(table[0], out=table[0])
+        np.multiply(d[:, 0], grad, out=table[:, 0, 1])
+    table = fold(table)
+    norms = np.sqrt(table[:, 0], out=table[:, 0])
     terms = table * coef
-    terms[0] *= norms[0]
-    margins = fold(terms.reshape(-1, len(points))[order])
+    terms[:, 0] *= norms[0]
+    margins = fold(terms.reshape(-1, len(points)))
     eps = row_eps(scale, x) if grad is None else row_eps(scale, x, grad)
-    return _classify(margins, eps), margins, np.zeros(len(points), np.int8)
+    return margins, eps, None
 
 
-def _bounded_pair(points, *, anchors, mu, b, bmin, scale):
+def _bounded_pair(anchors, mu, neg_mu, b, bmin, scale, points):
     """Two nonsmooth summands under a gradient cap |g_i| <= b.
 
     x belongs to the set iff both base norm caps mu_i |d_i| <= b hold
@@ -336,33 +371,35 @@ def _bounded_pair(points, *, anchors, mu, b, bmin, scale):
     x = np.ascontiguousarray(points.T)
     eps = row_eps(scale, x)
     d = x[:, None, :] - anchors
-    # one fold gives |d1|^2, <d1, d2> and |d2|^2 on the diagonal and off it
-    gram = fold(d[:, :, None, :] * d[:, None, :, :])
-    dot = gram[0, 1]
-    r = np.sqrt(gram[(0, 1), (0, 1)])
+    # one fold gives |d1|^2, <d1, d2> and |d2|^2 on the diagonal and off
+    # it; the diagonal is every third entry of the flattened 2x2 table
+    gram = fold(d[:, :, None, :] * d[:, None, :, :]).reshape(4, -1)
+    dot = gram[1]
+    r = np.sqrt(gram[::3])
     cap = mu * r
     head = b - cap
     # rows: base, the two alignment clauses, the determinant clause
     value = np.empty((4, len(points)))
     base = np.minimum(head[0], head[1], out=value[0])
-    c12 = np.subtract(-mu * dot, cap[::-1] * r[::-1], out=value[1:3])
-    # coincidence with an anchor collapses the test to the other norm cap
-    at_anchor = (r <= eps).any(axis=0)
+    c12 = np.subtract(neg_mu * dot, cap[::-1] * r[::-1], out=value[1:3])
+    # coincidence with an anchor collapses the test to the other norm
+    # cap; the norms are never NaN, so their minimum decides it
+    at_anchor = np.minimum(r[0], r[1]) <= eps
     cos = dot / np.where(at_anchor, 1.0, r[0] * r[1])
     value[3] = cofactor_det(cos, cap[0], -cap[1], b * b)
     best = np.maximum(np.maximum(c12[0], c12[1]), value[3])
     margins = np.where(at_anchor, base, np.minimum(base, best))
     holds = value >= -eps
     fired = np.where(at_anchor, holds[0], _CONDITIONS @ holds)
-    states = _classify(margins, eps)
     # below the smallest viable cap the whole set is empty; eps >= 0, so
-    # no point can be there while b >= bmin
+    # no point can be there while b >= bmin.  An empty row's margin
+    # b - bmin is negative, and its eps 0 makes it outside for certain
     if b < bmin:
         empty = b < bmin - eps
         margins = np.where(empty, b - bmin, margins)
-        states[empty] = 0
+        eps = np.where(empty, 0.0, eps)
         fired[empty] = 0
-    return states, margins, fired
+    return margins, eps, fired
 
 
 def _min_norm_qp(points, a1, a2, mu1: float, mu2: float):
@@ -442,9 +479,10 @@ def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
 
 # ---------------------------------------------------------------------------
 # kernel construction: one table of predicate patterns, and one builder
-# that checks the summands fit a pattern and binds their data as arrays.
-# Summands hash by identity, so a kernel is built once per set of
-# summands, whichever caller asks for it.
+# that checks the summands fit a pattern and binds their data as arrays,
+# positionally, so that a call passes the points alone.  Summands hash
+# by identity, so a kernel is built once per set of summands, whichever
+# caller asks for it, and a Scenario keeps the one it routes to.
 
 # name: (known summands present, nonsmooth unknowns, unknown count or
 # None).  A Scenario routes to the first name that fits, so two_smooth
@@ -508,39 +546,25 @@ def _build(name: str, known: tuple, unknown: tuple, dim: int, bound_b):
         )
     scale = _static_scale(unknown, bound_b)
     if nonsmooth == 0:
-        return partial(_ball_chain, anchors=_anchors(unknown, dim),
-                       plus=_column([s.params.L + s.params.mu for s in unknown]),
-                       minus=_column([s.params.L - s.params.mu for s in unknown]),
-                       known=_known_columns(known), scale=scale)
+        return partial(_ball_chain, _anchors(unknown, dim),
+                       _column([s.params.L + s.params.mu for s in unknown]),
+                       _column([s.params.L - s.params.mu for s in unknown]),
+                       _known_columns(known), scale)
     if nonsmooth == 1:
         *smooth, m = unknown
-        k = len(smooth)
-        # _ball_halfspace's table: d_m and each d_i against itself, then
-        # d_m against the gradient (appended after the anchors; with no
-        # known summand d_m against itself, a placeholder no term reads)
-        # and each d_i against d_m
-        pairs = [list(range(k + 1)), [k + 1 if known else 0] + [0] * k]
-        coef = [[-m.params.mu] + [0.5 * (s.params.L - s.params.mu) for s in smooth],
-                [-1.0] + [-(0.5 * (s.params.L + s.params.mu)) for s in smooth]]
-        # -mu_m |d_m|^2, the gradient term if any, then gain and loss of
-        # each d_i, as indices into the flattened table
-        order = [0] + [k + 1] * bool(known) + [j for i in range(1, k + 1)
-                                               for j in (i, k + 1 + i)]
-        return partial(_ball_halfspace, anchors=_anchors((m, *smooth), dim),
-                       pairs=np.array(pairs), coef=np.array(coef)[:, :, None],
-                       order=np.array(order), known=_known_columns(known), scale=scale)
+        # _ball_halfspace's table, row by row: the factors of |d_m|^2 and
+        # the gradient term, then of each d_i's gain and loss
+        coef = [[-m.params.mu, -1.0]] + [[0.5 * (s.params.L - s.params.mu),
+                                          -(0.5 * (s.params.L + s.params.mu))] for s in smooth]
+        return partial(_ball_halfspace, _anchors((m, *smooth), dim),
+                       np.array(coef)[:, :, None], _known_columns(known), scale)
     s1, s2 = unknown
     if float(np.linalg.norm(s1.x_star - s2.x_star)) <= TOL * (1.0 + scale):
         raise CoincidentPointsError("summand minimizers coincide")
     mu1, mu2 = s1.params.mu, s2.params.mu
     bmin = min_bound_B(mu1, mu2, s1.x_star, s2.x_star)
-    return partial(_bounded_pair, anchors=_anchors(unknown, dim), mu=_column([mu1, mu2]),
-                   b=bound_b, bmin=bmin, scale=scale)
-
-
-def _one_point(kernel, x: np.ndarray) -> Verdict:
-    states, margins, fired = kernel(x[None, :])
-    return Verdict(STATE_NAMES[states.item()], margins.item(), fired.item())
+    return partial(_bounded_pair, _anchors(unknown, dim), _column([mu1, mu2]),
+                   _column([-mu1, -mu2]), bound_b, bmin, scale)
 
 
 def _member(name: str, x_star, known, unknown, bound_b=None) -> Verdict:
@@ -637,10 +661,9 @@ def route(scenario: Scenario) -> str:
 
 
 def _kernel(scenario: Scenario):
-    """The kernel of the scenario's routed predicate."""
-    known = tuple(s.known for s in scenario.known_summands)
-    return _build(route(scenario), known, scenario.unknown_summands, scenario.dim,
-                  scenario.bound_B)
+    """The kernel of the scenario's routed predicate, bound on first use
+    and kept on the scenario (Scenario._bound_kernel)."""
+    return scenario._bound_kernel
 
 
 def evaluate(scenario: Scenario, x_star) -> Verdict:
@@ -768,5 +791,5 @@ def rasterize_region(scenario: Scenario, bbox, resolution) -> RegionRaster:
     # a finite bbox can still be wider than the largest float
     if not np.all(np.isfinite(centers)):
         raise ValueError("cell centers must be finite")
-    states, margins, fired = _kernel(scenario)(centers)
+    states, margins, fired = _batch(_kernel(scenario), centers)
     return RegionRaster(bbox, resolution, scenario.pattern, states, margins, fired)

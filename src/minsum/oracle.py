@@ -327,7 +327,7 @@ def cross_check(scenario: Scenario, points) -> CrossCheckReport:
         return report
     tol = PROJECTION_TOL * _scale(scenario, pts)
     band = BOUNDARY_BAND_FACTOR * tol
-    codes, margins, _ = kernel(pts)
+    codes, margins, _ = membership._batch(kernel, pts)
     rows = np.flatnonzero(~(np.abs(margins) <= band * _margin_weight(scenario)))
     if scenario.pattern == membership.TWO_NONSMOOTH_BOUNDED:
         rows, member, decided, describe = _qp_outcomes(scenario, pts, rows, band)
@@ -360,7 +360,7 @@ def necessity_sweep(scenario: Scenario, seeds) -> dict:
     if not seeds:
         return {"instances": 0, "worst_margin": math.inf, "failures": []}
     _, x = _instances(scenario, seeds)
-    codes, margins, _ = membership._kernel(scenario)(x)
+    codes, margins, _ = membership._batch(membership._kernel(scenario), x)
     band = PROJECTION_TOL * BOUNDARY_BAND_FACTOR
     # _scale of each minimizer alone: the larger of max(1, |x_i*|) and |x|
     scale = np.maximum(_scale(scenario, x[:0]), np.linalg.norm(x, axis=1))

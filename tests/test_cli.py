@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from minsum import _projection, cli, evaluate, membership
-from minsum.geometry import BOUNDARY, INSIDE, OUTSIDE
+from minsum.geometry import BOUNDARY, OUTSIDE
 from minsum.interpolation import ClassParams
 from minsum.serialize import save_scenario
 
@@ -624,12 +624,12 @@ def test_broken_pipe_of_a_process_exits_141_silently():
 
 
 def test_verify_flags_corrupted_predicate(capsys, monkeypatch, bounded_path):
-    # simulate a broken closed form: every point reported inside
+    # simulate a broken closed form: every point reported inside, by a
+    # margin of 1 under a tolerance of 0
     def always_inside(scenario):
         def kernel(points):
             n = len(points)
-            inside = membership.STATE_NAMES.index(INSIDE)
-            return np.full(n, inside), np.ones(n), np.zeros(n, np.int8)
+            return np.ones(n), np.zeros(n), None
 
         return kernel
 
@@ -643,14 +643,14 @@ def test_verify_flags_corrupted_predicate(capsys, monkeypatch, bounded_path):
     assert "point" in payload["mismatches"][0]
 
 
-def overflowed_kernel(state, margin):
+def overflowed_kernel(margin):
     """A kernel whose margins overflowed, as the ball chain's do with
-    anchors near 1e155: every point gets this state and margin."""
+    anchors near 1e155: every point gets this margin, which the caller
+    classifies as any other (a NaN margin is boundary, -inf outside)."""
     def build(scenario):
         def kernel(points):
             n = len(points)
-            code = membership.STATE_NAMES.index(state)
-            return np.full(n, code), np.full(n, margin), np.zeros(n, np.int8)
+            return np.full(n, margin), np.zeros(n), None
 
         return kernel
 
@@ -661,13 +661,39 @@ def test_non_finite_margins_are_spelled_as_strings(capsys, monkeypatch, smooth_p
     def strict(token):
         raise ValueError(token)
 
-    monkeypatch.setattr(membership, "_kernel", overflowed_kernel(BOUNDARY, math.nan))
+    monkeypatch.setattr(membership, "_kernel", overflowed_kernel(math.nan))
     code, out, _ = run(capsys, "check", smooth_path, "--point", "0", "0")
     assert (code, json.loads(out, parse_constant=strict)["margin"]) == (2, "nan")
     # mismatch records and necessity failures carry the margin too
-    monkeypatch.setattr(membership, "_kernel", overflowed_kernel(OUTSIDE, -math.inf))
+    monkeypatch.setattr(membership, "_kernel", overflowed_kernel(-math.inf))
     code, out, _ = run(capsys, "verify", smooth_path, "--points", "20")
     payload = json.loads(out, parse_constant=strict)
     records = payload["mismatches"] + payload["necessity"]["failures"]
     assert code == 1 and payload["mismatches"] and payload["necessity"]["failures"]
     assert {r["margin"] for r in records} == {payload["necessity"]["worst_margin"]} == {"-inf"}
+
+
+@pytest.mark.parametrize("s, state, margin, code", [
+    (1e154, OUTSIDE, -math.inf, 1),
+    (1e155, BOUNDARY, math.nan, 2),
+])
+def test_two_smooth_overflow_reads_alike_by_row_and_batch(capsys, tmp_path, s, state,
+                                                          margin, code):
+    # anchors at (+-s, 0), mu 1, L 5, at the point (0.1 s, 0.1 s): the
+    # squares overflow, so the margin is -inf, then NaN.  The one-point
+    # path and the raster's batch classify it by the same rule
+    sc = membership.Scenario(tuple(
+        membership.Summand([x, 0.0], ClassParams(1.0, 5.0)) for x in (-s, s)))
+    x = np.array([0.1 * s, 0.1 * s])
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = evaluate(sc, x)
+        raster = membership.rasterize_region(sc, (0.0, 0.2 * s, 0.0, 0.2 * s), (1, 1))
+    assert raster.centers().tobytes() == x[None, :].tobytes()
+    assert (v.state, raster.state_names()) == (state, [state])
+    assert np.float64(v.margin).tobytes() == raster.margins.tobytes()
+    assert repr(v.margin) == repr(margin)
+    path = tmp_path / "far.json"
+    save_scenario(sc, path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = run(capsys, "check", str(path), "--point", *map(repr, x.tolist()))
+    assert (out[0], json.loads(out[1])["state"]) == (code, state)

@@ -15,6 +15,7 @@ from minsum.geometry import (
     HalfSpace,
     INSIDE,
     OUTSIDE,
+    classify,
     eps_for,
 )
 from minsum.interpolation import (
@@ -596,8 +597,8 @@ def test_raster_matches_pointwise_eval():
 
 @pytest.mark.parametrize("pattern", sorted(RASTER_SCENARIOS))
 def test_scenario_is_freed_after_use(pattern):
-    # kernels are cached by their summands, not by the scenario, so
-    # nothing keeps a scenario alive once its caller drops it
+    # a scenario keeps its kernel, but no kernel refers back to its
+    # scenario, so nothing keeps a scenario alive once its caller drops it
     sc = RASTER_SCENARIOS[pattern]()
     raster = rasterize_region(sc, (-2.5, 2.5, -2, 2), (15, 13))
     x = raster.centers()[np.flatnonzero(raster.states)[0]]
@@ -703,12 +704,51 @@ def test_kernel_rows_do_not_depend_on_row_count(pattern):
     kernel = _kernel(sc)
     rows = _ROWS_8D.get(pattern, 2_000)
     pts = np.vstack([sc.summands[0].x_star, rng.uniform(-3, 3, (rows - 1, 8))])
-    states, margins, fired = kernel(pts)
+    margins, eps, fired = kernel(pts)
+    states = membership._classify(margins, eps)
     assert len(set(states.tolist())) >= 2
     for i in range(len(pts)):
-        s1, m1, f1 = kernel(pts[i : i + 1])
-        assert (s1[0], f1[0]) == (states[i], fired[i])
+        m1, e1, f1 = kernel(pts[i : i + 1])
+        assert membership._classify(m1, e1)[0] == states[i]
+        assert (f1 is None) == (fired is None)
+        assert fired is None or f1[0] == fired[i]
         assert m1.tobytes() == margins[i : i + 1].tobytes()
+        assert e1.tobytes() == eps[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_row_and_batch_paths_share_one_rule(eps):
+    # the one-point path classifies Python floats, the batch path arrays;
+    # through a kernel that returns these margins under eps, both must
+    # give every margin geometry.classify's state
+    margins = [0.0, -0.0, eps, -eps, math.nextafter(eps, math.inf),
+               math.nextafter(-eps, -math.inf), math.inf, -math.inf, math.nan]
+
+    def batch_kernel(points):
+        return np.array(margins), np.full(len(margins), eps), None
+
+    states = membership._batch(batch_kernel, np.zeros((len(margins), 2)))[0]
+    for m, code in zip(margins, states.tolist()):
+        def one_row(points):
+            return np.array([m]), np.array([eps]), None
+
+        state = membership._one_point(one_row, np.zeros(2)).state
+        assert state == membership.STATE_NAMES[code] == classify(m, eps), m
+
+
+def test_bounded_pair_below_its_minimum_cap_is_outside_at_the_ulp_edge():
+    # bound_B is the float just below bmin - eps, where b - bmin rounds to
+    # -eps itself: every point is outside, not on the boundary, by row and
+    # by batch.  Far points make eps large enough for the rounding
+    sc = Scenario((summand(-1.0, 0.0, 1.0, math.inf), summand(1.0, 0.0, 1.0, math.inf)),
+                  bound_B=0.34684307795682273)
+    x = vec(653156921.0431771, 0.0)
+    eps = eps_for(x, sc.bound_B, 1.0)
+    assert sc.bound_B < 1.0 - eps and sc.bound_B - 1.0 == -eps
+    v = evaluate(sc, x)
+    assert (v.state, v.margin, v.fired_conditions) == (OUTSIDE, sc.bound_B - 1.0, 0)
+    states, margins, _ = membership._batch(_kernel(sc), x[None, :])
+    assert (states.tolist(), margins.tolist()) == ([0], [v.margin])
 
 
 @pytest.mark.parametrize("pattern", sorted(RASTER_SCENARIOS))
@@ -872,7 +912,7 @@ def test_witness_gradients_near_bounded_anchors():
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         steps = (ts[:, None, None] * dirs).reshape(-1, 2)
         pts = np.concatenate([s.x_star + steps for s in sc.summands])
-        states, margins, fired = _kernel(sc)(pts)
+        states, margins, fired = membership._batch(_kernel(sc), pts)
         near = (states > 0) & (fired & ~COND_BASE > 0)
         for x, margin in zip(pts[near], margins[near]):
             if margin >= 0.0:

@@ -16,7 +16,6 @@ from minsum.geometry import (
 )
 from minsum.interpolation import ClassParams
 from minsum.membership import (
-    STATE_NAMES,
     KnownFunction,
     Scenario,
     Summand,
@@ -382,16 +381,16 @@ CORRUPTIONS = [
 
 def corrupt_kernel(monkeypatch, state):
     """Make every kernel of membership._kernel report state at every
-    point, with margin 1 inside and -1 outside."""
+    point: margin 1 inside and -1 outside, under a tolerance of 0."""
     real = membership._kernel
-    code, margin = STATE_NAMES.index(state), 1.0 if state == INSIDE else -1.0
+    margin = 1.0 if state == INSIDE else -1.0
 
     def corrupted(scenario):
         real(scenario)  # an unsupported scenario still raises
 
         def kernel(points):
             n = len(points)
-            return np.full(n, code), np.full(n, margin), np.zeros(n, np.int8)
+            return np.full(n, margin), np.zeros(n), None
 
         return kernel
 
@@ -756,9 +755,10 @@ def test_sweep_failures_in_seed_order(monkeypatch):
         kernel = real(scenario)
 
         def run(points):
-            codes, margins, fired = kernel(points)
+            margins, eps, fired = kernel(points)
             right = points[:, 0] > 0.0
-            return np.where(right, 0, codes), np.where(right, -1.0 - abs(margins), margins), fired
+            # below -1, far past any eps the kernel works out: outside
+            return np.where(right, -1.0 - abs(margins), margins), eps, fired
 
         return run
 

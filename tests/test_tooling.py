@@ -160,6 +160,20 @@ def test_render_figures_smoke(capsys, tmp_path):
         assert csv == serialize.raster_to_csv_text(raster)
 
 
+def owners_in_src(matches):
+    """module.function (or module.<module>) around every AST node of
+    src/minsum for which matches holds, in file and walk order."""
+    owners = []
+    for path in sorted((ROOT / "src" / "minsum").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in filter(matches, ast.walk(tree)):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            owner = min(around, key=lambda f: f.end_lineno - f.lineno, default=None)
+            owners.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    return owners
+
+
 def test_only_emit_writes_to_stdout():
     # stdout carries one strict JSON document, spelled and written by
     # cli._emit; every other message goes to stderr
@@ -169,15 +183,17 @@ def test_only_emit_writes_to_stdout():
         return (isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
                 and "file=sys.stderr" not in map(ast.unparse, node.keywords))
 
-    writers = []
-    for path in sorted((ROOT / "src" / "minsum").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-        for node in filter(to_stdout, ast.walk(tree)):
-            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
-            owner = min(around, key=lambda f: f.end_lineno - f.lineno, default=None)
-            writers.append(f"{path.stem}.{owner.name if owner else '<module>'}")
-    assert writers == ["cli._emit"]
+    assert owners_in_src(to_stdout) == ["cli._emit"]
+
+
+def test_array_classification_has_one_caller():
+    # the kernels return margins and tolerances; membership._batch alone
+    # turns them into state codes, and the one-point path classifies
+    # Python floats instead of arrays
+    def calls_classify(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_classify"
+
+    assert owners_in_src(calls_classify) == ["membership._batch"]
 
 
 def test_each_vector_argument_is_checked_once(monkeypatch):
