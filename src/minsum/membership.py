@@ -20,8 +20,8 @@ run on an (N, n) array of points at once:
   unbounded unless a gradient-norm cap bound_B is supplied, and a
   three-clause test decides it (two_nonsmooth_bounded).
 
-witness_gradients writes an admitted point's gradients from the same
-closed forms, with no iterative solver.
+witness_gradients writes an admitted point's gradients from the arrays
+of the one kernel run that admitted it, with no iterative solver.
 
 The kernels sum over summands and coordinates left to right in
 elementwise array operations, never np.sum or a BLAS product, so a
@@ -52,7 +52,7 @@ from .geometry import (
     fold,
     row_eps,
 )
-from .interpolation import ClassParams, _gradient_ball
+from .interpolation import ClassParams
 
 COND_BASE = 1
 COND_FIRST = 2
@@ -251,22 +251,19 @@ def _cell_centers(bbox, resolution) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # array kernels: an (N, n) array of points in, last after the data _build
-# binds; (margins, eps, fired) out, one entry per point, with fired None
-# from every kernel but the bounded pair's.  The caller decides the
-# states: _batch by _classify on arrays, _one_point by
-# geometry.classify on Python floats.  Inside, arrays hold coordinates
-# on their first axis and points on their last.  Every sum over
-# coordinates or summands is one fold, a running sum in one call for a
-# few rows, so a one-row kernel call makes the same number of numpy
-# calls whatever the dimension n and the number of unknown summands (a
-# known quadratic adds one pass each): it costs no more in 8-D, or with
-# five summands, than in 2-D with two.  The kernels copy the points'
-# transpose to C order first: on a wide batch, numpy runs a strided
-# transpose's reductions one row at a time.
-
-
-def _norm(d):
-    return np.sqrt(fold(d * d))
+# binds; (margins, eps, fired, parts) out: one entry per point in each of
+# the first three, fired None but from the bounded pair, and as parts the
+# arrays built on the way that witness_gradients reads.  The caller
+# decides the states: _batch by _classify on arrays, _one_point by
+# geometry.classify on Python floats.  Inside, arrays hold coordinates on
+# their first axis and points on their last.  Every sum over coordinates
+# or summands is one fold, a running sum in one call for a few rows, so a
+# one-row kernel call makes the same number of numpy calls whatever the
+# dimension n and the number of unknown summands (a known quadratic adds
+# one pass each): it costs no more in 8-D, or with five summands, than in
+# 2-D with two.  The kernels copy the points' transpose to C order first:
+# on a wide batch, numpy runs a strided transpose's reductions one row at
+# a time.
 
 
 def _classify(margins, eps):
@@ -279,7 +276,7 @@ def _classify(margins, eps):
 def _one_point(kernel, x: np.ndarray) -> Verdict:
     """The kernel's verdict at the one point x, classified on Python
     floats by geometry.classify, the rule _classify applies to arrays."""
-    margins, eps, fired = kernel(x[None, :])
+    margins, eps, fired = kernel(x[None, :])[:3]
     margin = margins.item()
     return Verdict(classify(margin, eps.item()), margin, 0 if fired is None else fired.item())
 
@@ -287,7 +284,7 @@ def _one_point(kernel, x: np.ndarray) -> Verdict:
 def _batch(kernel, points: np.ndarray):
     """The kernel's rows as (state codes, margins, fired bits), the
     states by _classify; a kernel with no clause bits fires none."""
-    margins, eps, fired = kernel(points)
+    margins, eps, fired = kernel(points)[:3]
     if fired is None:
         fired = np.zeros(len(points), np.int8)
     return _classify(margins, eps), margins, fired
@@ -306,18 +303,21 @@ def _ball_chain(anchors, plus, minus, known, scale, points):
     """margin = sum_i (L_i-mu_i)|d_i| - |2 sum_k grad_k(x) + sum_i (L_i+mu_i) d_i|
     over the smooth unknowns i (d_i = x - x_i*) and known summands k.
     The |d_i| and |total| come from one square, fold and sqrt over d
-    with the total appended."""
+    with the total appended.  Its parts double the balls B(c_i, r_i) and
+    their sum B(C, R): (L_i+mu_i) d_i = 2 c_i, (L_i-mu_i)|d_i| = 2 r_i, 2 R, 2 C."""
     x = np.ascontiguousarray(points.T)
     d = x[:, None, :] - anchors
-    terms = plus * d
+    terms = scaled = plus * d
     grad = _known_gradient(x, known)
     if grad is not None:
-        terms = np.concatenate(((2.0 * grad)[:, None, :], terms), axis=1)
+        terms = np.concatenate(((2.0 * grad)[:, None, :], scaled), axis=1)
     total = fold(terms, 1)
-    norms = _norm(np.concatenate((d, total[:, None, :]), axis=1))
-    margins = fold(minus * norms[:-1]) - norms[-1]
+    d_total = np.concatenate((d, total[:, None, :]), axis=1)
+    norms = np.sqrt(fold(d_total * d_total))
+    radii = minus * norms[:-1]
+    radius = fold(radii)
     eps = row_eps(scale, x) if grad is None else row_eps(scale, x, total)
-    return margins, eps, None
+    return radius - norms[-1], eps, None, (scaled, radii, radius, total)
 
 
 def _ball_halfspace(anchors, coef, known, scale, points):
@@ -333,7 +333,8 @@ def _ball_halfspace(anchors, coef, known, scale, points):
     gains; coef scales the inner products into the negated gradient term
     and the losses.  Flattened, the table lists the terms in the
     margin's order; with no known summand the gradient term is -0.0,
-    which leaves every sum it enters as it was."""
+    which leaves every sum it enters as it was.  Its parts are d, the
+    |d_j| (|d_m| first) and coef."""
     x = np.ascontiguousarray(points.T)
     d = x[:, None, :] - anchors
     table = np.zeros((len(x), len(coef), 2, len(points)))
@@ -348,7 +349,7 @@ def _ball_halfspace(anchors, coef, known, scale, points):
     terms[:, 0] *= norms[0]
     margins = fold(terms.reshape(-1, len(points)))
     eps = row_eps(scale, x) if grad is None else row_eps(scale, x, grad)
-    return margins, eps, None
+    return margins, eps, None, (d, norms, coef)
 
 
 def _bounded_pair(anchors, mu, neg_mu, b, bmin, scale, points):
@@ -367,7 +368,7 @@ def _bounded_pair(anchors, mu, neg_mu, b, bmin, scale, points):
 
     with cos the cosine between d1 and d2, expanded by cofactor_det.
     fired records every satisfied clause; _build has checked the anchors.
-    """
+    Its parts are d and the |d_i|."""
     x = np.ascontiguousarray(points.T)
     eps = row_eps(scale, x)
     d = x[:, None, :] - anchors
@@ -399,7 +400,7 @@ def _bounded_pair(anchors, mu, neg_mu, b, bmin, scale, points):
         margins = np.where(empty, b - bmin, margins)
         eps = np.where(empty, 0.0, eps)
         fired[empty] = 0
-    return margins, eps, fired
+    return margins, eps, fired, (d, r)
 
 
 def _min_norm_qp(points, a1, a2, mu1: float, mu2: float):
@@ -714,7 +715,8 @@ def witness_gradients(scenario: Scenario, x_star):
     One gradient per summand, summing to zero: known summands give their
     exact gradient, the last unknown summand the remainder, and the
     others a point of their gradient set picked by the closed form that
-    admitted x_star (d = x_star - x*; smooth sets are balls B(c, r)):
+    admitted x_star, written from the parts of the one kernel run that
+    gave the verdict (d = x_star - x*; smooth sets are balls B(c, r)):
     - chain: g_i = c_i - (r_i/R) C, C = sum c_i + offset, R = sum r_i,
       as the balls sum to B(sum c_i, R) and admission means |C| <= R;
     - half-space: g_i = c_i - r_i d_m/|d_m|, the ball's point of least
@@ -725,40 +727,36 @@ def witness_gradients(scenario: Scenario, x_star):
       the argmin exceeds the cap.
     """
     x = as_vec(x_star, scenario.dim)
-    verdict = _one_point(_kernel(scenario), x)
-    if verdict.state == OUTSIDE:
+    margins, eps, fired, parts = _kernel(scenario)(x[None, :])
+    margin = margins.item()
+    if classify(margin, eps.item()) == OUTSIDE:
         return None
+    parts = [p[..., 0] for p in parts]
     # the known quadratics' exact gradients at the x checked above
     known = {id(s): s.known.matrix @ (x - s.known.center) for s in scenario.known_summands}
     offset = sum(known.values(), np.zeros_like(x))
     unknown = scenario.unknown_summands
     nonsmooth = _PATTERNS[scenario.pattern][1]
     if nonsmooth == 2:
-        s1, s2 = unknown
-        g = None
-        if verdict.fired_conditions & (COND_FIRST | COND_SECOND | COND_DET):
-            g = _pair_qp(x[None, :], s1, s2)[1][0]
-            # admitted only by the tolerance band, x may have no gradient
-            # meeting both constraints within the cap; keep the cap then
-            if verdict.margin < 0.0 and not np.linalg.norm(g) <= scenario.bound_B:
-                g = None
-        if g is not None:
-            grads = [g]
-        elif np.linalg.norm(x - s1.x_star) <= np.linalg.norm(x - s2.x_star):
-            grads = [s2.params.mu * (s2.x_star - x)]
-        else:
-            grads = [s1.params.mu * (x - s1.x_star)]
+        (s1, s2), (d, r) = unknown, parts
+        g = _pair_qp(x[None, :], s1, s2)[1][0] if fired.item() & ~COND_BASE else None
+        # admitted only by the tolerance band, x may have no gradient
+        # meeting both constraints within the cap; keep the cap then
+        if g is None or (margin < 0.0 and not np.linalg.norm(g) <= scenario.bound_B):
+            g = -s2.params.mu * d[:, 1] if r[0] <= r[1] else s1.params.mu * d[:, 0]
+        grads = [g]
     elif nonsmooth == 1:
-        dm = x - unknown[-1].x_star
-        norm = float(np.linalg.norm(dm))
-        u = dm / norm if norm > 0.0 else np.zeros_like(x)
-        grads = [c - r * u for c, r in (_gradient_ball(x - s.x_star, s.params)
-                                         for s in unknown[:-1])]
+        # c_i = -coef_i1 d_i and r_i = coef_i0 |d_i| for the smooth i
+        d, norms, coef = parts
+        u = d[:, 0] / norms[0] if norms[0] > 0.0 else np.zeros_like(x)
+        grads = list((d[:, 1:] * -coef[1:, 1] - (coef[1:, 0] * norms[1:]) * u[:, None]).T)
     else:
-        balls = [_gradient_ball(x - s.x_star, s.params) for s in unknown]
-        big_c = sum((c for c, _ in balls), offset)
-        big_r = sum(r for _, r in balls)
-        grads = [c - (r / big_r) * big_c if big_r > 0.0 else c for c, r in balls[:-1]]
+        # the parts are doubled: 2 c_i, 2 r_i, 2 R and 2 C
+        scaled, radii, radius, total = parts
+        g = scaled[:, :-1]
+        if radius > 0.0:
+            g = g - (radii[:-1] / radius) * total[:, None]
+        grads = list((0.5 * g).T)
     if unknown:
         grads.append(-offset - sum(grads, np.zeros_like(x)))
     gradient = {**known, **dict(zip(map(id, unknown), grads))}

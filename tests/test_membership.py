@@ -704,16 +704,20 @@ def test_kernel_rows_do_not_depend_on_row_count(pattern):
     kernel = _kernel(sc)
     rows = _ROWS_8D.get(pattern, 2_000)
     pts = np.vstack([sc.summands[0].x_star, rng.uniform(-3, 3, (rows - 1, 8))])
-    margins, eps, fired = kernel(pts)
+    margins, eps, fired, parts = kernel(pts)
     states = membership._classify(margins, eps)
     assert len(set(states.tolist())) >= 2
     for i in range(len(pts)):
-        m1, e1, f1 = kernel(pts[i : i + 1])
+        m1, e1, f1, p1 = kernel(pts[i : i + 1])
         assert membership._classify(m1, e1)[0] == states[i]
         assert (f1 is None) == (fired is None)
         assert fired is None or f1[0] == fired[i]
         assert m1.tobytes() == margins[i : i + 1].tobytes()
         assert e1.tobytes() == eps[i : i + 1].tobytes()
+        # the witness's arrays too; bound data (the half-space's coef)
+        # broadcasts along the points
+        for a, b in zip(p1, parts):
+            assert a.tobytes() == (b[..., i : i + 1] if b.shape[-1] > 1 else b).tobytes()
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])

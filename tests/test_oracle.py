@@ -755,7 +755,7 @@ def test_sweep_failures_in_seed_order(monkeypatch):
         kernel = real(scenario)
 
         def run(points):
-            margins, eps, fired = kernel(points)
+            margins, eps, fired, _ = kernel(points)
             right = points[:, 0] > 0.0
             # below -1, far past any eps the kernel works out: outside
             return np.where(right, -1.0 - abs(margins), margins), eps, fired
@@ -785,6 +785,60 @@ def test_necessity_sweep_clean(smooth_pair):
 def test_necessity_sweep_rejects_nonsmooth(mixed_pair):
     with pytest.raises(UnsupportedPatternError):
         necessity_sweep(mixed_pair, range(3))
+
+
+# ------------------------------------------------- what the oracles can see
+
+
+def _documented_band(scenario, scale):
+    """The boundary band as cross_check and necessity_sweep document it:
+    1e3 times the projection tolerance 1e-8, times the point scale and
+    the margin weight 1 + sum (L_i + mu_i), mu_i for a nonsmooth summand.
+    Written out here rather than read from oracle, so that a wider band
+    there is something these gates see."""
+    weight = 1.0 + sum(p.L + p.mu if p.is_smooth else p.mu
+                       for p in (s.params for s in scenario.summands))
+    return 1e3 * 1e-8 * scale * weight
+
+
+@pytest.mark.parametrize("k, seen", [(0.5, False), (0.99, False), (1.01, True), (2.0, True),
+                                     (50.0, True)])
+def test_cross_check_sees_a_margin_shifted_past_the_band(monkeypatch, k, seen):
+    # a kernel double reports, at fixed points the oracle decides far from
+    # the boundary, the wrong side by k bands.  Within one band cross_check
+    # skips the points; from k > 1 on each is a mismatch
+    sc = Scenario((Summand(vec(-0.5, 0.0), ClassParams(1.0, 5.0)),
+                   Summand(vec(0.5, 0.0), ClassParams(1.0, 15.0))))
+    pts = np.array([[0.2, 0.0], [0.3, 0.05], [0.0, 0.9], [-0.7, -0.6], [0.6, 0.7]])
+    inside = np.array([evaluate(sc, p).margin for p in pts]) > 0.1
+    assert inside.tolist() == [True, True, False, False, False]
+    assert np.linalg.norm(pts, axis=1).max() <= 1.0  # the band's scale is 1
+    shifted = np.where(inside, -k, k) * _documented_band(sc, 1.0)
+    monkeypatch.setattr(membership, "_kernel", lambda scenario: lambda points: (
+        shifted, np.zeros(len(points)), None))
+    report = cross_check(sc, pts)
+    assert report.checked == (len(pts) if seen else 0)
+    assert len(report.mismatches) == report.checked
+
+
+@pytest.mark.parametrize("k, fails", [(0.5, False), (0.99, False), (1.01, True), (2.0, True)])
+def test_necessity_sweep_fails_a_minimizer_planted_past_the_band(monkeypatch, k, fails):
+    # a kernel double puts every drawn minimizer outside, at margin -k
+    # bands, each band scaled by max(1, |x_i*|, |x|): within one band the
+    # sweep forgives it, from k > 1 on it fails every seed
+    sc = random_smooth_scenario(5)
+    floor = max(1.0, *(float(np.linalg.norm(s.x_star)) for s in sc.summands))
+
+    def planted(scenario):
+        def kernel(points):
+            scale = np.maximum(floor, np.linalg.norm(points, axis=1))
+            return -k * _documented_band(scenario, scale), np.zeros(len(points)), None
+
+        return kernel
+
+    monkeypatch.setattr(membership, "_kernel", planted)
+    out = necessity_sweep(sc, range(6))
+    assert [f["seed"] for f in out["failures"]] == (list(range(6)) if fails else [])
 
 
 # ------------------------------------------------------ scenario generators

@@ -174,6 +174,18 @@ def owners_in_src(matches):
     return owners
 
 
+def test_mutant_texts_occur_once():
+    # scripts/mutants.py plants each fault by replacing text that must
+    # occur exactly once in its file: a refactor that moves the text
+    # would otherwise retire the mutant without a word
+    catalogue = load(ROOT / "scripts" / "mutants.py", "mutants").MUTANTS
+    assert {"wide", "narrow", "deep", "band_factor", "sweep_threshold"} <= set(catalogue)
+    for name, edits in catalogue.items():
+        for file, old, new in edits:
+            assert (ROOT / file).read_text(encoding="utf-8").count(old) == 1, (name, old)
+            assert new != old, name
+
+
 def test_only_emit_writes_to_stdout():
     # stdout carries one strict JSON document, spelled and written by
     # cli._emit; every other message goes to stderr
@@ -194,6 +206,31 @@ def test_array_classification_has_one_caller():
         return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_classify"
 
     assert owners_in_src(calls_classify) == ["membership._batch"]
+
+
+def test_witness_is_one_kernel_pass():
+    # witness_gradients takes its verdict and its gradients from one run
+    # of the routed kernel: no second verdict through _one_point, and no
+    # norm worked out again outside the bounded pair's branch (the one
+    # that runs the QP, whose argmin it holds to the cap).  The gradient
+    # balls' formulas stay in the kernels: membership does not import
+    # interpolation's _gradient_ball
+    tree = ast.parse((ROOT / "src" / "minsum" / "membership.py").read_text(encoding="utf-8"))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "_gradient_ball" not in imported
+    witness = next(n for n in tree.body
+                   if isinstance(n, ast.FunctionDef) and n.name == "witness_gradients")
+
+    def calls(*nodes):
+        return [ast.unparse(n.func) for node in nodes for n in ast.walk(node)
+                if isinstance(n, ast.Call)]
+
+    called = calls(witness)
+    assert called.count("_kernel") == called.count("_kernel(scenario)") == 1
+    assert "_one_point" not in called
+    pair = next(n for n in ast.walk(witness)
+                if isinstance(n, ast.If) and "_pair_qp" in calls(*n.body))
+    assert called.count("np.linalg.norm") == calls(*pair.body).count("np.linalg.norm")
 
 
 def test_each_vector_argument_is_checked_once(monkeypatch):
