@@ -41,25 +41,22 @@ TIMEOUT_S = 600
 MUTANTS = {
     # the ball radius factor (L - mu) becomes (L - mu/2): the sets grow
     "wide": [
-        (MEMBERSHIP, "_column([s.params.L - s.params.mu for s in unknown])",
-         "_column([s.params.L - s.params.mu / 2 for s in unknown])"),
-        (MEMBERSHIP, "[[0.5 * (s.params.L - s.params.mu),",
-         "[[0.5 * (s.params.L - s.params.mu / 2),"),
+        (MEMBERSHIP, "minus = _column([s.params.L - s.params.mu for s in smooth])",
+         "minus = _column([s.params.L - s.params.mu / 2 for s in smooth])"),
         (ORACLE, "minus = np.array([0.5 * (s.params.L - s.params.mu) for s in smooth])",
          "minus = np.array([0.5 * (s.params.L - s.params.mu / 2) for s in smooth])"),
     ],
     # the same radius times 0.98: the smooth sets shrink
     "narrow": [
-        (MEMBERSHIP, "_column([s.params.L - s.params.mu for s in unknown])",
-         "_column([0.98 * (s.params.L - s.params.mu) for s in unknown])"),
-        (MEMBERSHIP, "[[0.5 * (s.params.L - s.params.mu),",
-         "[[0.98 * 0.5 * (s.params.L - s.params.mu),"),
+        (MEMBERSHIP, "minus = _column([s.params.L - s.params.mu for s in smooth])",
+         "minus = _column([0.98 * (s.params.L - s.params.mu) for s in smooth])"),
         (ORACLE, "minus = np.array([0.5 * (s.params.L - s.params.mu) for s in smooth])",
          "minus = np.array([0.98 * 0.5 * (s.params.L - s.params.mu) for s in smooth])"),
     ],
     # the half-space modulus mu_m times 1.05: the one-nonsmooth sets shrink
     "deep": [
-        (MEMBERSHIP, "coef = [[-m.params.mu, -1.0]]", "coef = [[-1.05 * m.params.mu, -1.0]]"),
+        (MEMBERSHIP, "np.vstack(([[-m.params.mu, -1.0]],",
+         "np.vstack(([[-1.05 * m.params.mu, -1.0]],"),
         (ORACLE, "offsets = -last.params.mu * ", "offsets = -1.05 * last.params.mu * "),
     ],
     # cross_check skips a boundary band 100 times wider

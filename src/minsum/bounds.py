@@ -19,6 +19,7 @@ from .geometry import Ball, as_vec, check_same_dim
 from .membership import (
     Scenario,
     UnsupportedPatternError,
+    _check_moduli,
     focal_point,
     min_bound_B,
     route,
@@ -69,8 +70,7 @@ def focal_distance_bound(mu1: float, mu2: float, x1, x2, bound_b: float) -> floa
     the smaller _focal_terms term."""
     a1 = as_vec(x1)
     a2 = as_vec(x2, len(a1))
-    if mu1 < 0.0 or mu2 < 0.0 or mu1 + mu2 <= 0.0:
-        raise ValueError("moduli must be nonnegative with positive sum")
+    _check_moduli(mu1, mu2)
     b = float(bound_b)
     if not math.isfinite(b) or b < 0.0:
         raise ValueError("bound must be finite and nonnegative")

@@ -124,20 +124,7 @@ def cmd_region(args) -> int:
 
 def cmd_bounds(args) -> int:
     scenario = load_scenario(args.scenario)
-    info = bounds_mod.scenario_bound_reports(scenario)
-    reports = [
-        {"bound_value": r.bound_value, "binding_term": r.binding_term, "kappa": r.kappa}
-        for r in info["reports"]
-    ]
-    enclosing = info["enclosing"]
-    _emit(
-        {
-            "reports": reports,
-            "enclosing": {"center": enclosing.center, "radius": enclosing.radius},
-            "focal": info["focal"],
-            "notes": info["notes"],
-        }
-    )
+    _emit(bounds_mod.scenario_bound_reports(scenario))
     return 0
 
 

@@ -471,8 +471,7 @@ def qp_min_norm_gradient_solution(x_star, x1, x2, mu1: float, mu2: float):
     """
     xs = as_vec(x_star)
     a1, a2 = as_vec(x1, len(xs)), as_vec(x2, len(xs))
-    if mu1 < 0.0 or mu2 < 0.0:
-        raise ValueError("moduli must be nonnegative")
+    _check_moduli(mu1, mu2, divides=False)
     opt, g = _min_norm_qp(xs[None, :], a1, a2, mu1, mu2)
     value = float(opt[0])
     return (value, g[0]) if math.isfinite(value) else (math.inf, None)
@@ -546,19 +545,20 @@ def _build(name: str, known: tuple, unknown: tuple, dim: int, bound_b):
             "nonsmooth (L = inf), listed last"
         )
     scale = _static_scale(unknown, bound_b)
+    # each smooth ball's factors, bound once for the chain and the half-space
+    smooth = unknown[:len(unknown) - nonsmooth]
+    plus = _column([s.params.L + s.params.mu for s in smooth])
+    minus = _column([s.params.L - s.params.mu for s in smooth])
     if nonsmooth == 0:
-        return partial(_ball_chain, _anchors(unknown, dim),
-                       _column([s.params.L + s.params.mu for s in unknown]),
-                       _column([s.params.L - s.params.mu for s in unknown]),
+        return partial(_ball_chain, _anchors(unknown, dim), plus, minus,
                        _known_columns(known), scale)
     if nonsmooth == 1:
-        *smooth, m = unknown
+        m = unknown[-1]
         # _ball_halfspace's table, row by row: the factors of |d_m|^2 and
         # the gradient term, then of each d_i's gain and loss
-        coef = [[-m.params.mu, -1.0]] + [[0.5 * (s.params.L - s.params.mu),
-                                          -(0.5 * (s.params.L + s.params.mu))] for s in smooth]
+        coef = np.vstack(([[-m.params.mu, -1.0]], np.hstack((0.5 * minus, -0.5 * plus))))
         return partial(_ball_halfspace, _anchors((m, *smooth), dim),
-                       np.array(coef)[:, :, None], _known_columns(known), scale)
+                       coef[:, :, None], _known_columns(known), scale)
     s1, s2 = unknown
     if float(np.linalg.norm(s1.x_star - s2.x_star)) <= TOL * (1.0 + scale):
         raise CoincidentPointsError("summand minimizers coincide")
@@ -601,13 +601,20 @@ def member_smooth_nonsmooth(x_star, smooth: Summand, nonsmooth: Summand) -> Verd
     return _member(ONE_NONSMOOTH, x_star, (), (smooth, nonsmooth))
 
 
+def _check_moduli(mu1: float, mu2: float, divides: bool = True) -> None:
+    """The one rule for a bounded pair's raw moduli: both finite and
+    nonnegative, and, where the formula divides by it, a positive sum;
+    ValueError otherwise."""
+    if not (math.isfinite(mu1) and math.isfinite(mu2) and mu1 >= 0.0 and mu2 >= 0.0):
+        raise ValueError(f"moduli must be finite and nonnegative, got {mu1} and {mu2}")
+    if divides and mu1 + mu2 <= 0.0:
+        raise ValueError("at least one modulus must be positive")
+
+
 def min_bound_B(mu1: float, mu2: float, x1, x2) -> float:
     """Smallest gradient cap keeping the bounded two-nonsmooth set
     nonempty: mu1 mu2 / (mu1 + mu2) * |x1 - x2|."""
-    if mu1 < 0.0 or mu2 < 0.0:
-        raise ValueError("moduli must be nonnegative")
-    if mu1 + mu2 <= 0.0:
-        raise ValueError("at least one modulus must be positive")
+    _check_moduli(mu1, mu2)
     a1 = as_vec(x1)
     a2 = as_vec(x2, len(a1))
     return mu1 * mu2 / (mu1 + mu2) * float(np.linalg.norm(a1 - a2))

@@ -5,9 +5,13 @@ accepted spelling for an infinite smoothness constant, bare Infinity/NaN
 tokens are rejected, and unknown keys are errors.  Floats are emitted
 through repr, so a save/load round trip reproduces the scenario bit for
 bit.
+
+One encoder, _json_value, writes every JSON payload: the scenario file,
+and each record (Verdict, BoundReport, Ball) as its fields by name.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -141,20 +145,13 @@ def scenario_from_json(text: str) -> Scenario:
 def scenario_to_json(scenario: Scenario) -> str:
     out: dict = {"summands": []}
     for s in scenario.summands:
-        entry: dict = {
-            "x_star": [float(v) for v in s.x_star],
-            "mu": s.params.mu,
-            "L": "inf" if math.isinf(s.params.L) else s.params.L,
-        }
+        entry: dict = {"x_star": s.x_star, "mu": s.params.mu, "L": s.params.L}
         if s.known is not None:
-            entry["known"] = {
-                "matrix": [[float(v) for v in row] for row in s.known.matrix],
-                "center": [float(v) for v in s.known.center],
-            }
+            entry["known"] = {"matrix": s.known.matrix, "center": s.known.center}
         out["summands"].append(entry)
     if scenario.bound_B is not None:
         out["bound_B"] = scenario.bound_B
-    return json.dumps(out, indent=2)
+    return json.dumps(_json_value(out), indent=2)
 
 
 def load_scenario(path) -> Scenario:
@@ -179,7 +176,9 @@ def save_scenario(scenario: Scenario, path):
 def _json_value(obj):
     """The payload with every non-finite float spelled "inf", "-inf" or
     "nan", as the scenario spells L: strict JSON has no Infinity or NaN
-    literal.  Dicts, lists, tuples and numpy arrays are walked."""
+    literal.  Dicts, lists, tuples and numpy arrays are walked, and so is
+    a dataclass record (Verdict, BoundReport, Ball): it becomes a dict of
+    its fields by name, in declaration order."""
     if isinstance(obj, float) and not math.isfinite(obj):
         return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     if isinstance(obj, dict):
@@ -188,15 +187,14 @@ def _json_value(obj):
         return [_json_value(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _json_value(obj.tolist())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _json_value(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
 def verdict_to_dict(verdict: Verdict, predicate: str | None = None) -> dict:
-    out = {
-        "state": verdict.state,
-        "margin": _json_value(verdict.margin),
-        "fired_conditions": verdict.fired_conditions,
-    }
+    """The verdict's fields, then predicate_used when predicate is given."""
+    out = _json_value(verdict)
     if predicate is not None:
         out["predicate_used"] = predicate
     return out

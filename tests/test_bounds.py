@@ -82,6 +82,16 @@ def test_focal_distance_bound_validation():
         focal_distance_bound(1.0, 1.0, x1, x2, math.inf)
 
 
+@pytest.mark.parametrize("mu1", [math.nan, math.inf])
+def test_focal_distance_bound_rejects_non_finite_moduli(mu1):
+    # such a modulus used to give a nan bound, not an error
+    x1, x2 = vec(-1.0, 0.0), vec(1.0, 0.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        focal_distance_bound(mu1, 2.0, x1, x2, 3.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        focal_distance_bound(2.0, mu1, x1, x2, 3.0)
+
+
 def test_focal_distance_bound_at_the_minimum_cap_at_large_scale():
     # b >= min_bound_B is the one emptiness rule: at anchors near 1e13 the
     # linear term rounds far below 0, yet the set is the focal point
@@ -149,6 +159,8 @@ def test_enclosing_ball_simple_cases():
     assert square.radius == pytest.approx(math.sqrt(2.0))
     single = smallest_enclosing_ball([vec(3.0, 4.0)])
     assert single.radius == 0.0
+    with pytest.raises(ValueError, match="at least one point"):
+        smallest_enclosing_ball([])
 
 
 @given(

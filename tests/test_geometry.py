@@ -176,6 +176,12 @@ def test_halfspace_basic():
     assert h.distance(vec(4.0, 0.0)) == pytest.approx(2.0)
 
 
+def test_halfspace_rejects_non_finite_offset():
+    for offset in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            HalfSpace(vec(1.0, 0.0), offset)
+
+
 def test_halfspace_zero_normal():
     vacuous = HalfSpace(vec(0.0, 0.0), 1.0)
     empty = HalfSpace(vec(0.0, 0.0), -1.0)

@@ -94,6 +94,11 @@ def test_interpolation_needs_consistent_values():
 
 def test_single_triplet_always_interpolable():
     v = check_interpolation([Triplet(vec(1.0), vec(2.0), 3.0)], ClassParams(1.0, 2.0))
+    with pytest.raises(ValueError, match="at least one triplet"):
+        check_interpolation([], ClassParams(1.0, 2.0))
+    for f in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="function value must be finite"):
+            Triplet(vec(1.0), vec(2.0), f)
     assert v.admits and v.margin == math.inf
 
 

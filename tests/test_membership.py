@@ -99,6 +99,8 @@ def test_known_function_validation():
         KnownFunction(-np.eye(2), vec(0, 0))
     with pytest.raises(ValueError, match="square"):
         KnownFunction(np.ones((2, 3)), vec(0, 0))
+    with pytest.raises(DimensionMismatchError, match="dimensions differ"):
+        KnownFunction(np.eye(3), vec(0, 0))
     k = KnownFunction(np.diag([2.0, 3.0]), vec(1.0, -1.0))
     assert np.allclose(k.gradient(vec(2.0, 0.0)), vec(2.0, 3.0))
     # asymmetry within eps is averaged away
@@ -226,6 +228,8 @@ def test_m_one_nonsmooth_three_terms():
     assert member_m_one_nonsmooth(vec(0.0, 4.0), ss).state == OUTSIDE
     with pytest.raises(UnsupportedPatternError):
         member_m_one_nonsmooth(vec(0, 0), list(reversed(ss)))
+    with pytest.raises(ValueError, match="at least one summand"):
+        member_m_one_nonsmooth(vec(0, 0), [])
 
 
 # ------------------------------------------------------- bounded nonsmooth
@@ -237,6 +241,16 @@ def test_min_bound_value(bounded_pair):
     assert b == pytest.approx(1.75 * 2.0 / 3.75 * 2.0)
     with pytest.raises(ValueError):
         min_bound_B(0.0, 0.0, s1.x_star, s2.x_star)
+
+
+@pytest.mark.parametrize("mu1", [math.nan, math.inf])
+def test_min_bound_rejects_non_finite_moduli(bounded_pair, mu1):
+    # such a modulus used to give nan, not an error
+    s1, s2 = bounded_pair.summands
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        min_bound_B(mu1, 2.0, s1.x_star, s2.x_star)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        min_bound_B(2.0, mu1, s1.x_star, s2.x_star)
 
 
 def test_bounded_worked_points(bounded_pair):
@@ -460,6 +474,11 @@ def test_focal_point_unsupported_cases(mixed_pair):
     k = KnownFunction(np.eye(2), vec(0.0, 0.0))
     with pytest.raises(UnsupportedPatternError):
         focal_point((Summand(vec(0, 0), ClassParams(0.5, 2.0), k),))
+    with pytest.raises(ValueError, match="at least one summand"):
+        focal_point(())
+    flat = ClassParams(0.0, math.inf)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        focal_point((Summand(vec(-1, 0), flat), Summand(vec(1, 0), flat)))
 
 
 # ---------------------------------------------------------------- witnesses

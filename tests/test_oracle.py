@@ -159,6 +159,19 @@ def test_qp_infeasible_on_exterior_ray():
     assert opt == math.inf and g is None
 
 
+@pytest.mark.parametrize("mu1", [math.nan, math.inf])
+def test_qp_rejects_non_finite_moduli(mu1):
+    # nan used to read as disjoint half-spaces (inf, None), and inf as a
+    # point on an anchor
+    x, a1, a2 = vec(0.0, 1.0), vec(-1.0, 0.0), vec(1.0, 0.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        qp_min_norm_gradient_solution(x, a1, a2, mu1, 1.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        qp_min_norm_gradient_solution(x, a1, a2, 1.0, mu1)
+    # no division by the sum: both moduli zero is allowed
+    assert qp_min_norm_gradient_solution(x, a1, a2, 0.0, 0.0)[0] == 0.0
+
+
 def test_qp_rejects_anchor_coincidence():
     with pytest.raises(CoincidentPointsError):
         qp_min_norm_gradient(vec(1.0, 0.0), vec(-1.0, 0.0), vec(1.0, 0.0), 1.0, 1.0)
@@ -745,6 +758,22 @@ def test_singular_first_draw_is_redrawn_from_its_stream(monkeypatch):
     redrawn = sample_quadratic_instance(sc, 7).exact_minimizer
     assert redrawn.tobytes() == reference_instance(sc, 7)[1].tobytes()
     assert not np.array_equal(redrawn, unperturbed)
+
+
+def test_instances_give_up_after_64_singular_draws(monkeypatch):
+    # every draw has all-zero spectra, so every sum is singular: each
+    # seed redraws 64 times from its stream, then _instances raises
+    sc = random_smooth_scenario(3)
+    draws = []
+
+    def flat(unknown, n, rng):
+        draws.append(rng)
+        return [np.eye(n), np.zeros(n)] * len(unknown)
+
+    monkeypatch.setattr(oracle, "_draw", flat)
+    with pytest.raises(ValueError, match="could not draw a nonsingular instance"):
+        oracle._instances(sc, [5, 6])
+    assert len(draws) == 2 * 64
 
 
 def test_sweep_failures_in_seed_order(monkeypatch):

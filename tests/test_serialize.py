@@ -122,6 +122,26 @@ def test_save_and_load(tmp_path, mixed_pair):
             ' {"x_star": [1, 0], "mu": 1.0, "L": "inf"}]}',
             "bound_B",
         ),
+        ('{"summands": [[0, 0]]}', r"summands\[0\] must be an object"),
+        (
+            '{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0, "known": [1]}]}',
+            r"summands\[0\]\.known must be an object",
+        ),
+        (
+            '{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0,'
+            ' "known": {"matrix": [[1, 0], [0, 1]]}}]}',
+            "needs matrix and center",
+        ),
+        (
+            '{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0,'
+            ' "known": {"matrix": [], "center": [0, 0]}}]}',
+            "matrix must be a nonempty array of rows",
+        ),
+        (
+            '{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0,'
+            ' "known": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "center": [0, 0, 0]}}]}',
+            r"summands\[0\]: mixed dimensions \[2, 3\]",
+        ),
         (
             '{"summands": [{"x_star": [0, 0], "mu": 1.0, "L": 2.0}], "bound_B": -1}',
             ">= 0",

@@ -5,6 +5,7 @@ inputs are checked."""
 import ast
 import importlib
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -143,6 +144,57 @@ def test_verify_corpus_projection_stats_go_to_stderr_only(capsys, monkeypatch):
     assert [sum(r[s] for s in statuses) for r in (first, second)] == [10, 20]
     for key in total:
         assert total[key] == first[key] + second[key]
+
+
+def test_verify_corpus_replays_each_scenario_command_to_stdout(capsys, monkeypatch):
+    # one preset file's runs: verify, check at three of its sampled
+    # points, bounds and focal, each on its own stdout line with its exit
+    # code; --times adds stderr lines and leaves stdout as it was
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    corpus = load(ROOT / "scripts" / "verify_corpus.py", "verify_corpus")
+    presets = corpus.preset_runs
+    monkeypatch.setattr(corpus, "preset_runs", lambda tmp: itertools.islice(presets(tmp), 6))
+    monkeypatch.setattr(corpus, "random_runs", lambda: iter(()))
+    assert corpus.main([]) == 0
+    plain = capsys.readouterr()
+    assert corpus.main(["--times"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    lines = [line.split("\t") for line in plain.out.splitlines()]
+    first = "seed0/c0/one_nonsmooth3"
+    assert [tag for tag, _, _ in lines] == [
+        first, f"{first}/check0", f"{first}/check1", f"{first}/check2",
+        f"{first}/bounds", f"{first}/focal"]
+    assert [tag for tag, _ in (line.split("\t") for line in timed.err.splitlines())] == [
+        *(tag for tag, _, _ in lines), "total"]
+    verify, *checks, bound, focal = lines
+    assert json.loads(verify[1])["ok"] and verify[2] == "0"
+    for _, out, code in checks:
+        assert int(code) == cli._STATE_CODES[json.loads(out)["state"]]
+    assert list(json.loads(bound[1])) == ["reports", "enclosing", "focal", "notes"]
+    assert bound[2] == "0"
+    # the focal point is not defined with a nonsmooth summand among smooth ones
+    assert focal[1:] == ["", str(cli.EXIT_UNSUPPORTED)]
+
+
+def test_verify_corpus_skips_few_boundary_points(tmp_path, monkeypatch):
+    # the corpus's verify runs decide every point they do not skip, and
+    # skip at most 1 point in 1,000 as too close to the boundary
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    corpus = load(ROOT / "scripts" / "verify_corpus.py", "verify_corpus")
+    runs = [argv for _, argv in corpus.preset_runs(str(tmp_path)) if argv[0] == "verify"]
+    runs += [argv for _, argv in corpus.random_runs()]
+    assert len(runs) == 388
+    results = []
+    for argv in runs:
+        out, code = corpus.run(argv)
+        payload = json.loads(out)
+        assert payload["ok"] and code == 0, argv
+        results += payload.get("runs", [payload])
+    points = sum(r["points"] for r in results)
+    assert points == 23_920
+    assert sum(r["indeterminate"] for r in results) == 0
+    assert 1000 * sum(r["boundary_skipped"] for r in results) <= points
 
 
 def test_render_figures_smoke(capsys, tmp_path):
