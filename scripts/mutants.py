@@ -83,6 +83,14 @@ MUTANTS = {
         (MEMBERSHIP, "best = np.maximum(np.maximum(c12[0], c12[1]), value[3])",
          "best = np.maximum(c12[0], c12[1])"),
     ],
+    # each seed draws a summand's eigenvalues before its matrix
+    "sweep_draw_order": [
+        (ORACLE,
+         "rngs[i].standard_normal(out=g[row, j])\n"
+         "                rngs[i].random(out=spectra[row, j, 0])",
+         "rngs[i].random(out=spectra[row, j, 0])\n"
+         "                rngs[i].standard_normal(out=g[row, j])"),
+    ],
     "one_nonsmooth_ball_bound": [
         ("src/minsum/bounds.py", "return math.sqrt(k + 1.0)", "return math.sqrt(k + 0.9)"),
     ],

@@ -708,11 +708,11 @@ def focal_point(summands) -> np.ndarray:
         raise UnsupportedPatternError(
             "focal point needs all-smooth summands or exactly two nonsmooth ones"
         )
+    # a power of two scales each normal weight exactly and keeps the sum finite
+    k = math.frexp(max(weights))[1]
+    weights = [math.ldexp(w, -k) for w in weights]
     total = sum(weights)
-    out = np.zeros_like(ss[0].x_star)
-    for w, s in zip(weights, ss):
-        out = out + (w / total) * s.x_star
-    return out
+    return sum((w / total) * s.x_star for w, s in zip(weights, ss))
 
 
 def witness_gradients(scenario: Scenario, x_star):

@@ -74,16 +74,6 @@ def random_orthogonal(n: int, rng) -> np.ndarray:
     return _orthogonal(rng.standard_normal((n, n)))
 
 
-def _draw(unknown, n: int, rng) -> list:
-    """One instance's draws from rng, in the order they are taken: per
-    unknown summand an (n, n) standard normal matrix, then its n
-    eigenvalues, uniform in [mu, L]."""
-    out = []
-    for s in unknown:
-        out += [rng.standard_normal((n, n)), rng.uniform(s.params.mu, s.params.L, n)]
-    return out
-
-
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row, as the dot product of the row with
     itself, like the norm of a single vector."""
@@ -107,9 +97,12 @@ def _instances(scenario: Scenario, seeds: list):
     """The matrices (S, u, n, n) of the u unknown summands and the exact
     sum minimizers (S, n) of one quadratic instance per seed.
 
-    Each seed draws from its own stream (_draw).  The matrices of all
-    seeds are built, validated and solved as stacks: the minimizer solves
-    (sum A_i) x = sum A_i c_i over every summand, known ones included.
+    Each seed draws from its own stream into its row of the stacks: per
+    unknown summand an (n, n) standard normal matrix, then n uniforms u.
+    The eigenvalues mu + (L - mu) u are Generator.uniform(mu, L, n)'s own
+    formula, so they keep its bits.  The matrices of all seeds are built,
+    validated and solved as stacks: the minimizer solves (sum A_i) x =
+    sum A_i c_i over every summand, known ones included.
     When every modulus is zero the sum can be singular; such a seed
     redraws from its stream, up to 64 times, so each instance is a
     deterministic function of its seed alone.  A seed failing still
@@ -121,14 +114,20 @@ def _instances(scenario: Scenario, seeds: list):
             "quadratic instances need finite L on every unknown summand"
         )
     n, u = scenario.dim, len(unknown)
+    mu = np.array([s.params.mu for s in unknown])[:, None, None]
+    L = np.array([s.params.L for s in unknown])[:, None, None]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     matrices = np.empty((len(rngs), u, n, n))
     minimizers = np.empty((len(rngs), n))
     todo = np.arange(len(rngs))
     for _ in range(64):
-        draws = [_draw(unknown, n, rngs[i]) for i in todo.tolist()]
-        g = np.reshape([d[0::2] for d in draws], (len(todo), u, n, n))
-        spectra = np.reshape([d[1::2] for d in draws], (len(todo), u, 1, n))
+        g = np.empty((len(todo), u, n, n))
+        spectra = np.empty((len(todo), u, 1, n))
+        for row, i in enumerate(todo.tolist()):
+            for j in range(u):
+                rngs[i].standard_normal(out=g[row, j])
+                rngs[i].random(out=spectra[row, j, 0])
+        spectra = mu + (L - mu) * spectra
         q = _orthogonal(g)
         mats = membership._checked_matrices((q * spectra) @ np.swapaxes(q, -1, -2))
         total = np.zeros((len(todo), n, n))

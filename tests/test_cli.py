@@ -358,6 +358,16 @@ def test_focal_weightings(capsys, smooth_path, bounded_path):
     assert payload["focal"][0] == pytest.approx(0.25 / 3.75)
 
 
+def test_focal_of_moduli_summing_past_the_float_max(capsys, tmp_path):
+    # mu1 + mu2 is inf; focal and bounds both print the midpoint
+    summands = [{"x_star": [x, 0], "mu": 1e308, "L": "inf"} for x in (0, 1)]
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps({"summands": summands, "bound_B": 1e308}), encoding="utf-8")
+    for command in ("focal", "bounds"):
+        code, out, _ = run(capsys, command, str(p))
+        assert (code, json.loads(out)["focal"]) == (0, [0.5, 0.0])
+
+
 def test_focal_unsupported_pattern(capsys, tmp_path, mixed_pair):
     p = tmp_path / "mixed.json"
     save_scenario(mixed_pair, p)

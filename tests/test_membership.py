@@ -468,6 +468,27 @@ def test_focal_point_weighting(smooth_pair, bounded_pair):
     assert v.fired_conditions == COND_BASE | COND_FIRST | COND_SECOND | COND_DET
 
 
+@pytest.mark.parametrize("params", [ClassParams(1e308, math.inf), ClassParams(1.0, 1e308)],
+                         ids=["moduli", "smoothness"])
+def test_focal_point_weights_summing_past_the_float_max(params):
+    # the weights sum to inf; each still gets its share of the average
+    f = focal_point((Summand(vec(0, 0), params), Summand(vec(1, 0), params)))
+    assert f.tobytes() == vec(0.5, 0.0).tobytes()
+
+
+def test_focal_point_keeps_the_bits_of_the_plain_weighted_average():
+    # scaling by a power of two rounds no normal weight: the bits stay
+    scenarios = [f(k, n=3) for f in (random_smooth_scenario, random_two_nonsmooth_scenario)
+                 for k in range(20)]
+    for ss in (sc.summands for sc in scenarios):
+        smooth = all(s.params.is_smooth for s in ss)
+        weights = [s.params.L + s.params.mu if smooth else s.params.mu for s in ss]
+        plain = np.zeros_like(ss[0].x_star)
+        for w, s in zip(weights, ss):
+            plain = plain + (w / sum(weights)) * s.x_star
+        assert focal_point(ss).tobytes() == plain.tobytes()
+
+
 def test_focal_point_unsupported_cases(mixed_pair):
     with pytest.raises(UnsupportedPatternError):
         focal_point(mixed_pair.summands)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -676,7 +677,8 @@ def with_known(sc, seed):
 
 
 SWEEP_CASES = [
-    *(pytest.param(random_smooth_scenario(k, n=n), id=f"{n}d_{k}") for n in (2, 3, 8) for k in range(4)),
+    *(pytest.param(random_smooth_scenario(k, n=n), id=f"{n}d_{k}")
+      for n in (1, 2, 3, 8) for k in range(4)),
     *(pytest.param(with_known(random_smooth_scenario(k, n=n), k), id=f"known_{n}d_{k}")
       for n in (2, 3) for k in range(3)),
 ]
@@ -731,8 +733,8 @@ def test_necessity_sweep_no_seeds(smooth_pair, mixed_pair):
 
 
 def test_singular_first_draw_is_redrawn_from_its_stream(monkeypatch):
-    # seed 7's first draw gets all-zero spectra: the matrices sum to zero,
-    # the stacked solve fails, and seed 7 alone redraws
+    # seed 7's first draw gets all-zero matrix draws: QR's sign fix makes
+    # every matrix zero, the stacked solve fails, and seed 7 alone redraws
     sc = random_smooth_scenario(3)
     make = np.random.default_rng
     unperturbed = sample_quadratic_instance(sc, 7).exact_minimizer
@@ -742,15 +744,18 @@ def test_singular_first_draw_is_redrawn_from_its_stream(monkeypatch):
             self.rng = make(seed)
             self.flat = len(sc.unknown_summands) if seed == 7 else 0
 
-        def standard_normal(self, shape):
-            return self.rng.standard_normal(shape)
-
-        def uniform(self, low, high, size):
-            v = self.rng.uniform(low, high, size)
+        def standard_normal(self, size=None, out=None):
+            v = self.rng.standard_normal(size, out=out)
             if self.flat:
                 self.flat -= 1
-                return 0.0 * v
+                v[...] = 0.0
             return v
+
+        def random(self, out=None):
+            return self.rng.random(out=out)
+
+        def uniform(self, low, high, size):
+            return self.rng.uniform(low, high, size)
 
     monkeypatch.setattr(np.random, "default_rng", FlatFirstDraw)
     seeds = range(5, 10)
@@ -761,19 +766,31 @@ def test_singular_first_draw_is_redrawn_from_its_stream(monkeypatch):
 
 
 def test_instances_give_up_after_64_singular_draws(monkeypatch):
-    # every draw has all-zero spectra, so every sum is singular: each
-    # seed redraws 64 times from its stream, then _instances raises
+    # every matrix draw is zero, so every sum is singular: each seed
+    # redraws 64 times from its stream, then _instances raises
     sc = random_smooth_scenario(3)
+    make = np.random.default_rng
     draws = []
 
-    def flat(unknown, n, rng):
-        draws.append(rng)
-        return [np.eye(n), np.zeros(n)] * len(unknown)
+    class FlatDraws:
+        def __init__(self, seed):
+            self.rng = make(seed)
 
-    monkeypatch.setattr(oracle, "_draw", flat)
+        def standard_normal(self, size=None, out=None):
+            draws.append(self)
+            v = self.rng.standard_normal(size, out=out)
+            v[...] = 0.0
+            return v
+
+        def random(self, out=None):
+            return self.rng.random(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", FlatDraws)
     with pytest.raises(ValueError, match="could not draw a nonsingular instance"):
         oracle._instances(sc, [5, 6])
-    assert len(draws) == 2 * 64
+    # one matrix draw per unknown summand, 64 passes, for each seed's stream
+    u = len(sc.unknown_summands)
+    assert sorted(Counter(draws).values()) == [64 * u, 64 * u]
 
 
 def test_sweep_failures_in_seed_order(monkeypatch):
