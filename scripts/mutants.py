@@ -91,6 +91,12 @@ MUTANTS = {
          "rngs[i].random(out=spectra[row, j, 0])\n"
          "                rngs[i].standard_normal(out=g[row, j])"),
     ],
+    # the region SVG colours a cell red where both alignment clauses fired
+    "svg_clause_order": [
+        ("src/minsum/serialize.py",
+         '"#2ca02c" if bits & COND_FIRST else "#d62728" if bits & COND_SECOND',
+         '"#d62728" if bits & COND_SECOND else "#2ca02c" if bits & COND_FIRST'),
+    ],
     "one_nonsmooth_ball_bound": [
         ("src/minsum/bounds.py", "return math.sqrt(k + 1.0)", "return math.sqrt(k + 0.9)"),
     ],

@@ -409,19 +409,22 @@ def _min_norm_qp(points, a1, a2, mu1: float, mu2: float):
         <g, v> <= -mu2 |v|^2,  v = x - a2
     at each row x of points, by enumerating the KKT active sets: none,
     u, v and both, within each row's eps_for(x, a1, a2, mu1, mu2).
+    A row within eps_for(x, a1, a2) of an anchor raises: that band is a
+    distance's, so the moduli do not widen it.
     Returns each row's optimal value, inf where the half-spaces are
     disjoint (x on the colinear ray outside the segment [a1, a2]), and
     its argmin (N, n), NaN where the value is inf.  Ties go to the first
     active set in that order.
     """
     x = points.T
-    scale = max(float(np.abs(a1).max()), float(np.abs(a2).max()), mu1, mu2)
-    eps = row_eps(scale, x)
+    reach = max(float(np.abs(a1).max()), float(np.abs(a2).max()))
+    eps = row_eps(max(reach, mu1, mu2), x)
+    near = row_eps(reach, x)
     u = a1[:, None] - x
     v = x - a2[:, None]
     nu = fold(u * u)
     nv = fold(v * v)
-    if (np.minimum(nu, nv) <= eps * eps).any():
+    if (np.minimum(nu, nv) <= near * near).any():
         raise CoincidentPointsError("x_star coincides with an anchor point")
     bu = -mu1 * nu
     bv = -mu2 * nv

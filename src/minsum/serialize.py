@@ -219,13 +219,17 @@ def raster_to_csv_text(raster: RegionRaster) -> str:
     return "x,y,state,margin,conditions\n" + ("%s%s%s,%.17g,%d\n" * cells) % tuple(fields)
 
 
-_CONDITION_COLORS = (
-    (COND_FIRST, "#2ca02c"),
-    (COND_SECOND, "#d62728"),
-    (COND_DET, "#1f77b4"),
+# an admitted cell's fill, indexed by its clause bits & 15: the colour of
+# the lowest sufficient clause that fired, else grey for the bounded pair
+# (only its base caps hold) and green for every other predicate
+_BOUNDED_FILLS, _PLAIN_FILLS = (
+    np.array([
+        "#2ca02c" if bits & COND_FIRST else "#d62728" if bits & COND_SECOND
+        else "#1f77b4" if bits & COND_DET else default
+        for bits in range(16)
+    ])
+    for default in ("#7f7f7f", "#2ca02c")
 )
-_PLAIN_FILL = "#2ca02c"
-_FALLBACK_FILL = "#7f7f7f"
 
 
 def raster_to_svg_text(raster: RegionRaster) -> str:
@@ -237,25 +241,18 @@ def raster_to_svg_text(raster: RegionRaster) -> str:
     """
     nx, ny = raster.resolution
     idx = np.flatnonzero(raster.states)
-    fired = raster.fired[idx]
-    # only the bounded kernel sets clause bits; other cells keep the default
-    bounded = raster.predicate == TWO_NONSMOOTH_BOUNDED
-    fills = np.select(
-        [fired & bit != 0 for bit, _ in _CONDITION_COLORS],
-        [color for _, color in _CONDITION_COLORS],
-        _FALLBACK_FILL if bounded else _PLAIN_FILL,
-    ).tolist()
-    # svg y axis points down; flip so the bbox ymin lands at the bottom
-    rects = map(
-        '<rect x="{}" y="{}" width="1" height="1" fill="{}"/>'.format,
-        (idx % nx).tolist(), (ny - 1 - idx // nx).tolist(), fills,
-    )
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    table = _BOUNDED_FILLS if raster.predicate == TWO_NONSMOOTH_BOUNDED else _PLAIN_FILLS
+    # as the CSV does: one % format over the fields laid out rect by rect;
+    # svg y axis points down, so flip to put the bbox ymin at the bottom
+    fields = [None] * (3 * len(idx))
+    fields[0::3] = (idx % nx).tolist()
+    fields[1::3] = (ny - 1 - idx // nx).tolist()
+    fields[2::3] = table[raster.fired[idx] & 15].tolist()
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{nx}" height="{ny}" '
-        f'viewBox="0 0 {nx} {ny}">',
-        f'<rect x="0" y="0" width="{nx}" height="{ny}" fill="#ffffff"/>',
-        *rects,
-        "</svg>",
-    ]
-    return "\n".join(lines) + "\n"
+        f'viewBox="0 0 {nx} {ny}">\n'
+        f'<rect x="0" y="0" width="{nx}" height="{ny}" fill="#ffffff"/>\n'
+        + ('<rect x="%s" y="%s" width="1" height="1" fill="%s"/>\n' * len(idx)) % tuple(fields)
+        + "</svg>\n"
+    )

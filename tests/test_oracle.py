@@ -178,6 +178,24 @@ def test_qp_rejects_anchor_coincidence():
         qp_min_norm_gradient(vec(1.0, 0.0), vec(-1.0, 0.0), vec(1.0, 0.0), 1.0, 1.0)
 
 
+def test_qp_anchor_band_is_not_widened_by_the_moduli():
+    # moduli of 1e7 set the constraints' band near 0.01, but a point
+    # 0.005 from an anchor is no coincidence: the QP answers, and
+    # cross_check compares it with the kernel's verdict
+    a1, a2 = vec(0.0, 0.0), vec(1.0, 0.0)
+    sc = Scenario((Summand(a1, ClassParams(1e7, math.inf)),
+                   Summand(a2, ClassParams(1e7, math.inf))), bound_B=1e7)
+    x = vec(0.005, 0.001)
+    assert evaluate(sc, x).state == INSIDE
+    value, g = qp_min_norm_gradient_solution(x, a1, a2, 1e7, 1e7)
+    assert value <= 1e14 and value == pytest.approx(float(g @ g))
+    report = cross_check(sc, [x])
+    assert report.checked == 1 and not report.mismatches
+    # within eps_for(x, a1, a2) of an anchor it still raises
+    with pytest.raises(CoincidentPointsError):
+        qp_min_norm_gradient_solution(vec(1e-10, 0.0), a1, a2, 1e7, 1e7)
+
+
 def test_qp_scaling_quadratic():
     args = (vec(0.2, 0.9), vec(-1.0, 0.0), vec(1.0, 0.0), 1.4, 0.8)
     base = qp_min_norm_gradient(*args)
@@ -210,7 +228,8 @@ def test_qp_agrees_with_predicate(bounded_pair):
 
 def _qp_rows(x, a1, a2, mu1, mu2):
     """The KKT kernel's (optimum, argmin, eps) of the rows of x, with eps
-    the tolerance the kernel itself works out (a spy on its row_eps)."""
+    the tolerance the kernel itself works out (a spy on its row_eps: the
+    constraints' band, then the anchor test's)."""
     seen = []
     kernel_eps = membership.row_eps
 
@@ -221,7 +240,7 @@ def _qp_rows(x, a1, a2, mu1, mu2):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(membership, "row_eps", spy)
         opt, g = membership._min_norm_qp(x, a1, a2, mu1, mu2)
-    (eps,) = seen
+    eps, _ = seen
     return opt, g, eps
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ import pytest
 from minsum.geometry import Verdict
 from minsum.interpolation import ClassParams
 from minsum.membership import (
+    COND_DET,
+    COND_FIRST,
+    COND_SECOND,
+    TWO_NONSMOOTH_BOUNDED,
+    TWO_SMOOTH,
     KnownFunction,
+    RegionRaster,
     Scenario,
     Summand,
     rasterize_region,
@@ -244,6 +251,33 @@ def test_svg_plain_pattern_single_color(smooth_pair):
     svg = raster_to_svg_text(raster)
     used = {part.split('"')[0] for part in svg.split('fill="')[1:]}
     assert used == {"#ffffff", "#2ca02c"}
+
+
+def _clause_fill(bits: int, bounded: bool) -> str:
+    if bits & COND_FIRST:
+        return "#2ca02c"
+    if bits & COND_SECOND:
+        return "#d62728"
+    if bits & COND_DET:
+        return "#1f77b4"
+    return "#7f7f7f" if bounded else "#2ca02c"
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("predicate", [TWO_NONSMOOTH_BOUNDED, TWO_SMOOTH])
+def test_svg_fill_of_every_clause_bit_value(predicate, dtype):
+    # a hand-built raster: its bottom row admits cells (inside and boundary
+    # in turn) carrying every clause-bit value 0-15 and some outside that
+    # range; its top row is outside, so none of it is drawn
+    bits = [*range(16), 16, 31, -1]
+    nx = len(bits)
+    states = np.concatenate((np.arange(nx) % 2 + 1, np.zeros(nx, dtype=int)))
+    raster = RegionRaster((0.0, 1.0, 0.0, 1.0), (nx, 2), predicate, states,
+                          np.zeros(2 * nx), np.array(bits + bits[::-1], dtype=dtype))
+    rects = re.findall(r'<rect x="(\d+)" y="(\d+)" width="1" height="1" fill="([^"]*)"/>',
+                       raster_to_svg_text(raster))
+    bounded = predicate == TWO_NONSMOOTH_BOUNDED
+    assert rects == [(str(i), "1", _clause_fill(b, bounded)) for i, b in enumerate(bits)]
 
 
 def test_svg_deterministic(bounded_pair):
